@@ -40,6 +40,13 @@ def _freeze(a):
     return a
 
 
+def _freeze_matrix(a):
+    # interpolation matrices are transpose views of mode-major arrays and
+    # stay in that layout, so they are frozen without a contiguous copy
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class Diffeo:
     """Circle diffeomorphism psi(theta) = theta + p(theta), p periodic.
@@ -78,17 +85,25 @@ class Diffeo:
 
     @functools.cached_property
     def interp_forward(self):
-        """Interpolation matrix evaluating grid samples at psi(theta_k)."""
-        return interp_matrix(self.forward_points, self.n)
+        """Half-spectrum interpolation matrix evaluating grid samples at psi(theta_k)."""
+        return _freeze_matrix(interp_matrix(self.forward_points, self.n, half=True))
 
     @functools.cached_property
     def interp_inverse(self):
-        """Interpolation matrix evaluating grid samples at psi^{-1}(theta_k)."""
-        return interp_matrix(self.inverse_points, self.n)
+        """Half-spectrum interpolation matrix evaluating grid samples at psi^{-1}(theta_k)."""
+        return _freeze_matrix(interp_matrix(self.inverse_points, self.n, half=True))
 
     def inverse(self):
-        """The inverse diffeomorphism, obtained by swapping displacements."""
-        return Diffeo(self.inverse_displacement, self.displacement)
+        """The inverse diffeomorphism, obtained by swapping displacements.
+
+        Interpolation matrices already built here are handed over with their
+        roles swapped, so the inverse does not build them again.
+        """
+        inv = Diffeo(self.inverse_displacement, self.displacement)
+        for mine, theirs in (("interp_forward", "interp_inverse"), ("interp_inverse", "interp_forward")):
+            if mine in vars(self):
+                vars(inv)[theirs] = vars(self)[mine]
+        return inv
 
     @staticmethod
     def identity(n):
@@ -96,42 +111,40 @@ class Diffeo:
         return Diffeo(z, z.copy())
 
 
-def _invert_monotone(displacement, targets, tol=INVERSE_TOL, max_iter=60):
-    """Solve x + p(x) = t for each target, p given by periodic samples.
+def _invert_monotone(displacement, tol=INVERSE_TOL, max_iter=60):
+    """Solve x + p(x) = theta_k on the grid, p given by periodic samples.
 
-    Newton from x = t with a bisection fallback; the brackets
-    [t - max p, t - min p] always contain the solution because x + p(x) is
-    strictly increasing.
+    Newton from the first-order inverse x = theta - p(theta), with a
+    bisection fallback; the brackets [theta - max p, theta - min p] always
+    contain the solution because x + p(x) is strictly increasing. Each
+    iterate builds one half-spectrum interpolation matrix, which evaluates p
+    and p' together. Returns the solution and the matrix built at it.
     """
     disp = np.asarray(displacement, dtype=float)
-    t = np.asarray(targets, dtype=float)
     n = disp.shape[0]
-    coef_p = np.fft.fft(disp) / n
-    coef_dp = np.fft.fft(spectral_derivative(disp)) / n
+    t = grid(n)
+    p_dp = np.column_stack([disp, spectral_derivative(disp)])
     # the interpolant of p can exceed its nodal range between nodes, so the
     # bracket is padded beyond [t - max p, t - min p]
     pad = 0.5 * float(disp.max() - disp.min()) + 1e-9
     lo = t - disp.max() - pad
     hi = t - disp.min() + pad
-    # first-order inverse as the starting point: x = t - p(t)
-    x = np.clip(t - np.real(interp_matrix(t, n) @ coef_p), lo, hi)
-    ee = interp_matrix(x, n)
-    f = x + np.real(ee @ coef_p) - t
-    for _ in range(max_iter):
+    # the interpolant of p at the nodes is p itself
+    x = np.clip(t - disp, lo, hi)
+    for _ in range(max_iter + 1):
+        ee = interp_matrix(x, n, half=True)
+        vals = trig_interp(p_dp, x, matrix=ee)
+        f = x + vals[:, 0] - t
         if np.max(np.abs(f)) < tol:
-            break
+            return x, ee
         hi = np.where(f > 0, np.minimum(hi, x), hi)
         lo = np.where(f < 0, np.maximum(lo, x), lo)
-        slope = 1.0 + np.real(ee @ coef_dp)
+        slope = 1.0 + vals[:, 1]
         with np.errstate(divide="ignore", invalid="ignore"):
             xn = np.where(np.abs(slope) > 0.1, x - f / slope, np.nan)
         bad = ~np.isfinite(xn) | (xn < lo) | (xn > hi)
         x = np.where(bad, 0.5 * (lo + hi), xn)
-        ee = interp_matrix(x, n)
-        f = x + np.real(ee @ coef_p) - t
-    if np.max(np.abs(f)) >= tol:
-        raise DomainError(f"inverse diffeomorphism iteration stalled at residual {np.max(np.abs(f)):.3e}")
-    return x
+    raise DomainError(f"inverse diffeomorphism iteration stalled at residual {np.max(np.abs(f)):.3e}")
 
 
 def make_diffeo(displacement):
@@ -148,8 +161,10 @@ def make_diffeo(displacement):
     if slope.min() <= 0.0:
         raise DomainError(f"diffeomorphism is not orientation preserving: min psi' = {slope.min():.3e}")
     theta = grid(p.shape[0])
-    x = _invert_monotone(p, theta)
+    x, ee = _invert_monotone(p)
     dif = Diffeo(p, x - theta)
+    # Newton's last matrix was built at psi^{-1}(theta_k): keep it
+    vars(dif)["interp_inverse"] = _freeze_matrix(ee)
     roundtrip = dif.inverse_points + trig_interp(p, dif.inverse_points, matrix=dif.interp_inverse)
     err = float(np.max(np.abs(roundtrip - theta)))
     if err > 1e-8:

@@ -132,11 +132,14 @@ def exp_map(cfg, c0, h0, T=1.0, steps=200, stride=1):
     guard = c0.dealias_guard
     dt = T / steps
 
-    def rhs(samples, mu, t):
+    def curve_at(samples, t):
         try:
-            c = make_curve(samples, dealias_guard=guard)
+            return make_curve(samples, dealias_guard=guard)
         except ImmersionError as exc:
             raise ImmersionError(f"immersion lost near t = {t:.6g}: {exc}") from exc
+
+    def rhs(samples, mu, t):
+        c = curve_at(samples, t)
         h = solve_conjugated(c, cfg.symbol, mu)
         g = momentum_rhs(cfg, c, h, ah=mu)
         # keep the evolved momentum on the resolved band: the quadratic
@@ -166,8 +169,8 @@ def exp_map(cfg, c0, h0, T=1.0, steps=200, stride=1):
         mu = mu + dt / 6.0 * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(mu))):
             raise StepError(f"nonfinite state after step {n + 1} (t = {(n + 1) * dt:.6g})")
-    c, h, _ = rhs(x, mu, T)
-    frames.append(snapshot(T, c, h, mu))
+    c = curve_at(x, T)
+    frames.append(snapshot(T, c, solve_conjugated(c, cfg.symbol, mu), mu))
     return GeodesicPath(tuple(frames), cfg, scheme="rk4", steps=steps)
 
 

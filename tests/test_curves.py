@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fracsob import curves
 from fracsob.curves import (
     Diffeo,
     antiderivative,
@@ -18,7 +19,7 @@ from fracsob.curves import (
     write_samples,
 )
 from fracsob.errors import DomainError, GridError, ImmersionError
-from fracsob.spectral import grid
+from fracsob.spectral import grid, interp_matrix, trig_interp
 
 try:
     from hypothesis import given
@@ -41,6 +42,11 @@ ELLIPSE_QUARTER_ARC = 2.4863147002211905
 def ellipse(n):
     theta = grid(n)
     return np.column_stack([2.0 * np.cos(theta), 1.1 * np.sin(theta)])
+
+
+def circle_samples(n):
+    theta = grid(n)
+    return np.column_stack([np.cos(theta), np.sin(theta)])
 
 
 def test_length_matches_adaptive_quadrature():
@@ -116,6 +122,41 @@ def test_diffeo_identity_and_inverse():
     # forward then inverse displacement composes to the identity map
     back = reparametrize(reparametrize(np.cos(theta), dif), inv)
     assert np.allclose(back, np.cos(theta), atol=1e-9)
+
+
+@pytest.mark.parametrize("samples", [ellipse(128), circle_samples(64)], ids=["ellipse", "circle"])
+def test_make_curve_builds_one_matrix_per_newton_iterate(monkeypatch, samples):
+    built = []
+
+    def counting(points, n, **kwargs):
+        built.append(np.array(points))
+        return interp_matrix(points, n, **kwargs)
+
+    monkeypatch.setattr(curves, "interp_matrix", counting)
+    c = make_curve(samples)
+    p = c.psi.displacement
+    # the first iterate is the first-order inverse theta - p, taken from the
+    # nodal samples without a build; every build is one iterate, and only
+    # the last one meets the tolerance
+    assert np.array_equal(built[0], c.theta - p)
+    residuals = [np.max(np.abs(x + trig_interp(p, x) - c.theta)) for x in built]
+    assert all(r >= curves.INVERSE_TOL for r in residuals[:-1])
+    assert residuals[-1] < curves.INVERSE_TOL
+    assert np.allclose(built[-1], c.psi.inverse_points, rtol=0.0, atol=1e-13)
+
+
+def test_diffeo_caches_newton_matrix_and_inverse_shares_matrices():
+    c = make_curve(ellipse(128))
+    psi = c.psi
+    assert "interp_inverse" in vars(psi)
+    fresh = interp_matrix(psi.inverse_points, c.n, half=True)
+    assert psi.interp_inverse.shape == (c.n, c.n // 2 + 1)
+    assert np.allclose(psi.interp_inverse, fresh, rtol=0.0, atol=1e-13)
+    assert psi.inverse().interp_forward is psi.interp_inverse
+    forward = psi.interp_forward
+    assert psi.inverse().interp_inverse is forward
+    with pytest.raises(ValueError):
+        forward[0, 0] = 0.0
 
 
 def test_make_diffeo_rejects_orientation_reversal():

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fracsob import solvers
 from fracsob.checks import random_curve_samples, random_field
 from fracsob.curves import make_curve
 from fracsob.errors import (
@@ -15,7 +16,7 @@ from fracsob.errors import (
     NoConvergenceError,
     NotSupportedError,
 )
-from fracsob.metric import MetricConfig, metric
+from fracsob.metric import MetricConfig, metric, momentum_rhs
 from fracsob.operators import apply_conjugated
 from fracsob.solvers import (
     Frame,
@@ -49,6 +50,21 @@ def flow_setup(rng, n=64):
     c0 = make_curve(random_curve_samples(rng, n=n, modes=4, amplitude=0.12))
     h0 = 0.5 * random_field(rng, n, modes=4)
     return c0, h0
+
+
+def test_exp_map_evaluates_momentum_rhs_only_in_rk4_stages(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return momentum_rhs(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "momentum_rhs", counting)
+    c0 = circle()
+    h0 = 0.1 * np.column_stack([np.cos(2 * grid(64)), np.zeros(64)])
+    path = exp_map(BESSEL, c0, h0, steps=MIN_STEPS, stride=MIN_STEPS)
+    assert len(calls) == 4 * MIN_STEPS
+    assert path.frames[-1].t == 1.0
 
 
 def test_exp_map_validates_inputs():

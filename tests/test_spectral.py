@@ -107,6 +107,47 @@ def test_trig_interp_accepts_precomputed_matrix():
     assert np.array_equal(trig_interp(u, pts, matrix=ee), trig_interp(u, pts))
 
 
+def _interp_matrix_by_columns(points, n):
+    # reference: the same recurrence written into strided columns of a
+    # (P, n) array, one column per mode
+    ee = np.empty((points.shape[0], n), dtype=complex)
+    ee[:, 0] = 1.0
+    base = np.exp(1j * points)
+    for k in range(1, (n - 1) // 2 + 1):
+        ee[:, k] = ee[:, k - 1] * base
+        ee[:, n - k] = np.conj(ee[:, k])
+    if n % 2 == 0:
+        ee[:, n // 2] = np.cos(0.5 * n * points)
+    return ee
+
+
+@pytest.mark.parametrize("n", [2, 8, 9, 10, 64, 256])
+def test_interp_matrix_equals_the_column_recurrence_bitwise(n):
+    pts = np.random.default_rng(n).uniform(-1.0, 7.0, 13)
+    ee = interp_matrix(pts, n)
+    assert ee.shape == (13, n)
+    assert np.array_equal(ee, _interp_matrix_by_columns(pts, n))
+    assert np.array_equal(interp_matrix(pts, n, half=True), ee[:, : n // 2 + 1])
+
+
+@pytest.mark.parametrize("n", [16, 15])
+@pytest.mark.parametrize("dim", [None, 3])
+def test_trig_interp_with_half_matrix_matches_full_product(n, dim):
+    rng = np.random.default_rng(7)
+    shape = (n,) if dim is None else (n, dim)
+    # random samples plus an explicit Nyquist mode (-1)^k on even grids
+    u = rng.standard_normal(shape)
+    if n % 2 == 0:
+        u += (0.7 * np.cos(0.5 * n * grid(n))).reshape((n,) + (1,) * (u.ndim - 1))
+    pts = rng.uniform(0.0, TWO_PI, 11)
+    full = np.real(interp_matrix(pts, n) @ (np.fft.fft(u, axis=0) / n))
+    half = interp_matrix(pts, n, half=True)
+    assert half.shape == (11, n // 2 + 1)
+    out = trig_interp(u, pts, matrix=half)
+    assert out.shape == full.shape
+    assert np.allclose(out, full, rtol=0.0, atol=1e-14)
+
+
 def test_theta_antiderivative_keeps_the_linear_ramp():
     theta = grid(32)
     g = np.cos(theta) + 1.5
