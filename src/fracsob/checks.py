@@ -159,7 +159,7 @@ def run_all(symbol, n=256, seed=0, with_flow=True):
         )
     )
 
-    flat = make_curve(reparametrize(c.samples, psi_inv), dealias_guard=c.dealias_guard)
+    flat = make_curve(reparametrize(c.samples, psi_inv))
     speed_var = _rel(np.max(flat.speed) - np.min(flat.speed), np.mean(flat.speed))
     results.append(
         CheckResult("curve_constant_speed_reparam", speed_var <= 1e-6,
@@ -198,7 +198,7 @@ def run_all(symbol, n=256, seed=0, with_flow=True):
     )
 
     shift = c.n // 4
-    rolled = make_curve(_roll_samples(c.samples, shift), dealias_guard=c.dealias_guard)
+    rolled = make_curve(_roll_samples(c.samples, shift))
     equiv = apply_conjugated(rolled, symbol, "identity", _roll_samples(h, shift))
     equiv_rel = _rel(_max_norm(equiv - _roll_samples(ah, shift)), _max_norm(ah))
     results.append(
@@ -223,8 +223,7 @@ def run_all(symbol, n=256, seed=0, with_flow=True):
     theta = grid(n)
     phi = make_diffeo(0.12 * np.sin(theta) + 0.05 * np.cos(2 * theta))
     c_phi = make_curve(
-        np.column_stack([reparametrize(c.samples[:, j], phi) for j in range(c.dim)]),
-        dealias_guard=c.dealias_guard,
+        np.column_stack([reparametrize(c.samples[:, j], phi) for j in range(c.dim)])
     )
     h_phi = np.column_stack([reparametrize(h[:, j], phi) for j in range(c.dim)])
     k_phi = np.column_stack([reparametrize(k[:, j], phi) for j in range(c.dim)])
@@ -240,7 +239,7 @@ def run_all(symbol, n=256, seed=0, with_flow=True):
     g_base = metric(scale_cfg, c, h, k)
     worst_scale = 0.0
     for lam_factor in (0.5, 2.0, 5.0):
-        c_s = make_curve(lam_factor * c.samples, dealias_guard=c.dealias_guard)
+        c_s = make_curve(lam_factor * c.samples)
         g_s = metric(scale_cfg, c_s, lam_factor * h, lam_factor * k)
         worst_scale = max(worst_scale, _rel(abs(g_s - g_base), abs(g_base)))
     results.append(
@@ -336,7 +335,7 @@ def run_all(symbol, n=256, seed=0, with_flow=True):
     )
 
     shift = n_flow // 4
-    c0r = make_curve(_roll_samples(c0.samples, shift), dealias_guard=c0.dealias_guard)
+    c0r = make_curve(_roll_samples(c0.samples, shift))
     rolled_path = exp_map(cfg, c0r, _roll_samples(h0, shift), T=0.5, steps=64, stride=64)
     equiv_flow = _rel(
         _max_norm(rolled_path.endpoint.samples - _roll_samples(path.endpoint.samples, shift)),

@@ -21,7 +21,6 @@ from .spectral import (
     dealias,
     grid,
     interp_matrix,
-    modes,
     spectral_derivative,
     theta_antiderivative,
     trig_interp,
@@ -40,30 +39,26 @@ def _freeze(a):
     return a
 
 
-def _freeze_matrix(a):
-    # interpolation matrices are transpose views of mode-major arrays and
-    # stay in that layout, so they are frozen without a contiguous copy
-    a.setflags(write=False)
-    return a
+@functools.lru_cache(maxsize=16)
+def _grid_phases(n):
+    """e^(i m theta_k) for m = 0..n//3, from the exact integer phase k*m mod n."""
+    k = np.arange(n)
+    return _freeze(np.exp(1j * (TWO_PI / n) * (np.outer(k, np.arange(n // 3 + 1)) % n)))
 
 
 @dataclass(frozen=True)
 class Diffeo:
     """Circle diffeomorphism psi(theta) = theta + p(theta), p periodic.
 
-    displacement holds p on the grid, inverse_displacement holds
-    psi^{-1}(theta) - theta on the same grid. Construct through make_diffeo
-    (or identity) so the inverse and the orientation check are done for you.
+    displacement holds p on the grid. The inverse psi^{-1}(theta) - theta on
+    the same grid is solved only when first asked for. Construct through
+    make_diffeo (or identity) so the orientation check is done for you.
     """
 
     displacement: np.ndarray
-    inverse_displacement: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "displacement", _freeze(np.asarray(self.displacement, dtype=float)))
-        object.__setattr__(
-            self, "inverse_displacement", _freeze(np.asarray(self.inverse_displacement, dtype=float))
-        )
 
     @property
     def n(self):
@@ -75,6 +70,11 @@ class Diffeo:
         return _freeze(grid(self.n) + self.displacement)
 
     @functools.cached_property
+    def inverse_displacement(self):
+        """psi^{-1}(theta_k) - theta_k, solved by _invert_monotone on first use."""
+        return _freeze(_invert_monotone(self.displacement) - grid(self.n))
+
+    @functools.cached_property
     def inverse_points(self):
         """psi^{-1}(theta_k)."""
         return _freeze(grid(self.n) + self.inverse_displacement)
@@ -84,31 +84,24 @@ class Diffeo:
         return bool(np.max(np.abs(self.displacement)) < 1e-13)
 
     @functools.cached_property
-    def interp_forward(self):
-        """Half-spectrum interpolation matrix evaluating grid samples at psi(theta_k)."""
-        return _freeze_matrix(interp_matrix(self.forward_points, self.n, half=True))
+    def band_phases(self):
+        """E_km = e^(i m psi(theta_k)) on the two-thirds band m = 0..N//3.
 
-    @functools.cached_property
-    def interp_inverse(self):
-        """Half-spectrum interpolation matrix evaluating grid samples at psi^{-1}(theta_k)."""
-        return _freeze_matrix(interp_matrix(self.inverse_points, self.n, half=True))
+        Only the displacement phase e^(i m p_k) is computed here; the grid
+        phase comes from an exact table, so E stays accurate at high m.
+        """
+        m = np.arange(self.n // 3 + 1)
+        return _freeze(np.exp(1j * np.outer(self.displacement, m)) * _grid_phases(self.n))
 
     def inverse(self):
-        """The inverse diffeomorphism, obtained by swapping displacements.
-
-        Interpolation matrices already built here are handed over with their
-        roles swapped, so the inverse does not build them again.
-        """
-        inv = Diffeo(self.inverse_displacement, self.displacement)
-        for mine, theirs in (("interp_forward", "interp_inverse"), ("interp_inverse", "interp_forward")):
-            if mine in vars(self):
-                vars(inv)[theirs] = vars(self)[mine]
+        """The inverse diffeomorphism; its own inverse is this displacement."""
+        inv = Diffeo(self.inverse_displacement)
+        vars(inv)["inverse_displacement"] = self.displacement
         return inv
 
     @staticmethod
     def identity(n):
-        z = np.zeros(n)
-        return Diffeo(z, z.copy())
+        return Diffeo(np.zeros(n))
 
 
 def _invert_monotone(displacement, tol=INVERSE_TOL, max_iter=60):
@@ -118,7 +111,8 @@ def _invert_monotone(displacement, tol=INVERSE_TOL, max_iter=60):
     bisection fallback; the brackets [theta - max p, theta - min p] always
     contain the solution because x + p(x) is strictly increasing. Each
     iterate builds one half-spectrum interpolation matrix, which evaluates p
-    and p' together. Returns the solution and the matrix built at it.
+    and p' together. The stopping test is the roundtrip psi(x) = theta_k to
+    tol, so a returned x is a checked inverse.
     """
     disp = np.asarray(displacement, dtype=float)
     n = disp.shape[0]
@@ -132,11 +126,10 @@ def _invert_monotone(displacement, tol=INVERSE_TOL, max_iter=60):
     # the interpolant of p at the nodes is p itself
     x = np.clip(t - disp, lo, hi)
     for _ in range(max_iter + 1):
-        ee = interp_matrix(x, n, half=True)
-        vals = trig_interp(p_dp, x, matrix=ee)
+        vals = trig_interp(p_dp, x, matrix=interp_matrix(x, n, half=True))
         f = x + vals[:, 0] - t
         if np.max(np.abs(f)) < tol:
-            return x, ee
+            return x
         hi = np.where(f > 0, np.minimum(hi, x), hi)
         lo = np.where(f < 0, np.maximum(lo, x), lo)
         slope = 1.0 + vals[:, 1]
@@ -160,26 +153,14 @@ def make_diffeo(displacement):
     slope = 1.0 + spectral_derivative(p)
     if slope.min() <= 0.0:
         raise DomainError(f"diffeomorphism is not orientation preserving: min psi' = {slope.min():.3e}")
-    theta = grid(p.shape[0])
-    x, ee = _invert_monotone(p)
-    dif = Diffeo(p, x - theta)
-    # Newton's last matrix was built at psi^{-1}(theta_k): keep it
-    vars(dif)["interp_inverse"] = _freeze_matrix(ee)
-    roundtrip = dif.inverse_points + trig_interp(p, dif.inverse_points, matrix=dif.interp_inverse)
-    err = float(np.max(np.abs(roundtrip - theta)))
-    if err > 1e-8:
-        raise DomainError(f"psi o psi^-1 deviates from the identity by {err:.3e}")
-    return dif
+    return Diffeo(p)
 
 
 @dataclass(frozen=True)
 class DiscreteCurve:
     """Closed immersed curve with cached arc-length geometry.
 
-    Fields are computed by make_curve; construct through it. dealias_guard
-    records whether the two-thirds low-pass filter was applied to the
-    derivative before the nonlinear speed computation, and is inherited by
-    operator conjugation on this curve.
+    Fields are computed by make_curve; construct through it.
     """
 
     samples: np.ndarray
@@ -187,7 +168,6 @@ class DiscreteCurve:
     length: float
     unit_tangent: np.ndarray
     psi: Diffeo
-    dealias_guard: bool = True
 
     def __post_init__(self):
         for name in ("samples", "speed", "unit_tangent"):
@@ -216,12 +196,14 @@ class DiscreteCurve:
         return _freeze(self.psi_values * (self.length / TWO_PI))
 
 
-def make_curve(samples, dealias_guard=True):
+def make_curve(samples):
     """Validate samples and cache the derived arc-length geometry.
 
     samples is an (N, d) array of values at theta_k = 2*pi*k/N, N even and
-    at least 8, d at least 2. Raises ImmersionError when the sampled speed
-    drops below IMMERSION_RTOL times its maximum, GridError on a bad grid.
+    at least 8, d at least 2. The derivative is low-pass filtered with the
+    two-thirds rule before the nonlinear speed computation. Raises
+    ImmersionError when the sampled speed drops below IMMERSION_RTOL times
+    its maximum, GridError on a bad grid.
     """
     c = np.asarray(samples, dtype=float)
     if c.ndim != 2:
@@ -233,9 +215,7 @@ def make_curve(samples, dealias_guard=True):
         raise GridError(f"curves must live in dimension at least 2, got d = {d}")
     if not np.all(np.isfinite(c)):
         raise GridError("curve samples contain nonfinite values")
-    deriv = spectral_derivative(c)
-    if dealias_guard:
-        deriv = dealias(deriv)
+    deriv = dealias(spectral_derivative(c))
     speed = np.linalg.norm(deriv, axis=1)
     top = speed.max()
     if top == 0.0 or speed.min() <= IMMERSION_RTOL * top:
@@ -244,9 +224,10 @@ def make_curve(samples, dealias_guard=True):
         )
     length = float(TWO_PI / n * speed.sum())
     tangent = deriv / speed[:, None]
-    arclen, _ = theta_antiderivative(speed)
-    psi = make_diffeo(arclen * (TWO_PI / length) - grid(n))
-    return DiscreteCurve(c, speed, length, tangent, psi, dealias_guard=bool(dealias_guard))
+    # psi - theta integrates only the nonzero modes of |c'|: a ramp left in
+    # it at rounding size would break rotation equivariance of A_c
+    osc, mean = theta_antiderivative(speed)
+    return DiscreteCurve(c, speed, length, tangent, make_diffeo(osc / mean))
 
 
 def _check_field(c, u, name="field"):
@@ -292,7 +273,7 @@ def reparametrize(u, psi):
         raise GridError(f"field of length {u.shape[0]} does not match the diffeomorphism grid {psi.n}")
     if psi.is_identity:
         return u.copy()
-    return trig_interp(u, psi.forward_points, matrix=psi.interp_forward)
+    return trig_interp(u, psi.forward_points)
 
 
 def antiderivative(c, f):

@@ -31,7 +31,7 @@ import numpy as np
 from .curves import antiderivative, arc_derivative, ds_integral
 from .errors import DomainError, GridError, MeanResidualWarning, NotSupportedError
 from .operators import apply_conjugated, operator_directional_derivative, solve_conjugated
-from .spectral import TWO_PI, grid, theta_antiderivative
+from .spectral import TWO_PI, theta_antiderivative
 from .symbols import class_report
 
 #: warn when the ds-mean removed from the w integrand exceeds this relative size
@@ -146,11 +146,21 @@ def _sawtooth_weighted_integral(c, density):
     sawtooth part uses int theta (g - mean) dtheta = -int G dtheta with G the
     periodic antiderivative, plus mean * 2 pi^2.
     """
-    osc, mean = theta_antiderivative(density)
-    periodic_part = osc - mean * grid(c.n)
+    periodic_part, mean = theta_antiderivative(density)
     theta_term = -TWO_PI * float(np.mean(periodic_part)) + mean * 2.0 * np.pi ** 2
     p_term = TWO_PI / c.n * float(c.psi.displacement @ density)
     return theta_term + p_term
+
+
+def _w0(cfg, c, h, ah, dsh):
+    """w0 from h, ah = A_c h and dsh = D_s h, as computed by the caller."""
+    if not cfg.symbol.has_derivative:
+        raise NotSupportedError("w0 needs the symbol's lambda-derivative; supply a derivative table")
+    density = _dot(ah, dsh) * c.speed
+    term1 = _sawtooth_weighted_integral(c, density) / TWO_PI
+    aph = apply_conjugated(c, cfg.symbol, "lambda_derivative", h)
+    term2 = 0.5 * float(ds_integral(c, _dot(ah / c.length + aph, h)))
+    return term1 + term2
 
 
 def w0_scalar(cfg, c, h, ah=None):
@@ -160,15 +170,10 @@ def w0_scalar(cfg, c, h, ah=None):
     against ds, with the sawtooth factor psi_c handled exactly. Requires the
     symbol's lambda-derivative. A precomputed A_c h may be passed as ah.
     """
-    if not cfg.symbol.has_derivative:
-        raise NotSupportedError("w0 needs the symbol's lambda-derivative; supply a derivative table")
-    ah, dsh, _, _ = _w_parts(cfg, c, h, ah=ah, warn=False)
     h = np.asarray(h, dtype=float)
-    density = _dot(ah, dsh) * c.speed
-    term1 = _sawtooth_weighted_integral(c, density) / TWO_PI
-    aph = apply_conjugated(c, cfg.symbol, "lambda_derivative", h)
-    term2 = 0.5 * float(ds_integral(c, _dot(ah / c.length + aph, h)))
-    return term1 + term2
+    if ah is None:
+        ah = apply_conjugated(c, cfg.symbol, "identity", h)
+    return _w0(cfg, c, h, ah, arc_derivative(c, h))
 
 
 @dataclass(frozen=True)
@@ -217,7 +222,7 @@ def spray(cfg, c, h, richardson=False, eps_scale=1e-5):
     """
     h = np.asarray(h, dtype=float)
     ah, dsh, w, _ = _w_parts(cfg, c, h)
-    w0 = w0_scalar(cfg, c, h, ah=ah)
+    w0 = _w0(cfg, c, h, ah, dsh)
     v = c.unit_tangent
     t_op = operator_directional_derivative(
         c, h, cfg.symbol, h, richardson=richardson, eps_scale=eps_scale
@@ -239,7 +244,7 @@ def momentum_rhs(cfg, c, h, ah=None):
     """
     h = np.asarray(h, dtype=float)
     ah, dsh, w, _ = _w_parts(cfg, c, h, ah=ah)
-    w0 = w0_scalar(cfg, c, h, ah=ah)
+    w0 = _w0(cfg, c, h, ah, dsh)
     v = c.unit_tangent
     return -(
         _dot(dsh, v)[:, None] * ah

@@ -5,10 +5,10 @@ variant of the symbol value a(lambda, m). The curve-conjugated operator is
 
     A_c = R_psi o A(length) o R_psi^{-1},
 
-realized by trigonometric interpolation to the constant-speed parametrization
-and back. Variants: identity, inverse, sqrt, sqrt_inverse, and
-lambda_derivative (the derivative of A in its parameter, conjugation held
-fixed; this is not the full curve derivative of A_c).
+realized by a weighted non-uniform DFT at psi(theta_k) on the two-thirds
+band, so psi^{-1} is never needed. Variants: identity, inverse, sqrt,
+sqrt_inverse, and lambda_derivative (the derivative of A in its parameter,
+conjugation held fixed; this is not the full curve derivative of A_c).
 """
 
 from dataclasses import dataclass
@@ -17,9 +17,8 @@ import numpy as np
 
 from .curves import make_curve
 from .errors import DomainError, GridError, NotPositiveDefiniteError
-from .spectral import dealias, modes, trig_interp
+from .spectral import TWO_PI, dealias, modes
 from .symbols import (
-    _matrix_sqrt,
     matrix_derivative_values,
     matrix_values,
     scalar_derivative_values,
@@ -67,17 +66,28 @@ def _matrix_multipliers(op, m):
     mats = matrix_values(op.symbol, op.lam, m)
     if op.variant == "identity":
         return mats
-    out = np.empty_like(mats)
-    for i, a in enumerate(mats):
-        if op.variant == "inverse":
-            w = np.linalg.eigvalsh(a)
-            if w.min() <= 0:
-                raise NotPositiveDefiniteError(f"symbol at mode {m[i]} is not positive definite")
-            out[i] = np.linalg.inv(a)
-        else:
-            b = _matrix_sqrt(a)
-            out[i] = b if op.variant == "sqrt" else np.linalg.inv(b)
-    return out
+    w, v = np.linalg.eigh(mats)
+    if w.min() <= 0:
+        worst = m[np.argmin(w[:, 0])]
+        raise NotPositiveDefiniteError(f"symbol at mode {worst} is not positive definite")
+    if op.variant == "inverse":
+        f = 1.0 / w
+    elif op.variant == "sqrt":
+        f = np.sqrt(w)
+    else:
+        f = 1.0 / np.sqrt(w)
+    return (v * f[:, None, :]) @ np.conj(np.swapaxes(v, 1, 2))
+
+
+def _multiply(op, m, coef, u):
+    """Multiply the coefficients of u's modes m by the operator's multipliers."""
+    if op.symbol.is_scalar:
+        return coef * _scalar_multipliers(op, m).reshape((-1,) + (1,) * (u.ndim - 1))
+    if u.ndim != 2 or u.shape[1] != op.symbol.dim:
+        raise GridError(
+            f"matrix symbol of dimension {op.symbol.dim} cannot act on field of shape {u.shape}"
+        )
+    return np.einsum("mij,mj->mi", _matrix_multipliers(op, m), coef)
 
 
 def apply_flat(op, u):
@@ -86,18 +96,7 @@ def apply_flat(op, u):
     n = u.shape[0]
     if n < 2:
         raise GridError(f"field too short for an FFT, N = {n}")
-    m = modes(n)
-    coef = np.fft.fft(u, axis=0)
-    if op.symbol.is_scalar:
-        mult = _scalar_multipliers(op, m)
-        coef *= mult.reshape((n,) + (1,) * (u.ndim - 1))
-    else:
-        if u.ndim != 2 or u.shape[1] != op.symbol.dim:
-            raise GridError(
-                f"matrix symbol of dimension {op.symbol.dim} cannot act on field of shape {u.shape}"
-            )
-        mats = _matrix_multipliers(op, m)
-        coef = np.einsum("mij,mj->mi", mats, coef)
+    coef = _multiply(op, modes(n), np.fft.fft(u, axis=0), u)
     return np.real(np.fft.ifft(coef, axis=0))
 
 
@@ -117,44 +116,46 @@ class CurveOperator:
         return apply_conjugated(self.curve, self.symbol, self.variant, u)
 
 
-def apply_conjugated(curve, symbol, variant, u, dealias_guard=None):
+def apply_conjugated(curve, symbol, variant, u):
     """Apply R_psi o A(length) o R_psi^{-1} to a field on the curve's grid.
 
-    The field is interpolated to the constant-speed parametrization, run
-    through the flat multiplier with lambda = length, and interpolated back.
-    When the guard is active (default: the curve's own setting) both
-    interpolation results are low-pass filtered with the two-thirds rule.
+    The constant-speed coefficients of u on the band 0 <= m <= N/3 are the
+    quadrature E^H (W u), with E_km = e^(i m psi(theta_k)) cached on the
+    curve's psi and W = |c'| 2 pi / (length N). They are multiplied by the
+    symbol at lambda = length, summed back as real(E @ .), and low-pass
+    filtered with the two-thirds rule.
     """
     u = np.asarray(u, dtype=float)
     if u.shape[0] != curve.n:
         raise GridError(f"field of length {u.shape[0]} does not match the curve grid N = {curve.n}")
-    guard = curve.dealias_guard if dealias_guard is None else dealias_guard
     op = FlatOperator(symbol, curve.length, variant)
     psi = curve.psi
     if psi.is_identity:
         return apply_flat(op, u)
-    w = trig_interp(u, psi.inverse_points, matrix=psi.interp_inverse)
-    if guard:
-        w = dealias(w)
-    w = apply_flat(op, w)
-    w = trig_interp(w, psi.forward_points, matrix=psi.interp_forward)
-    if guard:
-        w = dealias(w)
-    return w
+    ee = psi.band_phases
+    top = ee.shape[1] - 1
+    weights = curve.speed * (TWO_PI / (curve.length * curve.n))
+    coef = np.conj(ee.T @ (weights * u.T).T)
+    # a real field's mode -m is the conjugate of mode m, so mode m >= 1
+    # carries a(m) + conj(a(-m)) and mode 0 carries a(0)
+    m = np.arange(1, top + 1)
+    out = _multiply(op, np.concatenate([[0], m, -m]), np.concatenate([coef, np.conj(coef[1:])]), u)
+    out[1 : top + 1] += np.conj(out[top + 1 :])
+    return dealias(np.real(ee @ out[: top + 1]))
 
 
 def solve_conjugated(curve, symbol, u, refine=2, x0=None):
     """Solve A_c h = u for h; the production inverse of the conjugated operator.
 
-    Interpolating to the constant-speed parametrization and back is not an
-    exact roundtrip (and with the dealias guard the two-thirds projection
-    does not commute with it), so the chained inverse variant is only an
-    approximate inverse of the chained forward operator. Each
-    residual-correction pass h <- h + A_c^{-1}(u - A_c h) contracts the
-    defect; the contraction is fast on low modes and slows near the guard
-    cutoff, so the loop also stops as soon as the residual stagnates or
-    reaches rounding. x0 seeds the iteration when a previous solve for a
-    nearby right-hand side is available.
+    The quadrature is not an exact roundtrip on the band (its Gram matrix
+    E^H W E is only close to I), and the two-thirds filter on the output
+    does not commute with it, so the inverse variant is only an approximate
+    inverse of the forward operator. Each residual-correction pass
+    h <- h + A_c^{-1}(u - A_c h) contracts the defect; the contraction is
+    fast on low modes and slows near the two-thirds cutoff, so the loop
+    also stops as soon as the residual stagnates or reaches rounding. x0
+    seeds the iteration when a previous solve for a nearby right-hand side
+    is available.
     """
     u = np.asarray(u, dtype=float)
     h = apply_conjugated(curve, symbol, "inverse", u) if x0 is None else np.asarray(x0, dtype=float)
@@ -192,7 +193,7 @@ def operator_directional_derivative(
     eps = eps_scale * np.max(np.abs(curve.samples)) / max(np.max(np.abs(h)), 1e-30)
 
     def probe(step):
-        moved = make_curve(curve.samples + step * h, dealias_guard=curve.dealias_guard)
+        moved = make_curve(curve.samples + step * h)
         return apply_conjugated(moved, symbol, variant, k)
 
     coarse = (probe(eps) - probe(-eps)) / (2.0 * eps)

@@ -117,7 +117,7 @@ def exp_map(cfg, c0, h0, T=1.0, steps=200, stride=1):
     every `stride` steps and always at t = T; each stored frame carries a
     deeply solved velocity h = A_c^{-1} mu and its exact image A_c h as the
     momentum, so the pair satisfies the defining relation to rounding even
-    where the iterative inverse stagnates near the guard cutoff. Raises
+    where the iterative inverse stagnates near the two-thirds cutoff. Raises
     ImmersionError with the failure time if any stage leaves the immersion
     set, StepError on nonfinite values.
     """
@@ -129,12 +129,11 @@ def exp_map(cfg, c0, h0, T=1.0, steps=200, stride=1):
         raise DomainError(f"need T > 0, got {T}")
     _require_dynamics(cfg)
     h0 = _check_field(c0, h0, "h0")
-    guard = c0.dealias_guard
     dt = T / steps
 
     def curve_at(samples, t):
         try:
-            return make_curve(samples, dealias_guard=guard)
+            return make_curve(samples)
         except ImmersionError as exc:
             raise ImmersionError(f"immersion lost near t = {t:.6g}: {exc}") from exc
 
@@ -144,9 +143,9 @@ def exp_map(cfg, c0, h0, T=1.0, steps=200, stride=1):
         g = momentum_rhs(cfg, c, h, ah=mu)
         # keep the evolved momentum on the resolved band: the quadratic
         # products in the right hand side regenerate the top-third modes the
-        # guarded operators drop, and letting them accumulate in mu breaks
-        # time reversal
-        return c, h, dealias(g) if guard else g
+        # operators drop, and letting them accumulate in mu breaks time
+        # reversal
+        return c, h, dealias(g)
 
     def snapshot(t, c, h, mu):
         h_f = solve_conjugated(c, cfg.symbol, mu, refine=16, x0=h)
@@ -185,12 +184,11 @@ def exp_map_spray(cfg, c0, h0, T=1.0, steps=64, stride=1, richardson=False):
         raise DomainError(f"need steps >= {MIN_STEPS}, got {steps}")
     _require_dynamics(cfg)
     h0 = _check_field(c0, h0, "h0")
-    guard = c0.dealias_guard
     dt = T / steps
 
     def rhs(samples, h, t):
         try:
-            c = make_curve(samples, dealias_guard=guard)
+            c = make_curve(samples)
         except ImmersionError as exc:
             raise ImmersionError(f"immersion lost near t = {t:.6g}: {exc}") from exc
         s, _ = spray(cfg, c, h, richardson=richardson)

@@ -96,11 +96,11 @@ def trig_interp(u, points, matrix=None):
 
 
 def theta_antiderivative(g):
-    """Cumulative integral F(theta_k) = int_0^theta_k g of periodic samples.
+    """Periodic part of the cumulative integral int_0^theta_k g.
 
-    Returns (F, mean). F includes the linear ramp mean*theta, so it is
-    periodic exactly when the mean vanishes; F[0] = 0. The Nyquist mode
-    integrates to zero at every grid node and is dropped.
+    Returns (P, mean): P integrates only the nonzero modes of g, so it is
+    periodic with P[0] = 0, and the full integral is P + mean*theta. The
+    Nyquist mode integrates to zero at every grid node and is dropped.
     """
     g = np.asarray(g, dtype=float)
     if g.ndim != 1:
@@ -115,4 +115,4 @@ def theta_antiderivative(g):
     if n % 2 == 0:
         div[n // 2] = 0.0
     osc = np.real(np.fft.ifft(div * n))
-    return osc - osc[0] + mean * grid(n), mean
+    return osc - osc[0], mean

@@ -125,7 +125,7 @@ def test_diffeo_identity_and_inverse():
 
 
 @pytest.mark.parametrize("samples", [ellipse(128), circle_samples(64)], ids=["ellipse", "circle"])
-def test_make_curve_builds_one_matrix_per_newton_iterate(monkeypatch, samples):
+def test_inverse_points_builds_one_matrix_per_newton_iterate(monkeypatch, samples):
     built = []
 
     def counting(points, n, **kwargs):
@@ -134,6 +134,8 @@ def test_make_curve_builds_one_matrix_per_newton_iterate(monkeypatch, samples):
 
     monkeypatch.setattr(curves, "interp_matrix", counting)
     c = make_curve(samples)
+    assert built == []
+    inverse = c.psi.inverse_points
     p = c.psi.displacement
     # the first iterate is the first-order inverse theta - p, taken from the
     # nodal samples without a build; every build is one iterate, and only
@@ -142,21 +144,28 @@ def test_make_curve_builds_one_matrix_per_newton_iterate(monkeypatch, samples):
     residuals = [np.max(np.abs(x + trig_interp(p, x) - c.theta)) for x in built]
     assert all(r >= curves.INVERSE_TOL for r in residuals[:-1])
     assert residuals[-1] < curves.INVERSE_TOL
-    assert np.allclose(built[-1], c.psi.inverse_points, rtol=0.0, atol=1e-13)
+    assert np.allclose(built[-1], inverse, rtol=0.0, atol=1e-13)
 
 
-def test_diffeo_caches_newton_matrix_and_inverse_shares_matrices():
-    c = make_curve(ellipse(128))
-    psi = c.psi
-    assert "interp_inverse" in vars(psi)
-    fresh = interp_matrix(psi.inverse_points, c.n, half=True)
-    assert psi.interp_inverse.shape == (c.n, c.n // 2 + 1)
-    assert np.allclose(psi.interp_inverse, fresh, rtol=0.0, atol=1e-13)
-    assert psi.inverse().interp_forward is psi.interp_inverse
-    forward = psi.interp_forward
-    assert psi.inverse().interp_inverse is forward
+def test_diffeo_solves_its_inverse_once_and_the_inverse_shares_it(monkeypatch):
+    solves = []
+    invert = curves._invert_monotone
+
+    def counting(displacement, **kwargs):
+        solves.append(displacement)
+        return invert(displacement, **kwargs)
+
+    monkeypatch.setattr(curves, "_invert_monotone", counting)
+    psi = make_curve(ellipse(128)).psi
+    assert solves == []
+    points = psi.inverse_points
+    inv = psi.inverse()
+    assert len(solves) == 1
+    assert inv.inverse_displacement is psi.displacement
+    assert inv.displacement is psi.inverse_displacement
+    assert np.array_equal(inv.forward_points, points)
     with pytest.raises(ValueError):
-        forward[0, 0] = 0.0
+        psi.inverse_displacement[0] = 0.0
 
 
 def test_make_diffeo_rejects_orientation_reversal():

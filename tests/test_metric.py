@@ -289,9 +289,7 @@ def test_path_energy_differentiates_when_velocities_are_missing(circle64):
 
 def test_mean_residual_warning_fires_on_coarse_grids(rng):
     cfg = MetricConfig(bessel_fractional(1.5))
-    c = make_curve(
-        random_curve_samples(rng, n=16, modes=5, amplitude=0.25), dealias_guard=False
-    )
+    c = make_curve(random_curve_samples(rng, n=16, modes=5, amplitude=0.25))
     h = random_field(rng, 16, modes=7)
     with pytest.warns(MeanResidualWarning):
         w_field(cfg, c, h)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fracsob.checks import random_curve_samples, random_field
 from fracsob.curves import ds_integral, make_curve
 from fracsob.errors import DomainError, GridError, NotPositiveDefiniteError
 from fracsob.operators import (
@@ -14,7 +15,7 @@ from fracsob.operators import (
     operator_directional_derivative,
     solve_conjugated,
 )
-from fracsob.spectral import TWO_PI, grid
+from fracsob.spectral import TWO_PI, dealias, grid, trig_interp
 from fracsob.symbols import (
     bessel_fractional,
     constant_coefficient,
@@ -214,3 +215,75 @@ def test_custom_table_matches_closed_form_on_a_curve():
     got = apply_conjugated(c, sym, "identity", u)
     want = apply_conjugated(c, base, "identity", u)
     assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("seed", [2, 18])
+def test_rotation_equivariance_on_the_battery_draw(seed):
+    # the curve, then h, drawn as `fracsob check` draws them at N = 256
+    n = 256
+    rng = np.random.default_rng(seed)
+    c = make_curve(random_curve_samples(rng, n=n))
+    h = random_field(rng, n)
+    sym = bessel_fractional(1.5)
+    shift = n // 4
+    ah = apply_conjugated(c, sym, "identity", h)
+    rolled = make_curve(np.roll(c.samples, shift, axis=0))
+    got = apply_conjugated(rolled, sym, "identity", np.roll(h, shift, axis=0))
+    assert np.max(np.abs(got - np.roll(ah, shift, axis=0))) <= 1e-10 * np.max(np.abs(ah))
+
+
+def _interpolation_chain(c, sym, u):
+    # R_psi o A o R_psi^{-1} by trigonometric interpolation at psi^{-1} and
+    # psi, with a two-thirds filter after each interpolation
+    w = dealias(trig_interp(u, c.psi.inverse_points))
+    w = apply_flat(FlatOperator(sym, c.length, "identity"), w)
+    return dealias(trig_interp(w, c.psi.forward_points))
+
+
+@pytest.mark.parametrize("n, tol", [(64, 1e-8), (128, 1e-9), (256, 1e-9)])
+def test_quadrature_agrees_with_the_interpolation_chain(n, tol):
+    rng = np.random.default_rng(0)
+    c = make_curve(random_curve_samples(rng, n=n))
+    h = random_field(rng, n)
+    sym = bessel_fractional(1.5)
+    want = _interpolation_chain(c, sym, h)
+    got = apply_conjugated(c, sym, "identity", h)
+    assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+
+def _coupled_table(m_max, coupling):
+    ms = np.arange(-m_max, m_max + 1, dtype=float)
+    table = np.zeros((ms.size, 2, 2))
+    table[:, 0, 0] = 2.0 + ms ** 2
+    table[:, 1, 1] = 1.5 + 0.5 * ms ** 2
+    table[:, 0, 1] = table[:, 1, 0] = coupling
+    return table
+
+
+def test_custom_table_matrix_variants_are_consistent():
+    n = 32
+    sym = custom_table(_coupled_table(n, 0.7), order=1.0)
+    theta = grid(n)
+    u = np.column_stack([np.cos(3 * theta) - 0.5, 2.0 * np.sin(theta) + np.cos(2 * theta)])
+
+    def flat(variant, v):
+        return apply_flat(FlatOperator(sym, TWO_PI, variant), v)
+
+    au = flat("identity", u)
+    # the coupling moves the second component into the first
+    assert np.max(np.abs(flat("identity", u * [0.0, 1.0])[:, 0])) > 0.1
+    assert np.allclose(flat("inverse", au), u, rtol=0.0, atol=1e-12)
+    assert np.allclose(flat("sqrt", flat("sqrt", u)), au, rtol=0.0, atol=1e-11)
+    assert np.allclose(flat("sqrt_inverse", flat("sqrt", u)), u, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("variant", ["inverse", "sqrt", "sqrt_inverse"])
+def test_custom_table_that_is_not_positive_definite_is_rejected(variant):
+    # eigenvalues 1 + m^2 +/- 2 make the table indefinite at m = 0
+    n = 16
+    ms = np.arange(-n, n + 1, dtype=float)
+    table = np.einsum("m,ij->mij", 1.0 + ms ** 2, np.eye(2))
+    table[:, 0, 1] = table[:, 1, 0] = 2.0
+    sym = custom_table(table, order=1.0)
+    with pytest.raises(NotPositiveDefiniteError):
+        apply_flat(FlatOperator(sym, TWO_PI, variant), np.ones((n, 2)))

@@ -148,13 +148,15 @@ def test_trig_interp_with_half_matrix_matches_full_product(n, dim):
     assert np.allclose(out, full, rtol=0.0, atol=1e-14)
 
 
-def test_theta_antiderivative_keeps_the_linear_ramp():
+def test_theta_antiderivative_returns_the_periodic_part():
     theta = grid(32)
     g = np.cos(theta) + 1.5
-    big_f, mean = theta_antiderivative(g)
+    periodic, mean = theta_antiderivative(g)
     assert mean == pytest.approx(1.5, abs=1e-13)
-    assert np.allclose(big_f, np.sin(theta) + 1.5 * theta, atol=1e-12)
-    assert big_f[0] == pytest.approx(0.0, abs=1e-13)
+    assert np.allclose(periodic, np.sin(theta), atol=1e-12)
+    assert periodic[0] == pytest.approx(0.0, abs=1e-13)
+    # the periodic part plus the ramp is the full integral F
+    assert np.allclose(periodic + mean * theta, np.sin(theta) + 1.5 * theta, atol=1e-12)
 
 
 if HAVE_HYPOTHESIS:
