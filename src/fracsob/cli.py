@@ -321,6 +321,8 @@ def cmd_match(args):
                 "initial_velocity": np.asarray(result.initial_velocity).tolist(),
                 "residual": result.residual,
                 "iterations": result.iterations,
+                "shots": result.shots,
+                "integrations": result.integrations,
                 "converged": result.converged,
                 "seed": cfg.seed,
             },

@@ -5,6 +5,11 @@ arc-length geometry: pointwise speed |c'|, total length, unit tangent
 v = D_s c, and the circle diffeomorphism psi that pulls the curve back to
 constant speed, psi(theta) = (2*pi/length) * int_0^theta |c'|.
 
+make_curve also takes a batch of curves stacked along a leading axis,
+(B, N, d): every cached field then carries the same leading axis, length
+and the flags of psi hold one value per member, and fields on such a curve
+are (B, N) or (B, N, d). The calculus below acts member by member.
+
 All arrays stored on the types below are frozen (writeable=False); the
 operations are pure functions.
 """
@@ -41,18 +46,20 @@ def _freeze(a):
 
 @functools.lru_cache(maxsize=16)
 def _grid_phases(n):
-    """e^(i m theta_k) for m = 0..n//3, from the exact integer phase k*m mod n."""
+    """cos and sin of m theta_k for m = 0..n//3, from the exact integer phase k*m mod n."""
     k = np.arange(n)
-    return _freeze(np.exp(1j * (TWO_PI / n) * (np.outer(k, np.arange(n // 3 + 1)) % n)))
+    angle = (TWO_PI / n) * (np.outer(k, np.arange(n // 3 + 1)) % n)
+    return _freeze(np.cos(angle)), _freeze(np.sin(angle))
 
 
 @dataclass(frozen=True)
 class Diffeo:
     """Circle diffeomorphism psi(theta) = theta + p(theta), p periodic.
 
-    displacement holds p on the grid. The inverse psi^{-1}(theta) - theta on
-    the same grid is solved only when first asked for. Construct through
-    make_diffeo (or identity) so the orientation check is done for you.
+    displacement holds p on the grid, (N,) or a batch (B, N). The inverse
+    psi^{-1}(theta) - theta on the same grid is solved only when first asked
+    for (single diffeomorphisms only). Construct through make_diffeo (or
+    identity) so the orientation check is done for you.
     """
 
     displacement: np.ndarray
@@ -62,7 +69,7 @@ class Diffeo:
 
     @property
     def n(self):
-        return self.displacement.shape[0]
+        return self.displacement.shape[-1]
 
     @functools.cached_property
     def forward_points(self):
@@ -81,17 +88,33 @@ class Diffeo:
 
     @functools.cached_property
     def is_identity(self):
-        return bool(np.max(np.abs(self.displacement)) < 1e-13)
+        """p vanishes to rounding; a boolean array with one flag per member for a batch."""
+        flat = np.max(np.abs(self.displacement), axis=-1) < 1e-13
+        return flat if flat.ndim == 0 else _freeze(flat)
 
     @functools.cached_property
-    def band_phases(self):
-        """E_km = e^(i m psi(theta_k)) on the two-thirds band m = 0..N//3.
+    def band_basis(self):
+        """[Re E, -Im E] for E_km = e^(i m psi(theta_k)) on the band m = 0..N//3.
 
-        Only the displacement phase e^(i m p_k) is computed here; the grid
-        phase comes from an exact table, so E stays accurate at high m.
+        One real (N, 2(N//3 + 1)) array, (B, N, 2(N//3 + 1)) for a batch, so
+        that both quadrature products of the operators are real products.
+        Only the displacement phase m p_k goes through cos and sin here; the
+        grid phase comes from an exact table, so E stays accurate at high m.
         """
-        m = np.arange(self.n // 3 + 1)
-        return _freeze(np.exp(1j * np.outer(self.displacement, m)) * _grid_phases(self.n))
+        grid_cos, grid_sin = _grid_phases(self.n)
+        top = grid_cos.shape[1]
+        phase = self.displacement[..., None] * np.arange(top)
+        cos = np.cos(phase)
+        sin = np.sin(phase, out=phase)
+        basis = np.empty(phase.shape[:-1] + (2 * top,))
+        re, im = basis[..., :top], basis[..., top:]
+        # in place, so that a batch holds few temporaries of the basis' size
+        np.multiply(cos, grid_cos, out=re)
+        re -= sin * grid_sin
+        np.multiply(cos, grid_sin, out=im)
+        im += sin * grid_cos
+        np.negative(im, out=im)
+        return _freeze(basis)
 
     def inverse(self):
         """The inverse diffeomorphism; its own inverse is this displacement."""
@@ -144,13 +167,14 @@ def make_diffeo(displacement):
     """Build a Diffeo from periodic displacement samples p(theta_k).
 
     Raises DomainError unless 1 + p' > 0 everywhere (orientation preserving).
+    A (B, N) batch of displacements gives a batch of diffeomorphisms.
     """
     p = np.asarray(displacement, dtype=float)
-    if p.ndim != 1 or p.shape[0] < 8:
-        raise GridError(f"displacement must be a 1-d array with at least 8 samples, got shape {p.shape}")
+    if p.ndim not in (1, 2) or p.shape[-1] < 8:
+        raise GridError(f"displacement must be an (N,) or (B, N) array with N >= 8, got shape {p.shape}")
     if not np.all(np.isfinite(p)):
         raise DomainError("displacement contains nonfinite values")
-    slope = 1.0 + spectral_derivative(p)
+    slope = 1.0 + spectral_derivative(p, axis=-1)
     if slope.min() <= 0.0:
         raise DomainError(f"diffeomorphism is not orientation preserving: min psi' = {slope.min():.3e}")
     return Diffeo(p)
@@ -160,7 +184,9 @@ def make_diffeo(displacement):
 class DiscreteCurve:
     """Closed immersed curve with cached arc-length geometry.
 
-    Fields are computed by make_curve; construct through it.
+    Fields are computed by make_curve; construct through it. For a batch
+    of B curves every field has a leading axis of length B, and length is a
+    (B,) array.
     """
 
     samples: np.ndarray
@@ -172,18 +198,37 @@ class DiscreteCurve:
     def __post_init__(self):
         for name in ("samples", "speed", "unit_tangent"):
             object.__setattr__(self, name, _freeze(np.asarray(getattr(self, name), dtype=float)))
+        if np.ndim(self.length):
+            object.__setattr__(self, "length", _freeze(self.length))
 
     @property
     def n(self):
-        return self.samples.shape[0]
+        return self.samples.shape[-2]
 
     @property
     def dim(self):
-        return self.samples.shape[1]
+        return self.samples.shape[-1]
+
+    @property
+    def batched(self):
+        return self.samples.ndim == 3
+
+    def member(self, i):
+        """Curve i of a batch, sharing its arrays and any band basis already built."""
+        psi = Diffeo(self.psi.displacement[i])
+        if "band_basis" in vars(self.psi):
+            vars(psi)["band_basis"] = self.psi.band_basis[i]
+        return DiscreteCurve(self.samples[i], self.speed[i], float(self.length[i]), self.unit_tangent[i], psi)
 
     @functools.cached_property
     def theta(self):
         return _freeze(grid(self.n))
+
+    @functools.cached_property
+    def quadrature_weights(self):
+        """W_k = |c'(theta_k)| 2 pi / (length N): sum_k W_k u_k e^(-i m psi(theta_k))
+        is the m-th Fourier coefficient of u in the constant-speed parameter."""
+        return _freeze(self.speed * (TWO_PI / (_per_member(self.length) * self.n)))
 
     @functools.cached_property
     def psi_values(self):
@@ -193,49 +238,66 @@ class DiscreteCurve:
     @functools.cached_property
     def arclength(self):
         """Arc length s(theta_k) measured from theta = 0."""
-        return _freeze(self.psi_values * (self.length / TWO_PI))
+        return _freeze(self.psi_values * (_per_member(self.length) / TWO_PI))
+
+
+def _per_member(a):
+    """A per-member scalar, or a (B,) array of them, broadcastable against (..., N) fields."""
+    return np.asarray(a)[..., None]
 
 
 def make_curve(samples):
     """Validate samples and cache the derived arc-length geometry.
 
     samples is an (N, d) array of values at theta_k = 2*pi*k/N, N even and
-    at least 8, d at least 2. The derivative is low-pass filtered with the
-    two-thirds rule before the nonlinear speed computation. Raises
-    ImmersionError when the sampled speed drops below IMMERSION_RTOL times
-    its maximum, GridError on a bad grid.
+    at least 8, d at least 2, or a (B, N, d) batch of such curves. The
+    derivative is low-pass filtered with the two-thirds rule before the
+    nonlinear speed computation. Raises ImmersionError when the sampled
+    speed drops below IMMERSION_RTOL times its maximum (in any member of a
+    batch), GridError on a bad grid.
     """
-    c = np.asarray(samples, dtype=float)
-    if c.ndim != 2:
+    # C order keeps every reduction over the grid axis in the order a
+    # single curve gets, whatever the layout of a batch (a broadcast view
+    # would make the batch axis the fast one)
+    c = np.ascontiguousarray(samples, dtype=float)
+    if c.ndim not in (2, 3):
         raise GridError(f"curve samples must be an (N, d) array, got shape {c.shape}")
-    n, d = c.shape
+    n, d = c.shape[-2:]
     if n < 8 or n % 2 != 0:
         raise GridError(f"need an even number of samples, at least 8, got N = {n}")
     if d < 2:
         raise GridError(f"curves must live in dimension at least 2, got d = {d}")
     if not np.all(np.isfinite(c)):
         raise GridError("curve samples contain nonfinite values")
-    deriv = dealias(spectral_derivative(c))
-    speed = np.linalg.norm(deriv, axis=1)
-    top = speed.max()
-    if top == 0.0 or speed.min() <= IMMERSION_RTOL * top:
+    deriv = dealias(spectral_derivative(c, axis=-2), axis=-2)
+    speed = np.linalg.norm(deriv, axis=-1)
+    top = speed.max(axis=-1)
+    low = speed.min(axis=-1)
+    bad = (top == 0.0) | (low <= IMMERSION_RTOL * top)
+    if np.any(bad):
+        i = np.flatnonzero(bad)[0]
+        which = f" (batch member {i})" if c.ndim == 3 else ""
         raise ImmersionError(
-            f"curve is not an immersion: min |c'| = {speed.min():.3e}, max |c'| = {top:.3e}"
+            f"curve is not an immersion{which}: min |c'| = {np.ravel(low)[i]:.3e}, "
+            f"max |c'| = {np.ravel(top)[i]:.3e}"
         )
-    length = float(TWO_PI / n * speed.sum())
-    tangent = deriv / speed[:, None]
+    length = TWO_PI / n * speed.sum(axis=-1)
+    tangent = deriv / speed[..., None]
     # psi - theta integrates only the nonzero modes of |c'|: a ramp left in
     # it at rounding size would break rotation equivariance of A_c
     osc, mean = theta_antiderivative(speed)
-    return DiscreteCurve(c, speed, length, tangent, make_diffeo(osc / mean))
+    psi = make_diffeo(osc / _per_member(mean))
+    return DiscreteCurve(c, speed, length if c.ndim == 3 else float(length), tangent, psi)
 
 
 def _check_field(c, u, name="field"):
+    """A scalar (N,) or vector (N, d) field on c, each with c's batch axis in front."""
     u = np.asarray(u, dtype=float)
-    if u.shape[0] != c.n or u.ndim not in (1, 2):
+    lead = c.samples.ndim - 2
+    if u.shape[: lead + 1] != c.samples.shape[: lead + 1] or u.ndim not in (lead + 1, lead + 2):
         raise GridError(f"{name} shape {u.shape} does not match the curve grid N = {c.n}")
-    if u.ndim == 2 and u.shape[1] != c.dim:
-        raise GridError(f"{name} dimension {u.shape[1]} does not match the curve dimension {c.dim}")
+    if u.ndim == lead + 2 and u.shape[-1] != c.dim:
+        raise GridError(f"{name} dimension {u.shape[-1]} does not match the curve dimension {c.dim}")
     if not np.all(np.isfinite(u)):
         raise GridError(f"{name} contains nonfinite values")
     return u
@@ -244,22 +306,25 @@ def _check_field(c, u, name="field"):
 def arc_derivative(c, u):
     """Arc-length derivative D_s u = u' / |c'| of a scalar or vector field."""
     u = _check_field(c, u)
-    du = spectral_derivative(u)
-    if u.ndim == 1:
+    du = spectral_derivative(u, axis=c.samples.ndim - 2)
+    if u.ndim == c.speed.ndim:
         return du / c.speed
-    return du / c.speed[:, None]
+    return du / c.speed[..., None]
 
 
 def ds_integral(c, f):
     """Integral of a field against the arc-length measure ds = |c'| dtheta.
 
-    Scalar fields integrate to a float, (N, d) fields componentwise.
+    Scalar fields integrate to a float, (N, d) fields componentwise; on a
+    batch, one value per member.
     """
     f = _check_field(c, f, name="integrand")
     w = TWO_PI / c.n * c.speed
     if f.ndim == 1:
         return float(w @ f)
-    return w @ f
+    if f.ndim == w.ndim:
+        return np.einsum("...k,...k->...", w, f)
+    return np.einsum("...k,...kj->...j", w, f)
 
 
 def reparametrize(u, psi):
@@ -281,14 +346,15 @@ def antiderivative(c, f):
 
     The ds-mean of f is removed before the spectral antiderivative and added
     back as mean * s(theta); the removed mean is returned as a diagnostic,
-    so the result is (F, removed_mean). F[0] = 0.
+    so the result is (F, removed_mean). F[0] = 0. On a batch the removed
+    means are a (B,) array.
     """
     f = _check_field(c, f, name="integrand")
-    if f.ndim != 1:
+    if f.ndim != c.speed.ndim:
         raise GridError("antiderivative expects a scalar field")
-    mean_ds = float(ds_integral(c, f) / c.length)
-    osc, _ = theta_antiderivative((f - mean_ds) * c.speed)
-    return osc + mean_ds * c.arclength, mean_ds
+    mean_ds = ds_integral(c, f) / c.length
+    osc, _ = theta_antiderivative((f - _per_member(mean_ds)) * c.speed)
+    return osc + _per_member(mean_ds) * c.arclength, mean_ds
 
 
 def first_variations(c, h):

@@ -16,6 +16,10 @@ int_0^2pi theta g dtheta = -int_0^2pi G dtheta for zero-mean g with
 antiderivative G. A plain trapezoid sum over the sawtooth would only be
 second-order accurate and would poison every downstream tolerance.
 
+momentum_rhs and the w/w0 plumbing under it also take a batch of curves
+(make_curve on (B, N, d) samples) with (B, N, d) fields, and give each
+member what it would get alone; w0 is then a (B,) array.
+
 The explicit spray adds the operator derivative term:
 
     S_c(h) = -A_c^{-1} { (D_{c,h} A_c) h + <D_s h, v> A_c h
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import antiderivative, arc_derivative, ds_integral
+from .curves import _per_member, antiderivative, arc_derivative, ds_integral
 from .errors import DomainError, GridError, MeanResidualWarning, NotSupportedError
 from .operators import apply_conjugated, operator_directional_derivative, solve_conjugated
 from .spectral import TWO_PI, theta_antiderivative
@@ -67,7 +71,7 @@ class MetricConfig:
 
 
 def _dot(a, b):
-    return np.einsum("ij,ij->i", a, b)
+    return np.einsum("...j,...j->...", a, b)
 
 
 def metric(cfg, c, h, k):
@@ -114,16 +118,18 @@ def _w_parts(cfg, c, h, ah=None, warn=True):
     integrand = _dot(ah, dsh)
     w, mean = antiderivative(c, integrand)
     if warn:
-        scale = max(float(np.max(np.abs(integrand))), 1e-300)
+        scale = np.maximum(np.max(np.abs(integrand), axis=-1), 1e-300)
         # the pairing can cancel to rounding pointwise (e.g. scaling
         # velocities on a circle), so the threshold also floors at the
         # roundoff level of the product's factors
-        floor = 100.0 * np.finfo(float).eps * float(np.max(np.abs(ah)) * np.max(np.abs(dsh)))
-        if abs(mean) > max(MEAN_RTOL * scale, floor):
+        size = np.max(np.abs(ah), axis=(-2, -1)) * np.max(np.abs(dsh), axis=(-2, -1))
+        floor = 100.0 * np.finfo(float).eps * size
+        # one warning per offending member, as if each ran alone
+        for i in np.flatnonzero(np.abs(mean) > np.maximum(MEAN_RTOL * scale, floor)):
             warnings.warn(
                 MeanResidualWarning(
-                    f"w integrand has ds-mean {mean:.3e} against scale {scale:.3e}; "
-                    "the grid is too coarse for this symbol and field"
+                    f"w integrand has ds-mean {np.ravel(mean)[i]:.3e} against scale "
+                    f"{np.ravel(scale)[i]:.3e}; the grid is too coarse for this symbol and field"
                 ),
                 stacklevel=3,
             )
@@ -147,8 +153,8 @@ def _sawtooth_weighted_integral(c, density):
     periodic antiderivative, plus mean * 2 pi^2.
     """
     periodic_part, mean = theta_antiderivative(density)
-    theta_term = -TWO_PI * float(np.mean(periodic_part)) + mean * 2.0 * np.pi ** 2
-    p_term = TWO_PI / c.n * float(c.psi.displacement @ density)
+    theta_term = -TWO_PI * np.mean(periodic_part, axis=-1) + mean * 2.0 * np.pi ** 2
+    p_term = TWO_PI / c.n * _dot(c.psi.displacement, density)
     return theta_term + p_term
 
 
@@ -159,8 +165,9 @@ def _w0(cfg, c, h, ah, dsh):
     density = _dot(ah, dsh) * c.speed
     term1 = _sawtooth_weighted_integral(c, density) / TWO_PI
     aph = apply_conjugated(c, cfg.symbol, "lambda_derivative", h)
-    term2 = 0.5 * float(ds_integral(c, _dot(ah / c.length + aph, h)))
-    return term1 + term2
+    term2 = 0.5 * ds_integral(c, _dot(ah / _per_member(c.length)[..., None] + aph, h))
+    total = term1 + term2
+    return total if c.batched else float(total)
 
 
 def w0_scalar(cfg, c, h, ah=None):
@@ -240,16 +247,17 @@ def momentum_rhs(cfg, c, h, ah=None):
 
     Evaluates -<D_s h, v> A_c h - <A_c h, D_s h> v - (w + w0) D_s v at
     (c, h). No operator derivative enters. When mu is already known it can
-    be passed as ah to save one operator application.
+    be passed as ah to save one operator application. On a batch of curves,
+    every member is evaluated on its own.
     """
     h = np.asarray(h, dtype=float)
     ah, dsh, w, _ = _w_parts(cfg, c, h, ah=ah)
     w0 = _w0(cfg, c, h, ah, dsh)
     v = c.unit_tangent
     return -(
-        _dot(dsh, v)[:, None] * ah
-        + _dot(ah, dsh)[:, None] * v
-        + (w + w0)[:, None] * arc_derivative(c, v)
+        _dot(dsh, v)[..., None] * ah
+        + _dot(ah, dsh)[..., None] * v
+        + (w + _per_member(w0))[..., None] * arc_derivative(c, v)
     )
 
 

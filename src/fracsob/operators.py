@@ -6,18 +6,26 @@ variant of the symbol value a(lambda, m). The curve-conjugated operator is
     A_c = R_psi o A(length) o R_psi^{-1},
 
 realized by a weighted non-uniform DFT at psi(theta_k) on the two-thirds
-band, so psi^{-1} is never needed. Variants: identity, inverse, sqrt,
-sqrt_inverse, and lambda_derivative (the derivative of A in its parameter,
-conjugation held fixed; this is not the full curve derivative of A_c).
+band, so psi^{-1} is never needed. With the real band basis [Re E, -Im E]
+cached on psi, both quadrature products are real matrix products. Variants:
+identity, inverse, sqrt, sqrt_inverse, and lambda_derivative (the
+derivative of A in its parameter, conjugation held fixed; this is not the
+full curve derivative of A_c).
+
+apply_conjugated and solve_conjugated also act on a batch of curves from
+make_curve((B, N, d) samples) and fields stacked the same way. Each member
+gets what it would get alone: the flat path where its psi is the identity,
+its own symbol parameter (its length), its own refinement stop.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .curves import make_curve
 from .errors import DomainError, GridError, NotPositiveDefiniteError
-from .spectral import TWO_PI, dealias, modes
+from .spectral import dealias, modes
 from .symbols import (
     matrix_derivative_values,
     matrix_values,
@@ -43,51 +51,70 @@ class FlatOperator:
             raise DomainError(f"operator parameter lambda must be positive, got {self.lam}")
 
 
-def _scalar_multipliers(op, m):
-    vals = scalar_values(op.symbol, op.lam, m)
-    if op.variant == "identity":
+def _scalar_multipliers(symbol, variant, lam, m):
+    vals = scalar_values(symbol, lam, m)
+    if variant == "identity":
         return vals
-    if op.variant == "lambda_derivative":
-        return scalar_derivative_values(op.symbol, op.lam, m)
+    if variant == "lambda_derivative":
+        return scalar_derivative_values(symbol, lam, m)
     if vals.min() <= 0:
         raise NotPositiveDefiniteError(
-            f"symbol value {vals.min():.3e} is not positive, variant {op.variant!r} undefined"
+            f"symbol value {vals.min():.3e} is not positive, variant {variant!r} undefined"
         )
-    if op.variant == "inverse":
+    if variant == "inverse":
         return 1.0 / vals
-    if op.variant == "sqrt":
+    if variant == "sqrt":
         return np.sqrt(vals)
     return 1.0 / np.sqrt(vals)
 
 
-def _matrix_multipliers(op, m):
-    if op.variant == "lambda_derivative":
-        return matrix_derivative_values(op.symbol, op.lam, m)
-    mats = matrix_values(op.symbol, op.lam, m)
-    if op.variant == "identity":
+def _matrix_multipliers(symbol, variant, lam, m):
+    if variant == "lambda_derivative":
+        return matrix_derivative_values(symbol, lam, m)
+    mats = matrix_values(symbol, lam, m)
+    if variant == "identity":
         return mats
     w, v = np.linalg.eigh(mats)
     if w.min() <= 0:
         worst = m[np.argmin(w[:, 0])]
         raise NotPositiveDefiniteError(f"symbol at mode {worst} is not positive definite")
-    if op.variant == "inverse":
+    if variant == "inverse":
         f = 1.0 / w
-    elif op.variant == "sqrt":
+    elif variant == "sqrt":
         f = np.sqrt(w)
     else:
         f = 1.0 / np.sqrt(w)
     return (v * f[:, None, :]) @ np.conj(np.swapaxes(v, 1, 2))
 
 
-def _multiply(op, m, coef, u):
-    """Multiply the coefficients of u's modes m by the operator's multipliers."""
-    if op.symbol.is_scalar:
-        return coef * _scalar_multipliers(op, m).reshape((-1,) + (1,) * (u.ndim - 1))
-    if u.ndim != 2 or u.shape[1] != op.symbol.dim:
-        raise GridError(
-            f"matrix symbol of dimension {op.symbol.dim} cannot act on field of shape {u.shape}"
-        )
-    return np.einsum("mij,mj->mi", _matrix_multipliers(op, m), coef)
+def _multipliers(symbol, variant, lam, m, shape):
+    """The multipliers of modes m for fields of `shape`, the grid on axis lam.ndim.
+
+    lam is a float, or a (B,) array of per-member parameters. Scalar symbols
+    give real values shaped to broadcast against the field's coefficients;
+    matrix symbols give (M, d, d) blocks, which do not depend on lam.
+    """
+    lam = np.asarray(lam, dtype=float)
+    if symbol.is_scalar:
+        vals = _scalar_multipliers(symbol, variant, lam[..., None] if lam.ndim else float(lam), m)
+        return vals.reshape(vals.shape + (1,) * (len(shape) - lam.ndim - 1))
+    if len(shape) != lam.ndim + 2 or shape[-1] != symbol.dim:
+        raise GridError(f"matrix symbol of dimension {symbol.dim} cannot act on field of shape {shape}")
+    return _matrix_multipliers(symbol, variant, lam, m)
+
+
+def _multiply(symbol, mult, coef):
+    """Multipliers from _multipliers applied to coefficients, modes on the grid axis."""
+    if symbol.is_scalar:
+        return coef * mult
+    return np.einsum("mij,...mj->...mi", mult, coef)
+
+
+def _apply_flat(symbol, variant, lam, u):
+    """Flat operator at parameter lam (a float, or one per batch member) on u."""
+    axis = np.ndim(lam)
+    mult = _multipliers(symbol, variant, lam, modes(u.shape[axis]), u.shape)
+    return np.real(np.fft.ifft(_multiply(symbol, mult, np.fft.fft(u, axis=axis)), axis=axis))
 
 
 def apply_flat(op, u):
@@ -96,8 +123,7 @@ def apply_flat(op, u):
     n = u.shape[0]
     if n < 2:
         raise GridError(f"field too short for an FFT, N = {n}")
-    coef = _multiply(op, modes(n), np.fft.fft(u, axis=0), u)
-    return np.real(np.fft.ifft(coef, axis=0))
+    return _apply_flat(op.symbol, op.variant, op.lam, u)
 
 
 @dataclass(frozen=True)
@@ -116,32 +142,67 @@ class CurveOperator:
         return apply_conjugated(self.curve, self.symbol, self.variant, u)
 
 
+@functools.lru_cache(maxsize=32)
+def _band_modes(top):
+    """Modes 0..top-1, then -1..-(top-1)."""
+    m = np.arange(top)
+    return np.concatenate([m, -m[1:]])
+
+
+def _apply_band(curve, symbol, variant, u):
+    """The quadrature form of A_c on every member of curve."""
+    basis = curve.psi.band_basis
+    top = basis.shape[-1] // 2
+    lead = curve.samples.ndim - 2
+    vector = u.ndim == lead + 2
+    field = u if vector else u[..., None]
+    # rows 0..top-1 of coef hold the real parts of the coefficients of
+    # modes 0..N/3, rows top..2top-1 their imaginary parts
+    coef = np.swapaxes(basis, -1, -2) @ (curve.quadrature_weights[..., None] * field)
+    # a real field's mode -m is the conjugate of mode m, so mode m >= 1
+    # carries a(m) + conj(a(-m)) and mode 0 carries a(0)
+    if symbol.is_scalar:
+        lam = curve.length[..., None] if lead else curve.length
+        vals = _scalar_multipliers(symbol, variant, lam, _band_modes(top))
+        mult = vals[..., :top].copy()
+        mult[..., 1:] += vals[..., top:]
+        pairs = coef.reshape(coef.shape[:-2] + (2, top, -1)) * mult[..., None, :, None]
+        coef = pairs.reshape(coef.shape)
+    else:
+        vals = _multipliers(symbol, variant, curve.length, _band_modes(top), field.shape)
+        mult = vals[:top].copy()
+        mult[1:] += np.conj(vals[top:])
+        out = _multiply(symbol, mult, coef[..., :top, :] + 1j * coef[..., top:, :])
+        coef = np.concatenate([out.real, out.imag], axis=-2)
+    out = dealias(basis @ coef, axis=lead)
+    return out if vector else out[..., 0]
+
+
 def apply_conjugated(curve, symbol, variant, u):
     """Apply R_psi o A(length) o R_psi^{-1} to a field on the curve's grid.
 
     The constant-speed coefficients of u on the band 0 <= m <= N/3 are the
-    quadrature E^H (W u), with E_km = e^(i m psi(theta_k)) cached on the
-    curve's psi and W = |c'| 2 pi / (length N). They are multiplied by the
-    symbol at lambda = length, summed back as real(E @ .), and low-pass
-    filtered with the two-thirds rule.
+    quadrature E^H (W u), with E_km = e^(i m psi(theta_k)) and
+    W = |c'| 2 pi / (length N). With the real basis B = [Re E, -Im E]
+    cached on the curve's psi, B^T (W u) holds their real and imaginary
+    parts. They are multiplied by the symbol at lambda = length, summed
+    back as B @ ., and low-pass filtered with the two-thirds rule. A curve
+    whose psi is the identity takes the flat FFT path instead. On a batch
+    of curves each member is treated on its own.
     """
+    if variant not in VARIANTS:
+        raise DomainError(f"unknown operator variant {variant!r}")
     u = np.asarray(u, dtype=float)
-    if u.shape[0] != curve.n:
-        raise GridError(f"field of length {u.shape[0]} does not match the curve grid N = {curve.n}")
-    op = FlatOperator(symbol, curve.length, variant)
-    psi = curve.psi
-    if psi.is_identity:
-        return apply_flat(op, u)
-    ee = psi.band_phases
-    top = ee.shape[1] - 1
-    weights = curve.speed * (TWO_PI / (curve.length * curve.n))
-    coef = np.conj(ee.T @ (weights * u.T).T)
-    # a real field's mode -m is the conjugate of mode m, so mode m >= 1
-    # carries a(m) + conj(a(-m)) and mode 0 carries a(0)
-    m = np.arange(1, top + 1)
-    out = _multiply(op, np.concatenate([[0], m, -m]), np.concatenate([coef, np.conj(coef[1:])]), u)
-    out[1 : top + 1] += np.conj(out[top + 1 :])
-    return dealias(np.real(ee @ out[: top + 1]))
+    lead = curve.samples.ndim - 2
+    if u.shape[: lead + 1] != curve.samples.shape[: lead + 1]:
+        raise GridError(f"field of shape {u.shape} does not match the curve grid N = {curve.n}")
+    flat = curve.psi.is_identity
+    if flat.all():
+        return _apply_flat(symbol, variant, curve.length, u)
+    out = _apply_band(curve, symbol, variant, u)
+    if flat.any():
+        out[flat] = _apply_flat(symbol, variant, curve.length[flat], u[flat])
+    return out
 
 
 def solve_conjugated(curve, symbol, u, refine=2, x0=None):
@@ -155,21 +216,27 @@ def solve_conjugated(curve, symbol, u, refine=2, x0=None):
     fast on low modes and slows near the two-thirds cutoff, so the loop
     also stops as soon as the residual stagnates or reaches rounding. x0
     seeds the iteration when a previous solve for a nearby right-hand side
-    is available.
+    is available. On a batch, every member stops on its own residual, and
+    members with an identity psi (exact flat inverse) are not refined.
     """
     u = np.asarray(u, dtype=float)
     h = apply_conjugated(curve, symbol, "inverse", u) if x0 is None else np.asarray(x0, dtype=float)
-    if refine <= 0 or curve.psi.is_identity:
+    active = ~curve.psi.is_identity
+    if refine <= 0 or not active.any():
         return h
-    scale = float(np.max(np.abs(u)))
+    axes = tuple(range(active.ndim, u.ndim))
+    scale = np.max(np.abs(u), axis=axes)
     prev = np.inf
     for _ in range(refine):
         r = u - apply_conjugated(curve, symbol, "identity", h)
-        size = float(np.max(np.abs(r)))
-        if size >= prev or size <= 1e-15 * scale:
+        size = np.max(np.abs(r), axis=axes)
+        # a member that stops stays stopped, so prev only matters where active
+        active = active & (size < prev) & (size > 1e-15 * scale)
+        if not active.any():
             break
         prev = size
-        h = h + apply_conjugated(curve, symbol, "inverse", r)
+        step = apply_conjugated(curve, symbol, "inverse", r)
+        h = h + step if active.all() else np.where(active.reshape(active.shape + (1,) * len(axes)), h + step, h)
     return h
 
 

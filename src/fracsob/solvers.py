@@ -11,10 +11,13 @@ cross-checking the product-rule identity between the two forms; it pays
 for a finite-difference operator derivative per stage and is kept for
 smoke tests only.
 
-The boundary-value problem is solved by shooting: Levenberg-Marquardt on
-the endpoint mismatch over a Fourier-truncated initial velocity, Jacobian
-by forward differences. Trial shots that leave the immersion set count as
-rejected steps and raise the damping instead of aborting.
+One RK4 loop (_rk4) serves every shot. It integrates a batch of
+geodesics stacked along a leading axis, and exp_map is its single-member
+case. The boundary-value problem is solved by shooting: Levenberg-Marquardt
+on the endpoint mismatch over a Fourier-truncated initial velocity,
+Jacobian by forward differences, all columns of one iteration integrated
+as one batch. Trial shots that leave the immersion set count as rejected
+steps and raise the damping instead of aborting.
 """
 
 import json
@@ -25,6 +28,7 @@ import numpy as np
 from .curves import _check_field, make_curve
 from .errors import (
     DomainError,
+    FracsobError,
     GridError,
     ImmersionError,
     NoConvergenceError,
@@ -90,13 +94,19 @@ class GeodesicPath:
 
 @dataclass(frozen=True)
 class ShootingResult:
-    """Outcome of geodesic_bvp: the velocity found, its mismatch, the path."""
+    """Outcome of geodesic_bvp: the velocity found, its mismatch, the path.
+
+    shots counts the geodesics integrated, every member of a batch
+    included; integrations counts the RK4 runs they took.
+    """
 
     initial_velocity: np.ndarray
     residual: float
     iterations: int
     path: GeodesicPath
     converged: bool = True
+    shots: int = 0
+    integrations: int = 0
 
 
 def _require_dynamics(cfg):
@@ -110,6 +120,134 @@ def _require_dynamics(cfg):
         )
 
 
+def _rk4(cfg, c0, h0, T, steps, stride=None):
+    """Classical RK4 on (c, mu), mu = A_c c_t, for a batch of geodesics.
+
+    c0 is a batch of curves (make_curve on (B, N, d) samples) and h0 holds
+    their (B, N, d) initial velocities; a single curve with an (N, d)
+    velocity is a batch of one. The members share array operations
+    only: each goes through the stages it would go through alone. A member
+    that leaves the immersion set or goes nonfinite stops at that stage
+    with its own error, and the others run on. With stride=None only the
+    endpoints are kept. Otherwise every `stride` steps and at t = T each
+    member stores a frame, whose velocity is deeply solved from the
+    momentum.
+
+    Returns (ends, frames, errors): ends[b] is member b's (N, d) samples at
+    T, or None when it stopped with errors[b]; frames[b] lists its frames.
+    """
+    symbol = cfg.symbol
+    dt = T / steps
+    x = np.array(c0.samples, dtype=float)
+    mu = apply_conjugated(c0, symbol, "identity", h0)
+    if not c0.batched:
+        x, mu = x[None], mu[None]
+    ids = np.arange(len(x))
+    errors = {}
+    frames = [[] for _ in ids]
+    ks = []
+
+    def curves_at(xs, t):
+        """(curve, None) for the live rows, or (None, keep) after recording the rows that fail."""
+        try:
+            return make_curve(xs), None
+        except FracsobError as exc:
+            batch_error = exc
+        keep = np.ones(len(xs), dtype=bool)
+        for i, samples in enumerate(xs):
+            try:
+                make_curve(samples)
+                continue
+            except ImmersionError as exc:
+                err = ImmersionError(f"immersion lost near t = {t:.6g}: {exc}")
+                err.__cause__ = exc
+            except GridError:
+                err = StepError(f"nonfinite state near t = {t:.6g}")
+            except FracsobError as exc:
+                err = exc
+            errors[int(ids[i])] = err
+            keep[i] = False
+        if keep.all():
+            raise batch_error
+        return None, keep
+
+    def stage(frac, t):
+        """((c, h, g), None) at x + frac dt k for the live rows, or (None, keep)
+        after recording the rows that fail."""
+        xs, ms = (x + frac * dt * ks[-1][0], mu + frac * dt * ks[-1][1]) if ks else (x, mu)
+        c, keep = curves_at(xs, t)
+        if c is None:
+            return None, keep
+        h = solve_conjugated(c, symbol, ms)
+        try:
+            g = momentum_rhs(cfg, c, h, ah=ms)
+        except GridError:
+            # momentum_rhs refuses nonfinite velocities
+            finite = np.isfinite(h).all(axis=(1, 2))
+            if finite.all():
+                raise
+            for i in np.flatnonzero(~finite):
+                errors[int(ids[i])] = StepError(f"nonfinite state near t = {t:.6g}")
+            return None, finite
+        # keep the evolved momentum on the resolved band: the quadratic
+        # products in the right hand side regenerate the top-third modes the
+        # operators drop, and letting them accumulate in mu breaks time
+        # reversal
+        return (c, h, dealias(g, axis=1)), None
+
+    def drop(keep):
+        nonlocal x, mu, ids, ks
+        x, mu, ids = x[keep], mu[keep], ids[keep]
+        ks = [(kx[keep], km[keep]) for kx, km in ks]
+
+    def settle(evaluate):
+        """evaluate() once no live row fails in it; None when no row is left."""
+        while len(ids):
+            out, keep = evaluate()
+            if out is not None:
+                return out
+            drop(keep)
+        return None
+
+    def snapshot(t, c, h, mu):
+        h_f = solve_conjugated(c, symbol, mu, refine=16, x0=h)
+        mu_f = apply_conjugated(c, symbol, "identity", h_f)
+        for i, b in enumerate(ids):
+            frames[b].append(Frame(t, c.member(i), h_f[i], mu_f[i]))
+
+    def result():
+        ends = [None] * len(frames)
+        for i, b in enumerate(ids):
+            ends[b] = x[i]
+        return ends, frames, errors
+
+    for n in range(steps):
+        t = n * dt
+        ks = []
+        for frac, t_stage in ((0.0, t), (0.5, t + 0.5 * dt), (0.5, t + 0.5 * dt), (1.0, t + dt)):
+            out = settle(lambda: stage(frac, t_stage))
+            if out is None:
+                return result()
+            c, h, g = out
+            if not ks and stride and n % stride == 0:
+                snapshot(t, c, h, mu)
+            ks.append((h, g))
+            # the next stage builds its own curve; let this one go first
+            del c, out
+        (k1x, k1m), (k2x, k2m), (k3x, k3m), (k4x, k4m) = ks
+        x = x + dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        mu = mu + dt / 6.0 * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
+        if not (np.isfinite(x).all() and np.isfinite(mu).all()):
+            finite = np.isfinite(x).all(axis=(1, 2)) & np.isfinite(mu).all(axis=(1, 2))
+            for i in np.flatnonzero(~finite):
+                errors[int(ids[i])] = StepError(f"nonfinite state after step {n + 1} (t = {(n + 1) * dt:.6g})")
+            drop(finite)
+    c = settle(lambda: curves_at(x, T))
+    if c is not None and stride:
+        snapshot(T, c, solve_conjugated(c, symbol, mu), mu)
+    return result()
+
+
 def exp_map(cfg, c0, h0, T=1.0, steps=200, stride=1):
     """Integrate the geodesic with initial curve c0 and initial velocity h0.
 
@@ -119,7 +257,8 @@ def exp_map(cfg, c0, h0, T=1.0, steps=200, stride=1):
     momentum, so the pair satisfies the defining relation to rounding even
     where the iterative inverse stagnates near the two-thirds cutoff. Raises
     ImmersionError with the failure time if any stage leaves the immersion
-    set, StepError on nonfinite values.
+    set, StepError on nonfinite values. This is the batch of one of the RK4
+    loop that geodesic_bvp runs on whole batches of shots.
     """
     if steps < MIN_STEPS:
         raise DomainError(f"need steps >= {MIN_STEPS}, got {steps}")
@@ -128,49 +267,13 @@ def exp_map(cfg, c0, h0, T=1.0, steps=200, stride=1):
     if T <= 0:
         raise DomainError(f"need T > 0, got {T}")
     _require_dynamics(cfg)
+    if c0.batched:
+        raise GridError("exp_map integrates a single curve, not a batch")
     h0 = _check_field(c0, h0, "h0")
-    dt = T / steps
-
-    def curve_at(samples, t):
-        try:
-            return make_curve(samples)
-        except ImmersionError as exc:
-            raise ImmersionError(f"immersion lost near t = {t:.6g}: {exc}") from exc
-
-    def rhs(samples, mu, t):
-        c = curve_at(samples, t)
-        h = solve_conjugated(c, cfg.symbol, mu)
-        g = momentum_rhs(cfg, c, h, ah=mu)
-        # keep the evolved momentum on the resolved band: the quadratic
-        # products in the right hand side regenerate the top-third modes the
-        # operators drop, and letting them accumulate in mu breaks time
-        # reversal
-        return c, h, dealias(g)
-
-    def snapshot(t, c, h, mu):
-        h_f = solve_conjugated(c, cfg.symbol, mu, refine=16, x0=h)
-        mu_f = apply_conjugated(c, cfg.symbol, "identity", h_f)
-        return Frame(t, c, h_f, mu_f)
-
-    x = np.array(c0.samples, dtype=float)
-    mu = apply_conjugated(c0, cfg.symbol, "identity", h0)
-    frames = []
-    for n in range(steps):
-        t = n * dt
-        c, h, g = rhs(x, mu, t)
-        if n % stride == 0:
-            frames.append(snapshot(t, c, h, mu))
-        k1x, k1m = h, g
-        _, k2x, k2m = rhs(x + 0.5 * dt * k1x, mu + 0.5 * dt * k1m, t + 0.5 * dt)
-        _, k3x, k3m = rhs(x + 0.5 * dt * k2x, mu + 0.5 * dt * k2m, t + 0.5 * dt)
-        _, k4x, k4m = rhs(x + dt * k3x, mu + dt * k3m, t + dt)
-        x = x + dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        mu = mu + dt / 6.0 * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(mu))):
-            raise StepError(f"nonfinite state after step {n + 1} (t = {(n + 1) * dt:.6g})")
-    c = curve_at(x, T)
-    frames.append(snapshot(T, c, solve_conjugated(c, cfg.symbol, mu), mu))
-    return GeodesicPath(tuple(frames), cfg, scheme="rk4", steps=steps)
+    _, frames, errors = _rk4(cfg, c0, h0, T, steps, stride)
+    if errors:
+        raise errors[0]
+    return GeodesicPath(tuple(frames[0]), cfg, scheme="rk4", steps=steps)
 
 
 def exp_map_spray(cfg, c0, h0, T=1.0, steps=64, stride=1, richardson=False):
@@ -251,12 +354,18 @@ def geodesic_bvp(
 
     The unknown is the (2K+1) real Fourier coefficients per dimension of h0;
     the residual is the endpoint mismatch in the L2(dtheta) norm of samples.
-    Levenberg-Marquardt with forward-difference Jacobian; trial shots that
-    lose immersion raise the damping. Internal shots keep only the endpoint;
-    the returned path is re-integrated at `stride` (default steps // 16).
-    Raises NoConvergenceError carrying the best ShootingResult when the cap
-    is hit.
+    Levenberg-Marquardt with a forward-difference Jacobian: the (2K+1)*d
+    column shots of one iteration are integrated as one batch, and columns
+    whose shot loses immersion are retried with the step negated, as a
+    second batch. Trial shots run one at a time; those that lose immersion
+    raise the damping. Internal shots keep only the endpoint and skip the
+    deep solves of stored frames; the returned path is re-integrated at
+    `stride` (default steps // 16). The result counts the shots and the RK4
+    runs. Raises NoConvergenceError carrying the best ShootingResult when
+    the cap is hit.
     """
+    if c0.batched or c1.batched:
+        raise GridError("geodesic_bvp matches two single curves, not batches")
     if c0.n != c1.n or c0.dim != c1.dim:
         raise GridError(
             f"curves must share the grid: got ({c0.n},{c0.dim}) and ({c1.n},{c1.dim})"
@@ -271,44 +380,58 @@ def geodesic_bvp(
     tol_abs = tol_rel * scale
     out_stride = max(1, steps // 16) if stride is None else stride
 
+    shots = integrations = 0
+
     def velocity(x):
-        return basis @ x.reshape(n_coef, d)
+        return basis @ x.reshape(x.shape[:-1] + (n_coef, d))
 
-    def shoot(x):
-        """Returns the endpoint residual vector, or None on immersion loss."""
-        try:
-            path = exp_map(cfg, c0, velocity(x), T=T, steps=steps, stride=steps)
-        except (ImmersionError, StepError):
-            return None
-        return (path.endpoint.samples - c1.samples).ravel() * np.sqrt(TWO_PI / n)
+    def shoot(xs):
+        """Endpoint residual vectors of the shots at the rows of xs, in one
+        batch; None for a shot that loses immersion or goes nonfinite."""
+        nonlocal shots, integrations
+        shots += len(xs)
+        integrations += 1
+        starts = make_curve(np.broadcast_to(c0.samples, (len(xs), n, d)))
+        ends, _, errors = _rk4(cfg, starts, velocity(xs), T, steps)
+        out = []
+        for b, end in enumerate(ends):
+            if end is None and not isinstance(errors[b], (ImmersionError, StepError)):
+                raise errors[b]
+            out.append(None if end is None else (end - c1.samples).ravel() * np.sqrt(TWO_PI / n))
+        return out
 
-    def presented(x):
-        return exp_map(cfg, c0, velocity(x), T=T, steps=steps, stride=out_stride)
+    def finish(x, residual, converged):
+        nonlocal shots, integrations
+        shots += 1
+        integrations += 1
+        h0 = velocity(x)
+        path = exp_map(cfg, c0, h0, T=T, steps=steps, stride=out_stride)
+        return ShootingResult(h0, residual, iterations, path, converged, shots, integrations)
 
     coef0, *_ = np.linalg.lstsq(basis, (c1.samples - c0.samples) / T, rcond=None)
     x = coef0.ravel()
-    r = shoot(x)
+    iterations = 0
+    [r] = shoot(x[None])
     if r is None:
         raise ImmersionError("the initial shot already leaves the immersion set")
     best = (float(np.linalg.norm(r)), x.copy())
     if best[0] <= tol_abs:
-        return ShootingResult(velocity(x), best[0], 0, presented(x), converged=True)
+        return finish(x, best[0], True)
 
     lam = damping
-    iterations = 0
     while iterations < max_iter:
         iterations += 1
+        deltas = fd_step * np.maximum(1.0, np.abs(x))
+        probes = np.diag(deltas)
+        cols = shoot(x + probes)
+        retry = [j for j, rp in enumerate(cols) if rp is None]
+        if retry:
+            for j, rp in zip(retry, shoot(x - probes[retry])):
+                cols[j] = rp
+                deltas[j] = -deltas[j]
         jac = np.empty((r.size, x.size))
-        for j in range(x.size):
-            delta = fd_step * max(1.0, abs(x[j]))
-            xp = x.copy()
-            xp[j] += delta
-            rp = shoot(xp)
-            if rp is None:
-                xp[j] = x[j] - delta
-                rp = shoot(xp)
-                delta = -delta
-            jac[:, j] = 0.0 if rp is None else (rp - r) / delta
+        for j, rp in enumerate(cols):
+            jac[:, j] = 0.0 if rp is None else (rp - r) / deltas[j]
         jtj = jac.T @ jac
         jtr = jac.T @ r
         diag = np.diag(jtj).copy()
@@ -320,7 +443,7 @@ def geodesic_bvp(
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            r_new = shoot(x + dx)
+            [r_new] = shoot((x + dx)[None])
             if r_new is not None and np.linalg.norm(r_new) < np.linalg.norm(r):
                 x = x + dx
                 r = r_new
@@ -332,10 +455,10 @@ def geodesic_bvp(
         if norm_r < best[0]:
             best = (norm_r, x.copy())
         if norm_r <= tol_abs:
-            return ShootingResult(velocity(x), norm_r, iterations, presented(x), converged=True)
+            return finish(x, norm_r, True)
         if not accepted:
             break
-    result = ShootingResult(velocity(best[1]), best[0], iterations, presented(best[1]), converged=False)
+    result = finish(best[1], best[0], False)
     raise NoConvergenceError(
         f"shooting stalled at residual {best[0]:.3e} (tolerance {tol_abs:.3e}) "
         f"after {iterations} iterations",

@@ -3,8 +3,11 @@
 Conventions: modes run over m in [-N/2, N/2) for even N. Odd-order
 derivatives zero the Nyquist mode; the trigonometric interpolant carries the
 Nyquist coefficient as a pure cosine so that real samples interpolate to a
-real function.
+real function. Derivative and dealias act along one grid axis (axis 0 by
+default, axis 1 for a batch of fields stacked along a leading axis).
 """
+
+import functools
 
 import numpy as np
 
@@ -23,31 +26,39 @@ def modes(n):
     return m
 
 
-def spectral_derivative(u, order=1):
-    """Differentiate periodic samples by mode multiplication.
-
-    Works on (n,) and (n, d) arrays along the first axis. For odd orders the
-    Nyquist mode is zeroed, matching the cosine convention of the
-    interpolant.
-    """
-    u = np.asarray(u, dtype=float)
-    n = u.shape[0]
+@functools.lru_cache(maxsize=32)
+def _derivative_factor(n, order):
     fac = (1j * modes(n)) ** order
     if order % 2 == 1 and n % 2 == 0:
         fac[n // 2] = 0.0
-    coef = np.fft.fft(u, axis=0)
-    coef *= fac.reshape((n,) + (1,) * (u.ndim - 1))
-    return np.real(np.fft.ifft(coef, axis=0))
+    fac.setflags(write=False)
+    return fac
 
 
-def dealias(u):
-    """Zero every mode above the two-thirds cutoff |m| > n // 3."""
+def spectral_derivative(u, order=1, axis=0):
+    """Differentiate periodic samples by mode multiplication along `axis`.
+
+    Works on (n,) and (n, d) arrays, and on batches of them with the grid
+    on axis 1. For odd orders the Nyquist mode is zeroed, matching the
+    cosine convention of the interpolant.
+    """
     u = np.asarray(u, dtype=float)
-    n = u.shape[0]
-    keep = np.abs(modes(n)) <= n // 3
-    coef = np.fft.fft(u, axis=0)
-    coef[~keep] = 0.0
-    return np.real(np.fft.ifft(coef, axis=0))
+    axis %= u.ndim
+    n = u.shape[axis]
+    coef = np.fft.fft(u, axis=axis)
+    coef *= _derivative_factor(n, order).reshape((n,) + (1,) * (u.ndim - 1 - axis))
+    return np.real(np.fft.ifft(coef, axis=axis))
+
+
+def dealias(u, axis=0):
+    """Zero every mode above the two-thirds cutoff |m| > n // 3 along `axis`."""
+    u = np.asarray(u, dtype=float)
+    axis %= u.ndim
+    n = u.shape[axis]
+    coef = np.fft.fft(u, axis=axis)
+    # in FFT order the modes |m| > n // 3 are the middle block
+    coef[(slice(None),) * axis + (slice(n // 3 + 1, n - n // 3),)] = 0.0
+    return np.real(np.fft.ifft(coef, axis=axis))
 
 
 def interp_matrix(points, n, half=False):
@@ -101,18 +112,17 @@ def theta_antiderivative(g):
     Returns (P, mean): P integrates only the nonzero modes of g, so it is
     periodic with P[0] = 0, and the full integral is P + mean*theta. The
     Nyquist mode integrates to zero at every grid node and is dropped.
+    g is a scalar field (n,), or a batch (B, n) with one mean per row.
     """
     g = np.asarray(g, dtype=float)
-    if g.ndim != 1:
-        raise ValueError("theta_antiderivative expects a scalar field")
-    n = g.shape[0]
-    m = modes(n)
-    coef = np.fft.fft(g) / n
-    mean = float(np.real(coef[0]))
-    div = np.zeros(n, dtype=complex)
-    nz = m != 0
-    div[nz] = coef[nz] / (1j * m[nz])
+    if g.ndim not in (1, 2):
+        raise ValueError("theta_antiderivative expects a scalar field or a batch of them")
+    n = g.shape[-1]
+    coef = np.fft.fft(g, axis=-1) / n
+    mean = np.real(coef[..., 0])
+    div = np.zeros(g.shape, dtype=complex)
+    div[..., 1:] = coef[..., 1:] / (1j * modes(n)[1:])
     if n % 2 == 0:
-        div[n // 2] = 0.0
-    osc = np.real(np.fft.ifft(div * n))
-    return osc - osc[0], mean
+        div[..., n // 2] = 0.0
+    osc = np.real(np.fft.ifft(div * n, axis=-1))
+    return osc - osc[..., :1], (float(mean) if g.ndim == 1 else mean)

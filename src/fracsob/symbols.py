@@ -139,7 +139,8 @@ def custom_table(values, order, derivative=None, dim=None):
 
 
 def _require_lambda(lam):
-    if not np.isfinite(lam) or lam <= 0:
+    # lam is a float, or an array of parameters broadcast against m
+    if not (np.isfinite(lam) & (np.asarray(lam) > 0)).all():
         raise DomainError(f"symbol parameter lambda must be positive, got {lam}")
 
 

@@ -1,9 +1,20 @@
 """Shared fixtures for the fracsob test suite."""
 
 import os
+import sys
+import warnings
 
-import numpy as np
-import pytest
+# One BLAS/OpenMP thread, set before numpy loads its BLAS (perfbench pins
+# the same). The stacked products of batched shots are large enough for
+# OpenBLAS to start threads, and on a small busy machine those threads
+# stall each product by milliseconds.
+for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+if "numpy" in sys.modules:
+    warnings.warn("numpy was imported before tests/conftest.py; its BLAS thread count is not pinned")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 try:
     from hypothesis import HealthCheck, settings

@@ -1,0 +1,278 @@
+"""Batched shots: a batch of geodesics integrates member by member.
+
+The batch integrator behind exp_map and geodesic_bvp stacks curves along a
+leading axis. These tests hold every member to what it gets alone: the same
+layers, the same endpoint, the same failure, and the same shooting
+iterations as the one-column-at-a-time Jacobian loop.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from fracsob import solvers
+from fracsob.checks import random_curve_samples, random_field
+from fracsob.curves import make_curve
+from fracsob.errors import GridError, ImmersionError, NoConvergenceError, StepError
+from fracsob.metric import MetricConfig, momentum_rhs
+from fracsob.operators import VARIANTS, apply_conjugated, solve_conjugated
+from fracsob.solvers import exp_map, geodesic_bvp
+from fracsob.spectral import TWO_PI, grid
+from fracsob.symbols import bessel_fractional, constant_coefficient
+
+BESSEL = MetricConfig(bessel_fractional(1.5))
+
+
+def circle(n):
+    theta = grid(n)
+    return np.column_stack([np.cos(theta), np.sin(theta)])
+
+
+def rel_gap(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+def column_velocities(n, K, x, fd_step=1e-6):
+    """Initial velocities of the forward-difference columns at coefficients x."""
+    basis = solvers._fourier_basis(n, K)
+    deltas = fd_step * np.maximum(1.0, np.abs(x))
+    xs = x + np.diag(deltas)
+    return basis @ xs.reshape(len(xs), basis.shape[1], -1)
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_band_basis_holds_the_real_and_minus_imaginary_parts_of_e(n):
+    c = make_curve(random_curve_samples(np.random.default_rng(n), n=n, amplitude=0.10))
+    m = np.arange(n // 3 + 1)
+    grid_phase = np.exp(1j * TWO_PI / n * (np.outer(np.arange(n), m) % n))
+    ee = np.exp(1j * np.outer(c.psi.displacement, m)) * grid_phase
+    basis = c.psi.band_basis
+    assert basis.dtype == float
+    assert basis.shape == (n, 2 * m.size)
+    assert np.max(np.abs(basis[:, : m.size] - ee.real)) <= 1e-15
+    assert np.max(np.abs(basis[:, m.size :] + ee.imag)) <= 1e-15
+
+
+@pytest.mark.parametrize("cfg", [BESSEL, MetricConfig(constant_coefficient((1.0, 1.0)))])
+def test_batched_layers_give_each_member_what_it_gets_alone(cfg):
+    n = 64
+    rng = np.random.default_rng(5)
+    samples = np.stack([
+        circle(n),
+        random_curve_samples(rng, n=n, amplitude=0.10),
+        circle(n) * 1.3 + [0.3, -0.2],
+        random_curve_samples(rng, n=n, amplitude=0.15),
+    ])
+    fields = np.stack([random_field(rng, n, modes=3) for _ in samples])
+    batch = make_curve(samples)
+    singles = [make_curve(s) for s in samples]
+    assert batch.psi.is_identity.tolist() == [True, False, True, False]
+    for i, c in enumerate(singles):
+        assert batch.length[i] == c.length
+        assert np.array_equal(batch.speed[i], c.speed)
+    for variant in VARIANTS:
+        out = apply_conjugated(batch, cfg.symbol, variant, fields)
+        for i, c in enumerate(singles):
+            assert rel_gap(out[i], apply_conjugated(c, cfg.symbol, variant, fields[i])) <= 1e-13
+    scalar = apply_conjugated(batch, cfg.symbol, "identity", fields[..., 0])
+    mu = apply_conjugated(batch, cfg.symbol, "identity", fields)
+    h = solve_conjugated(batch, cfg.symbol, mu)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        g = momentum_rhs(cfg, batch, h, ah=mu)
+        for i, c in enumerate(singles):
+            assert rel_gap(scalar[i], apply_conjugated(c, cfg.symbol, "identity", fields[i, :, 0])) <= 1e-13
+            h_i = solve_conjugated(c, cfg.symbol, mu[i])
+            assert rel_gap(h[i], h_i) <= 1e-13
+            assert rel_gap(g[i], momentum_rhs(cfg, c, h_i, ah=mu[i])) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "n, K, start",
+    [(64, 2, "bent"), (64, 8, "circle"), (256, 2, "circle"), (256, 8, "bent")],
+)
+def test_every_batched_endpoint_equals_its_own_exp_map(n, K, start):
+    rng = np.random.default_rng(n + K)
+    d = 2
+    if start == "circle":
+        # a pure scaling keeps the circle a circle (identity psi all the
+        # way), while its forward-difference columns bend it
+        samples = circle(n)
+        x = np.zeros((2 * K + 1) * d)
+        x[2], x[5] = 0.3, 0.3
+        h0s = np.concatenate([[solvers._fourier_basis(n, K) @ x.reshape(-1, d)], column_velocities(n, K, x)])
+    else:
+        samples = random_curve_samples(rng, n=n, amplitude=0.10)
+        decay = np.repeat(1.0 / (1.0 + np.arange(2 * K + 1) // 2) ** 2, d)
+        x = 0.2 * decay * rng.standard_normal((2 * K + 1) * d)
+        h0s = column_velocities(n, K, x)
+    c0 = make_curve(samples)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ends, _, errors = solvers._rk4(BESSEL, make_curve(np.broadcast_to(samples, h0s.shape)), h0s, 0.5, 16)
+        assert errors == {}
+        if start == "circle":
+            flat = make_curve(np.stack(ends)).psi.is_identity
+            assert flat[0] and not flat[1:].any()
+        for end, h0 in zip(ends, h0s):
+            alone = exp_map(BESSEL, c0, h0, T=0.5, steps=16, stride=16).endpoint.samples
+            assert rel_gap(end, alone) <= 1e-12
+
+
+def test_public_solvers_refuse_a_batch_of_curves():
+    pair = make_curve(np.stack([circle(32), 1.1 * circle(32)]))
+    single = make_curve(circle(32))
+    with pytest.raises(GridError):
+        exp_map(BESSEL, pair, np.zeros((2, 32, 2)), steps=16)
+    with pytest.raises(GridError):
+        geodesic_bvp(BESSEL, single, pair, K=2, steps=16)
+
+
+def test_a_member_that_pinches_off_fails_alone_at_its_own_time():
+    n = 64
+    rng = np.random.default_rng(3)
+    theta = grid(n)
+    # the x extent collapses in the second RK4 stage of the first step
+    pinch = np.column_stack([-32.0 * np.cos(theta), np.zeros(n)])
+    h0s = np.stack([0.2 * random_field(rng, n, modes=3), pinch, 0.2 * random_field(rng, n, modes=3)])
+    c0 = make_curve(circle(n))
+    with pytest.raises(ImmersionError) as alone:
+        exp_map(BESSEL, c0, pinch, T=1.0, steps=16, stride=16)
+    assert "near t = 0.03125" in str(alone.value)
+
+    def batch(rows):
+        starts = make_curve(np.broadcast_to(circle(n), (len(rows), n, 2)))
+        return solvers._rk4(BESSEL, starts, h0s[rows], 1.0, 16)
+
+    ends, _, errors = batch([0, 1, 2])
+    assert list(errors) == [1]
+    assert isinstance(errors[1], ImmersionError)
+    assert str(errors[1]) == str(alone.value)
+    assert ends[1] is None
+    survivors, _, none_failed = batch([0, 2])
+    assert none_failed == {}
+    for end, other in zip((ends[0], ends[2]), survivors):
+        assert np.array_equal(end, other)
+    for end, h0 in zip((ends[0], ends[2]), h0s[[0, 2]]):
+        assert rel_gap(end, exp_map(BESSEL, c0, h0, T=1.0, steps=16, stride=16).endpoint.samples) <= 1e-12
+
+
+def test_a_column_whose_shot_fails_is_retried_with_the_step_negated(monkeypatch):
+    n, K = 32, 2
+    theta = grid(n)
+    c0 = make_curve(circle(n))
+    h_true = 0.1 * np.column_stack([np.cos(theta) + 0.3 * np.sin(2 * theta), np.sin(theta)])
+    target = exp_map(BESSEL, c0, h_true, T=1.0, steps=32, stride=32).endpoint
+    real = solvers._rk4
+    calls = []
+
+    def failing_column(cfg, starts, h0s, T, steps, stride=None):
+        ends, frames, errors = real(cfg, starts, h0s, T, steps, stride)
+        calls.append(np.array(h0s))
+        if len(calls) == 2:
+            ends[3] = None
+            errors[3] = ImmersionError("injected")
+        return ends, frames, errors
+
+    monkeypatch.setattr(solvers, "_rk4", failing_column)
+    with pytest.raises(NoConvergenceError) as err:
+        geodesic_bvp(BESSEL, c0, target, K=K, steps=32, T=1.0, max_iter=1, tol_rel=1e-30)
+    base, columns, retry = calls[0][0], calls[1], calls[2]
+    assert len(columns) == (2 * K + 1) * 2
+    assert retry.shape == (1, n, 2)
+    # forward column j moved x_j by +delta; its retry moves it by -delta
+    assert np.max(np.abs(retry[0] - (2.0 * base - columns[3]))) <= 1e-12
+    result = err.value.result
+    # the last run is exp_map's, for the presented path
+    assert result.shots == 1 + len(columns) + 1 + (len(calls) - 4) + 1
+    assert result.integrations == len(calls)
+
+
+def sequential_bvp(cfg, c0, c1, K, steps, T=1.0, max_iter=50, tol_rel=1e-6, damping=1e-3, fd_step=1e-6):
+    """The shooting loop with one exp_map per Jacobian column, as reference."""
+    n, d = c0.n, c0.dim
+    basis = solvers._fourier_basis(n, K)
+    n_coef = basis.shape[1]
+    tol_abs = tol_rel * max(float(np.linalg.norm(c1.samples)) * np.sqrt(TWO_PI / n), 1e-300)
+
+    def shoot(x):
+        try:
+            path = exp_map(cfg, c0, basis @ x.reshape(n_coef, d), T=T, steps=steps, stride=steps)
+        except (ImmersionError, StepError):
+            return None
+        return (path.endpoint.samples - c1.samples).ravel() * np.sqrt(TWO_PI / n)
+
+    coef0, *_ = np.linalg.lstsq(basis, (c1.samples - c0.samples) / T, rcond=None)
+    x = coef0.ravel()
+    r = shoot(x)
+    best = (float(np.linalg.norm(r)), x.copy())
+    lam = damping
+    iterations = 0
+    while iterations < max_iter:
+        iterations += 1
+        jac = np.empty((r.size, x.size))
+        for j in range(x.size):
+            delta = fd_step * max(1.0, abs(x[j]))
+            xp = x.copy()
+            xp[j] += delta
+            rp = shoot(xp)
+            if rp is None:
+                xp[j] = x[j] - delta
+                rp = shoot(xp)
+                delta = -delta
+            jac[:, j] = 0.0 if rp is None else (rp - r) / delta
+        jtj = jac.T @ jac
+        jtr = jac.T @ r
+        diag = np.diag(jtj).copy()
+        diag[diag <= 0] = 1.0
+        accepted = False
+        for _ in range(12):
+            dx = np.linalg.solve(jtj + lam * np.diag(diag), -jtr)
+            r_new = shoot(x + dx)
+            if r_new is not None and np.linalg.norm(r_new) < np.linalg.norm(r):
+                x, r = x + dx, r_new
+                lam = max(lam / 3.0, 1e-12)
+                accepted = True
+                break
+            lam *= 10.0
+        norm_r = float(np.linalg.norm(r))
+        if norm_r < best[0]:
+            best = (norm_r, x.copy())
+        if norm_r <= tol_abs:
+            return basis @ x.reshape(n_coef, d), norm_r, iterations, True
+        if not accepted:
+            break
+    return basis @ best[1].reshape(n_coef, d), best[0], iterations, False
+
+
+def seeded_match(seed=0, n=64, K=2, steps=32):
+    rng = np.random.default_rng(seed)
+    c0 = make_curve(random_curve_samples(rng, n=n, amplitude=0.10))
+    h_true = 0.5 * random_field(rng, n, modes=2)
+    c1 = exp_map(BESSEL, c0, h_true, T=1.0, steps=steps, stride=steps).endpoint
+    return c0, c1
+
+
+def test_batched_columns_reproduce_the_sequential_column_loop():
+    c0, c1 = seeded_match()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        velocity, residual, iterations, converged = sequential_bvp(BESSEL, c0, c1, K=2, steps=32)
+        res = geodesic_bvp(BESSEL, c0, c1, K=2, steps=32)
+    assert converged and res.converged
+    assert res.iterations == iterations
+    assert abs(res.residual - residual) <= 1e-10 * residual
+    assert rel_gap(res.initial_velocity, velocity) <= 1e-10
+
+
+def test_shooting_counts_its_shots_and_integrations():
+    c0, c1 = seeded_match()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = geodesic_bvp(BESSEL, c0, c1, K=2, steps=32)
+    # the initial shot, per iteration one batch of (2K+1)*d = 10 columns and
+    # one accepted trial step, and the presented path
+    assert res.iterations == 2
+    assert res.shots == 1 + 2 * (10 + 1) + 1
+    assert res.integrations == 1 + 2 * (1 + 1) + 1

@@ -211,3 +211,20 @@ def test_unreadable_config_is_a_config_error(tmp_path, capsys):
     rc = main(["check", "--config", str(missing)])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_match_result_records_shots_and_integrations(tmp_path, capsys):
+    source = tmp_path / "source.json"
+    write_samples(source, circle_samples(32))
+    target = tmp_path / "target.json"
+    write_samples(target, circle_samples(32, radius=1.05))
+    out = tmp_path / "out"
+    rc = main(["match", "--source", str(source), "--target", str(target),
+               "--K", "2", "--steps", "32", "--out", str(out)])
+    assert rc == 0
+    payload = json.loads((out / "match_result.json").read_text())
+    # the initial shot, one iteration with one batch of (2K+1)*d = 10
+    # Jacobian columns and one accepted trial step, and the presented path
+    assert payload["iterations"] == 1
+    assert payload["shots"] == 1 + 10 + 1 + 1
+    assert payload["integrations"] == 4
