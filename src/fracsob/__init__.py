@@ -39,6 +39,7 @@ from .errors import (
     NoConvergenceError,
     NotPositiveDefiniteError,
     NotSupportedError,
+    ResolutionError,
     StepError,
 )
 from .metric import (
@@ -112,6 +113,7 @@ __all__ = [
     "NoConvergenceError",
     "NotPositiveDefiniteError",
     "NotSupportedError",
+    "ResolutionError",
     "ShootingResult",
     "SprayBreakdown",
     "StepError",

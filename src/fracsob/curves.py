@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GridError, ImmersionError
+from .errors import DomainError, GridError, ImmersionError, ResolutionError
 from .spectral import (
     TWO_PI,
     dealias,
@@ -254,7 +254,8 @@ def make_curve(samples):
     derivative is low-pass filtered with the two-thirds rule before the
     nonlinear speed computation. Raises ImmersionError when the sampled
     speed drops below IMMERSION_RTOL times its maximum (in any member of a
-    batch), GridError on a bad grid.
+    batch), its subclass ResolutionError when the arc-length map fails
+    make_diffeo's orientation check, GridError on a bad grid.
     """
     # C order keeps every reduction over the grid axis in the order a
     # single curve gets, whatever the layout of a batch (a broadcast view
@@ -286,7 +287,11 @@ def make_curve(samples):
     # psi - theta integrates only the nonzero modes of |c'|: a ramp left in
     # it at rounding size would break rotation equivariance of A_c
     osc, mean = theta_antiderivative(speed)
-    psi = make_diffeo(osc / _per_member(mean))
+    try:
+        psi = make_diffeo(osc / _per_member(mean))
+    except DomainError as exc:
+        # the displacement is finite here, so this is the orientation check
+        raise ResolutionError(f"the grid does not resolve the speed: {exc}") from exc
     return DiscreteCurve(c, speed, length if c.ndim == 3 else float(length), tangent, psi)
 
 

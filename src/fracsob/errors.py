@@ -13,6 +13,17 @@ class ImmersionError(FracsobError):
     """A curve fails the immersion condition min |c'| > eps."""
 
 
+class ResolutionError(ImmersionError):
+    """The grid no longer resolves a curve's speed.
+
+    make_curve raises it when the arc-length map built from the sampled
+    speed is not orientation preserving. The speed itself is positive at
+    every node, so this only happens through unresolved high modes, usually
+    on a curve that is degenerating. Callers that treat a lost immersion as
+    a failed shot treat this the same way.
+    """
+
+
 class DomainError(FracsobError):
     """A parameter lies outside the admissible domain."""
 

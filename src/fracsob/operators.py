@@ -149,6 +149,25 @@ def _band_modes(top):
     return np.concatenate([m, -m[1:]])
 
 
+def _band_multipliers(curve, symbol, variant, top):
+    """Folded scalar multipliers a(m) + a(-m) of modes 0..top-1 (a(0) at m = 0).
+
+    A curve's length is fixed, so each (symbol, variant) is evaluated once
+    per curve and kept on it, one row per member of a batch. Only scalar
+    symbols come here: a custom table holds arrays and is not hashable.
+    """
+    cache = vars(curve).setdefault("_band_multipliers", {})
+    key = (symbol, variant)
+    if key not in cache:
+        lam = curve.length[..., None] if curve.batched else curve.length
+        vals = _scalar_multipliers(symbol, variant, lam, _band_modes(top))
+        mult = vals[..., :top].copy()
+        mult[..., 1:] += vals[..., top:]
+        mult.setflags(write=False)
+        cache[key] = mult
+    return cache[key]
+
+
 def _apply_band(curve, symbol, variant, u):
     """The quadrature form of A_c on every member of curve."""
     basis = curve.psi.band_basis
@@ -162,10 +181,7 @@ def _apply_band(curve, symbol, variant, u):
     # a real field's mode -m is the conjugate of mode m, so mode m >= 1
     # carries a(m) + conj(a(-m)) and mode 0 carries a(0)
     if symbol.is_scalar:
-        lam = curve.length[..., None] if lead else curve.length
-        vals = _scalar_multipliers(symbol, variant, lam, _band_modes(top))
-        mult = vals[..., :top].copy()
-        mult[..., 1:] += vals[..., top:]
+        mult = _band_multipliers(curve, symbol, variant, top)
         pairs = coef.reshape(coef.shape[:-2] + (2, top, -1)) * mult[..., None, :, None]
         coef = pairs.reshape(coef.shape)
     else:

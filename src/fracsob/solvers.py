@@ -130,8 +130,11 @@ def _rk4(cfg, c0, h0, T, steps, stride=None):
     that leaves the immersion set or goes nonfinite stops at that stage
     with its own error, and the others run on. With stride=None only the
     endpoints are kept. Otherwise every `stride` steps and at t = T each
-    member stores a frame, whose velocity is deeply solved from the
-    momentum.
+    member stores a frame (velocity h, momentum A_c h). At t = 0 that is
+    the exact pair (h0, mu0). An interior frame takes h from its step's
+    first-stage solve, so storing it costs one application. Only the t = T
+    frame deeply solves h from the momentum. Frames never feed back into
+    the state.
 
     Returns (ends, frames, errors): ends[b] is member b's (N, d) samples at
     T, or None when it stopped with errors[b]; frames[b] lists its frames.
@@ -141,7 +144,7 @@ def _rk4(cfg, c0, h0, T, steps, stride=None):
     x = np.array(c0.samples, dtype=float)
     mu = apply_conjugated(c0, symbol, "identity", h0)
     if not c0.batched:
-        x, mu = x[None], mu[None]
+        x, mu, h0 = x[None], mu[None], h0[None]
     ids = np.arange(len(x))
     errors = {}
     frames = [[] for _ in ids]
@@ -159,7 +162,7 @@ def _rk4(cfg, c0, h0, T, steps, stride=None):
                 make_curve(samples)
                 continue
             except ImmersionError as exc:
-                err = ImmersionError(f"immersion lost near t = {t:.6g}: {exc}")
+                err = type(exc)(f"immersion lost near t = {t:.6g}: {exc}")
                 err.__cause__ = exc
             except GridError:
                 err = StepError(f"nonfinite state near t = {t:.6g}")
@@ -209,11 +212,9 @@ def _rk4(cfg, c0, h0, T, steps, stride=None):
             drop(keep)
         return None
 
-    def snapshot(t, c, h, mu):
-        h_f = solve_conjugated(c, symbol, mu, refine=16, x0=h)
-        mu_f = apply_conjugated(c, symbol, "identity", h_f)
+    def store(t, c, h, m):
         for i, b in enumerate(ids):
-            frames[b].append(Frame(t, c.member(i), h_f[i], mu_f[i]))
+            frames[b].append(Frame(t, c.member(i), h[i], m[i]))
 
     def result():
         ends = [None] * len(frames)
@@ -230,7 +231,11 @@ def _rk4(cfg, c0, h0, T, steps, stride=None):
                 return result()
             c, h, g = out
             if not ks and stride and n % stride == 0:
-                snapshot(t, c, h, mu)
+                if n == 0:
+                    # h0 and mu = A_c h0 are the exact initial pair
+                    store(t, c, h0[ids], mu)
+                else:
+                    store(t, c, h, apply_conjugated(c, symbol, "identity", h))
             ks.append((h, g))
             # the next stage builds its own curve; let this one go first
             del c, out
@@ -244,7 +249,9 @@ def _rk4(cfg, c0, h0, T, steps, stride=None):
             drop(finite)
     c = settle(lambda: curves_at(x, T))
     if c is not None and stride:
-        snapshot(T, c, solve_conjugated(c, symbol, mu), mu)
+        # time reversal from the endpoint needs this deeper solve
+        h = solve_conjugated(c, symbol, mu, refine=16, x0=solve_conjugated(c, symbol, mu))
+        store(T, c, h, apply_conjugated(c, symbol, "identity", h))
     return result()
 
 
@@ -252,13 +259,18 @@ def exp_map(cfg, c0, h0, T=1.0, steps=200, stride=1):
     """Integrate the geodesic with initial curve c0 and initial velocity h0.
 
     Fixed-step classical RK4 on (c, mu) with mu = A_c c_t. Frames are stored
-    every `stride` steps and always at t = T; each stored frame carries a
-    deeply solved velocity h = A_c^{-1} mu and its exact image A_c h as the
-    momentum, so the pair satisfies the defining relation to rounding even
-    where the iterative inverse stagnates near the two-thirds cutoff. Raises
-    ImmersionError with the failure time if any stage leaves the immersion
-    set, StepError on nonfinite values. This is the batch of one of the RK4
-    loop that geodesic_bvp runs on whole batches of shots.
+    every `stride` steps and always at t = T. Each carries a velocity h and
+    its image A_c h as the momentum, so the pair satisfies the defining
+    relation to rounding. The t = 0 frame holds h0 itself. An interior
+    frame's h is the velocity its RK4 step solved for from the evolved
+    momentum (solve_conjugated at its default depth), and only the t = T
+    frame's h is solved deeply. So interior frames are as accurate as the
+    stages the integrator steps with, and the stride does not change the
+    endpoint. Raises ImmersionError with the failure time if any stage
+    leaves the immersion set (ResolutionError if the grid stops resolving
+    the curve's speed first), StepError on nonfinite values. This is the
+    batch of one of the RK4 loop that geodesic_bvp runs on whole batches of
+    shots.
     """
     if steps < MIN_STEPS:
         raise DomainError(f"need steps >= {MIN_STEPS}, got {steps}")
@@ -356,13 +368,13 @@ def geodesic_bvp(
     the residual is the endpoint mismatch in the L2(dtheta) norm of samples.
     Levenberg-Marquardt with a forward-difference Jacobian: the (2K+1)*d
     column shots of one iteration are integrated as one batch, and columns
-    whose shot loses immersion are retried with the step negated, as a
-    second batch. Trial shots run one at a time; those that lose immersion
-    raise the damping. Internal shots keep only the endpoint and skip the
-    deep solves of stored frames; the returned path is re-integrated at
-    `stride` (default steps // 16). The result counts the shots and the RK4
-    runs. Raises NoConvergenceError carrying the best ShootingResult when
-    the cap is hit.
+    whose shot loses immersion (a ResolutionError included) are retried
+    with the step negated, as a second batch. Trial shots run one at a
+    time; those that lose immersion raise the damping. Internal shots keep
+    only the endpoint and store no frames; the returned path is
+    re-integrated at `stride` (default steps // 16). The result counts the
+    shots and the RK4 runs. Raises NoConvergenceError carrying the best
+    ShootingResult when the cap is hit.
     """
     if c0.batched or c1.batched:
         raise GridError("geodesic_bvp matches two single curves, not batches")
@@ -507,7 +519,11 @@ def conservation_report(path, drift_tol=1e-6, consistency_tol=1e-8):
 
     energy_drift is the largest relative deviation of G_c(c_t, c_t) from its
     initial value; momentum_consistency is the largest relative mismatch
-    between stored momenta and A_c applied to stored velocities.
+    between stored momenta and A_c applied to stored velocities. exp_map
+    stores A_c h as each frame's momentum, so on its paths this reads zero.
+    It catches a path whose frames were altered, not the defect left by
+    the solve for h. The energies come from the stored velocities: exact at
+    t = 0, from the stage solve inside, from the deep solve at t = T.
     """
     if len(path.frames) < 2:
         raise GridError("a conservation report needs at least 2 frames")

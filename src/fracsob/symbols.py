@@ -177,10 +177,9 @@ def scalar_derivative_values(sym, lam, m):
         return sym.alphas[0] * sym.order * (1.0 + x2) ** (sym.order - 1.0) * (-2.0 * x2 / lam)
     if sym.family == "two_term_fractional":
         y = (TWO_PI * m / lam) ** 2
-        out = np.zeros_like(y)
-        nz = y > 0
-        out[nz] = -2.0 * sym.order / lam * sym.alphas[1] * y[nz] ** sym.order
-        return out
+        # m = 0 gets an exact +0.0; np.where, unlike a masked assignment,
+        # broadcasts against per-member parameters lam of shape (B, 1)
+        return np.where(y > 0, -2.0 * sym.order / lam * sym.alphas[1] * y ** sym.order, 0.0)
     raise NotSupportedError(f"{sym.family} has no scalar derivative")
 
 

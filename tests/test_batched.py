@@ -11,10 +11,17 @@ import warnings
 import numpy as np
 import pytest
 
-from fracsob import solvers
+from fracsob import curves, solvers
 from fracsob.checks import random_curve_samples, random_field
 from fracsob.curves import make_curve
-from fracsob.errors import GridError, ImmersionError, NoConvergenceError, StepError
+from fracsob.errors import (
+    DomainError,
+    GridError,
+    ImmersionError,
+    NoConvergenceError,
+    ResolutionError,
+    StepError,
+)
 from fracsob.metric import MetricConfig, momentum_rhs
 from fracsob.operators import VARIANTS, apply_conjugated, solve_conjugated
 from fracsob.solvers import exp_map, geodesic_bvp
@@ -187,6 +194,46 @@ def test_a_column_whose_shot_fails_is_retried_with_the_step_negated(monkeypatch)
     # the last run is exp_map's, for the presented path
     assert result.shots == 1 + len(columns) + 1 + (len(calls) - 4) + 1
     assert result.integrations == len(calls)
+
+
+def test_a_column_that_loses_resolution_is_retried_with_the_step_negated(monkeypatch):
+    # make_diffeo's orientation check fails for forward column 3 at its first
+    # stage, as it does for a curve whose speed the grid no longer resolves;
+    # make_curve turns that into a failed member, not an aborted match
+    n, K = 32, 2
+    c0 = make_curve(circle(n))
+    target = make_curve(1.1 * circle(n))
+    real_rk4, real_diffeo = solvers._rk4, curves.make_diffeo
+    calls, errors_seen = [], []
+    trips = iter(())
+
+    def tripping_diffeo(p):
+        if next(trips, False):
+            raise DomainError("diffeomorphism is not orientation preserving: min psi' = -1.0e-02")
+        return real_diffeo(p)
+
+    def watching(cfg, starts, h0s, T, steps, stride=None):
+        nonlocal trips
+        calls.append(np.array(h0s))
+        if len(calls) == 2:
+            # the columns' first make_curve: the whole batch, then members 0..3 alone
+            trips = iter((True, False, False, False, True))
+        ends, frames, errors = real_rk4(cfg, starts, h0s, T, steps, stride)
+        errors_seen.append(dict(errors))
+        return ends, frames, errors
+
+    monkeypatch.setattr(curves, "make_diffeo", tripping_diffeo)
+    monkeypatch.setattr(solvers, "_rk4", watching)
+    with pytest.raises(NoConvergenceError) as err:
+        geodesic_bvp(BESSEL, c0, target, K=K, steps=16, T=1.0, max_iter=1, tol_rel=1e-30)
+    assert list(errors_seen[1]) == [3]
+    assert isinstance(errors_seen[1][3], ResolutionError)
+    assert "near t = 0" in str(errors_seen[1][3])
+    base, columns, retry = calls[0][0], calls[1], calls[2]
+    assert retry.shape == (1, n, 2)
+    assert np.max(np.abs(retry[0] - (2.0 * base - columns[3]))) <= 1e-12
+    assert errors_seen[2] == {}
+    assert err.value.result.iterations == 1
 
 
 def sequential_bvp(cfg, c0, c1, K, steps, T=1.0, max_iter=50, tol_rel=1e-6, damping=1e-3, fd_step=1e-6):

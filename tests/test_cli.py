@@ -154,6 +154,27 @@ def test_check_honors_an_explicit_grid_and_reports_failures(tmp_path, capsys):
     assert any(entry["passed"] is False for entry in payload["checks"])
 
 
+TWO_TERM = ["--family", "two_term_fractional", "--r", "1.5", "--alphas", "1", "1"]
+
+
+def test_check_flows_with_the_two_term_family(capsys):
+    rc = main(["check", *TWO_TERM])
+    assert rc == 0
+    assert "26 passed, 0 failed" in capsys.readouterr().out
+
+
+def test_check_flows_with_the_two_term_family_on_a_coarse_grid(tmp_path):
+    # at N = 64 the operator identities miss their tolerances (exit code 3),
+    # but every flow check runs and passes
+    report = tmp_path / "report.json"
+    rc = main(["check", "--N", "64", *TWO_TERM, "--json", str(report)])
+    assert rc == 3
+    checks = json.loads(report.read_text())["checks"]
+    flow = [entry for entry in checks if entry["name"].startswith(("flow_", "bvp_"))]
+    assert len(flow) == 6
+    assert all(entry["passed"] is True for entry in flow)
+
+
 def test_check_flags_an_inadmissible_family(capsys):
     rc = main(
         ["check", "--no-flow", "--family", "two_term_fractional", "--r", "1.2",

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fracsob import operators
 from fracsob.checks import random_curve_samples, random_field
 from fracsob.curves import ds_integral, make_curve
 from fracsob.errors import DomainError, GridError, NotPositiveDefiniteError
@@ -215,6 +216,29 @@ def test_custom_table_matches_closed_form_on_a_curve():
     got = apply_conjugated(c, sym, "identity", u)
     want = apply_conjugated(c, base, "identity", u)
     assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want))
+
+
+def test_band_multipliers_are_evaluated_once_per_curve_and_variant(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return scalar_values(*args)
+
+    monkeypatch.setattr(operators, "scalar_values", counting)
+    c = bent_curve()
+    sym = bessel_fractional(1.5)
+    u = np.column_stack([np.cos(2 * c.theta), np.sin(c.theta)])
+    first = apply_conjugated(c, sym, "identity", u)
+    again = apply_conjugated(c, sym, "identity", u)
+    assert len(calls) == 1
+    assert np.array_equal(first, again)
+    apply_conjugated(c, sym, "inverse", u)
+    apply_conjugated(c, bessel_fractional(1.5), "inverse", u)  # an equal symbol shares the entry
+    assert len(calls) == 2
+    fresh = bent_curve()
+    assert np.array_equal(apply_conjugated(fresh, sym, "identity", u), first)
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("seed", [2, 18])

@@ -13,11 +13,13 @@ from fracsob.errors import (
     DomainError,
     FracsobError,
     GridError,
+    ImmersionError,
     NoConvergenceError,
     NotSupportedError,
+    ResolutionError,
 )
 from fracsob.metric import MetricConfig, metric, momentum_rhs
-from fracsob.operators import apply_conjugated
+from fracsob.operators import apply_conjugated, solve_conjugated
 from fracsob.solvers import (
     Frame,
     GeodesicPath,
@@ -36,6 +38,8 @@ from fracsob.symbols import (
     constant_coefficient,
     custom_table,
     scalar_values,
+    scale_invariant,
+    two_term_fractional,
 )
 
 BESSEL = MetricConfig(bessel_fractional(1.5))
@@ -65,6 +69,94 @@ def test_exp_map_evaluates_momentum_rhs_only_in_rk4_stages(monkeypatch):
     path = exp_map(BESSEL, c0, h0, steps=MIN_STEPS, stride=MIN_STEPS)
     assert len(calls) == 4 * MIN_STEPS
     assert path.frames[-1].t == 1.0
+
+
+def test_exp_map_deep_solves_only_the_final_frame(monkeypatch):
+    # four stage solves per step, then the final frame's solve and its
+    # deep refinement; the stored interior frames add none at any stride
+    c0, h0 = flow_setup(np.random.default_rng(3))
+    for stride in (1, 4, MIN_STEPS):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solve_conjugated(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "solve_conjugated", counting)
+        path = exp_map(BESSEL, c0, h0, T=0.5, steps=MIN_STEPS, stride=stride)
+        assert len(calls) == 4 * MIN_STEPS + 2
+        assert len(path.frames) == MIN_STEPS // stride + 1
+
+
+def test_exp_map_first_frame_is_the_exact_initial_pair(rng):
+    c0, h0 = flow_setup(rng)
+    path = exp_map(BESSEL, c0, h0, T=0.5, steps=MIN_STEPS, stride=4)
+    first = path.frames[0]
+    assert first.t == 0.0
+    assert np.array_equal(first.velocity, h0)
+    assert np.array_equal(first.momentum, apply_conjugated(c0, BESSEL.symbol, "identity", h0))
+    assert np.array_equal(first.curve.samples, c0.samples)
+
+
+def test_exp_map_frames_do_not_feed_back_into_the_state(rng):
+    c0, h0 = flow_setup(rng)
+    dense = exp_map(BESSEL, c0, h0, T=0.5, steps=32, stride=1)
+    sparse = exp_map(BESSEL, c0, h0, T=0.5, steps=32, stride=32)
+    assert len(dense.frames) == 33 and len(sparse.frames) == 2
+    assert np.array_equal(dense.endpoint.samples, sparse.endpoint.samples)
+    for a, b in zip((dense.frames[0], dense.frames[-1]), sparse.frames):
+        assert np.array_equal(a.velocity, b.velocity)
+        assert np.array_equal(a.momentum, b.momentum)
+
+
+def bent(n=64):
+    theta = grid(n)
+    return make_curve(
+        np.column_stack([np.cos(theta) + 0.1 * np.cos(2 * theta), np.sin(theta) - 0.05 * np.sin(3 * theta)])
+    )
+
+
+def scalar_custom_table():
+    # bessel_fractional(1.5) frozen at lambda = 2 pi, with a zero derivative table
+    ms = np.arange(-80, 81)
+    vals = scalar_values(bessel_fractional(1.5), 2 * np.pi, ms)
+    table = np.einsum("m,ij->mij", vals, np.eye(2))
+    return custom_table(table, order=1.5, derivative=np.zeros_like(table))
+
+
+@pytest.mark.parametrize(
+    "sym",
+    [
+        constant_coefficient((1.0, 1.0)),
+        scale_invariant((1.0, 1.0)),
+        bessel_fractional(1.5),
+        two_term_fractional(1.5, 1.0, 1.0),
+        scalar_custom_table(),
+    ],
+    ids=lambda sym: sym.family,
+)
+@pytest.mark.parametrize("curve", [circle, bent], ids=["circle", "bent"])
+def test_exp_map_integrates_every_family(sym, curve):
+    c0 = curve()
+    theta = grid(64)
+    h0 = 0.2 * np.column_stack([np.cos(2 * theta), 0.5 * np.sin(theta) + 0.3 * np.cos(3 * theta)])
+    path = exp_map(MetricConfig(sym), c0, h0, T=1.0, steps=MIN_STEPS, stride=4)
+    assert len(path.frames) == 5
+    assert np.isfinite(path.endpoint.samples).all()
+    assert np.max(np.abs(path.endpoint.samples - c0.samples)) > 0.1
+    report = conservation_report(path)
+    assert report.ok, report.to_dict()
+
+
+def test_exp_map_reports_an_unresolved_speed_as_a_lost_immersion():
+    # the circle squeezed along x: long before the speed reaches zero, its
+    # sampled speed gives an arc-length map that turns back on the grid
+    theta = grid(64)
+    h0 = np.column_stack([-3.0 * np.cos(theta), np.zeros(64)])
+    with pytest.raises(ResolutionError, match="near t = ") as err:
+        exp_map(BESSEL, circle(), h0, T=1.0, steps=MIN_STEPS, stride=MIN_STEPS)
+    assert isinstance(err.value, ImmersionError)
+    assert "orientation" in str(err.value)
 
 
 def test_exp_map_validates_inputs():

@@ -78,6 +78,25 @@ def test_lambda_derivative_matches_finite_differences():
         assert np.max(np.abs(analytic - fd)) < 1e-7 * scale
 
 
+@pytest.mark.parametrize("evaluate", [scalar_values, scalar_derivative_values])
+@pytest.mark.parametrize(
+    "sym",
+    [
+        constant_coefficient((1.0, 1.0)),
+        scale_invariant((1.0, 0.5)),
+        bessel_fractional(1.5),
+        two_term_fractional(1.5, 1.0, 1.0),
+    ],
+)
+def test_values_broadcast_over_a_column_of_parameters(evaluate, sym):
+    # a batch of curves passes its lengths as a (B, 1) column
+    lams = np.array([[1.3], [TWO_PI], [9.5]])
+    rows = evaluate(sym, lams, MS)
+    assert rows.shape == (3, MS.size)
+    for lam, row in zip(lams[:, 0], rows):
+        assert np.array_equal(row, evaluate(sym, lam, MS))
+
+
 def test_sqrt_symbol_squares_back():
     sym = bessel_fractional(1.5)
     vals = scalar_values(sym, 4.2, MS)
