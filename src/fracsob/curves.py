@@ -16,6 +16,7 @@ operations are pure functions.
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,11 +46,20 @@ def _freeze(a):
 
 
 @functools.lru_cache(maxsize=16)
-def _grid_phases(n):
-    """cos and sin of m theta_k for m = 0..n//3, from the exact integer phase k*m mod n."""
-    k = np.arange(n)
-    angle = (TWO_PI / n) * (np.outer(k, np.arange(n // 3 + 1)) % n)
-    return _freeze(np.cos(angle)), _freeze(np.sin(angle))
+def _exact_grid_phase(n):
+    """e^(i m theta_k) for m = 0..n//3, one row per mode, from the exact integer phase k*m mod n."""
+    angle = (TWO_PI / n) * (np.outer(np.arange(n // 3 + 1), np.arange(n)) % n)
+    table = np.cos(angle) + 1j * np.sin(angle)
+    table.setflags(write=False)
+    return table
+
+
+def _unit_phases(phase):
+    """e^(i phase), from one cos and one sin of each phase."""
+    out = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    return out
 
 
 @dataclass(frozen=True)
@@ -98,23 +108,28 @@ class Diffeo:
 
         One real (N, 2(N//3 + 1)) array, (B, N, 2(N//3 + 1)) for a batch, so
         that both quadrature products of the operators are real products.
-        Only the displacement phase m p_k goes through cos and sin here; the
-        grid phase comes from an exact table, so E stays accurate at high m.
+        It is the transposed view of a mode-major array, so that every pass
+        below runs along the grid axis. Only the displacement phase m p_k
+        goes through cos and sin, and only O(N^1.5) of it: with m = jL + i
+        and L = ceil(sqrt(N//3 + 1)), e^(i m p) = e^(i jL p) e^(i i p) is one
+        product of two (L, N) tables. The grid phase comes from an exact
+        table, so E stays accurate at high m.
         """
-        grid_cos, grid_sin = _grid_phases(self.n)
-        top = grid_cos.shape[1]
-        phase = self.displacement[..., None] * np.arange(top)
-        cos = np.cos(phase)
-        sin = np.sin(phase, out=phase)
-        basis = np.empty(phase.shape[:-1] + (2 * top,))
-        re, im = basis[..., :top], basis[..., top:]
-        # in place, so that a batch holds few temporaries of the basis' size
-        np.multiply(cos, grid_cos, out=re)
-        re -= sin * grid_sin
-        np.multiply(cos, grid_sin, out=im)
-        im += sin * grid_cos
-        np.negative(im, out=im)
-        return _freeze(basis)
+        grid_phase = _exact_grid_phase(self.n)
+        top = grid_phase.shape[0]
+        L = math.isqrt(top - 1) + 1
+        p = self.displacement[..., None, :]
+        i = np.arange(L)[:, None]
+        coarse = _unit_phases(p * (L * i))
+        fine = _unit_phases(p * i)
+        e = (coarse[..., :, None, :] * fine[..., None, :, :]).reshape(p.shape[:-2] + (L * L, self.n))
+        e = e[..., :top, :]
+        e *= grid_phase
+        basis = np.empty(p.shape[:-2] + (2 * top, self.n))
+        basis[..., :top, :] = e.real
+        np.negative(e.imag, out=basis[..., top:, :])
+        basis.setflags(write=False)
+        return np.swapaxes(basis, -1, -2)
 
     def inverse(self):
         """The inverse diffeomorphism; its own inverse is this displacement."""

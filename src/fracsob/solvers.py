@@ -255,6 +255,16 @@ def _rk4(cfg, c0, h0, T, steps, stride=None):
     return result()
 
 
+def _check_schedule(T, steps, stride):
+    """The time grid of a path: DomainError before any integration starts."""
+    if steps < MIN_STEPS:
+        raise DomainError(f"need steps >= {MIN_STEPS}, got {steps}")
+    if stride < 1:
+        raise DomainError(f"need stride >= 1, got {stride}")
+    if T <= 0:
+        raise DomainError(f"need T > 0, got {T}")
+
+
 def exp_map(cfg, c0, h0, T=1.0, steps=200, stride=1):
     """Integrate the geodesic with initial curve c0 and initial velocity h0.
 
@@ -272,12 +282,7 @@ def exp_map(cfg, c0, h0, T=1.0, steps=200, stride=1):
     batch of one of the RK4 loop that geodesic_bvp runs on whole batches of
     shots.
     """
-    if steps < MIN_STEPS:
-        raise DomainError(f"need steps >= {MIN_STEPS}, got {steps}")
-    if stride < 1:
-        raise DomainError(f"need stride >= 1, got {stride}")
-    if T <= 0:
-        raise DomainError(f"need T > 0, got {T}")
+    _check_schedule(T, steps, stride)
     _require_dynamics(cfg)
     if c0.batched:
         raise GridError("exp_map integrates a single curve, not a batch")
@@ -295,8 +300,7 @@ def exp_map_spray(cfg, c0, h0, T=1.0, steps=64, stride=1, richardson=False):
     finite-difference operator derivative makes it slower and noisier, so
     use exp_map for real work.
     """
-    if steps < MIN_STEPS:
-        raise DomainError(f"need steps >= {MIN_STEPS}, got {steps}")
+    _check_schedule(T, steps, stride)
     _require_dynamics(cfg)
     h0 = _check_field(c0, h0, "h0")
     dt = T / steps

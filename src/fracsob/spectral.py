@@ -35,6 +35,15 @@ def _derivative_factor(n, order):
     return fac
 
 
+@functools.lru_cache(maxsize=32)
+def _antiderivative_divisor(n):
+    """i m in FFT order, with 1 standing in at m = 0 (that mode is zeroed after the division)."""
+    div = 1j * modes(n)
+    div[0] = 1.0
+    div.setflags(write=False)
+    return div
+
+
 def spectral_derivative(u, order=1, axis=0):
     """Differentiate periodic samples by mode multiplication along `axis`.
 
@@ -119,10 +128,10 @@ def theta_antiderivative(g):
         raise ValueError("theta_antiderivative expects a scalar field or a batch of them")
     n = g.shape[-1]
     coef = np.fft.fft(g, axis=-1) / n
-    mean = np.real(coef[..., 0])
-    div = np.zeros(g.shape, dtype=complex)
-    div[..., 1:] = coef[..., 1:] / (1j * modes(n)[1:])
+    mean = coef[..., 0].real.copy()
+    coef /= _antiderivative_divisor(n)
+    coef[..., 0] = 0.0
     if n % 2 == 0:
-        div[..., n // 2] = 0.0
-    osc = np.real(np.fft.ifft(div * n, axis=-1))
+        coef[..., n // 2] = 0.0
+    osc = np.real(np.fft.ifft(coef * n, axis=-1))
     return osc - osc[..., :1], (float(mean) if g.ndim == 1 else mean)

@@ -172,6 +172,16 @@ def test_exp_map_validates_inputs():
         exp_map(BESSEL, c0, np.zeros((32, 2)))
 
 
+@pytest.mark.parametrize("bad", [{"stride": 0}, {"T": 0.0}, {"T": -0.5}, {"steps": MIN_STEPS - 1}])
+def test_exp_map_spray_refuses_a_bad_schedule_before_integrating(bad, monkeypatch):
+    # the schedule is refused before the first curve of the path is built
+    built = []
+    monkeypatch.setattr(solvers, "make_curve", lambda s: built.append(s) or make_curve(s))
+    with pytest.raises(DomainError):
+        exp_map_spray(BESSEL, circle(), np.zeros((64, 2)), **{"steps": MIN_STEPS, **bad})
+    assert built == []
+
+
 def test_exp_map_requires_order_at_least_one():
     cfg = MetricConfig(constant_coefficient((1.0,)))  # an L^2 metric, order 0
     with pytest.raises(DomainError):

@@ -159,6 +159,29 @@ def test_theta_antiderivative_returns_the_periodic_part():
     assert np.allclose(periodic + mean * theta, np.sin(theta) + 1.5 * theta, atol=1e-12)
 
 
+def rebuilt_divisor_antiderivative(g):
+    """theta_antiderivative as written with modes(n) and a zero buffer rebuilt on every call."""
+    n = g.shape[-1]
+    coef = np.fft.fft(g, axis=-1) / n
+    mean = np.real(coef[..., 0])
+    div = np.zeros(g.shape, dtype=complex)
+    div[..., 1:] = coef[..., 1:] / (1j * modes(n)[1:])
+    if n % 2 == 0:
+        div[..., n // 2] = 0.0
+    osc = np.real(np.fft.ifft(div * n, axis=-1))
+    return osc - osc[..., :1], (float(mean) if g.ndim == 1 else mean)
+
+
+@pytest.mark.parametrize("shape", [(64,), (11, 64), (256,), (512,), (9,)])
+def test_theta_antiderivative_with_a_cached_divisor_is_bitwise_unchanged(shape):
+    g = 1.5 + np.random.default_rng(shape[-1]).standard_normal(shape)
+    periodic, mean = theta_antiderivative(g)
+    want_periodic, want_mean = rebuilt_divisor_antiderivative(g)
+    assert np.array_equal(periodic, want_periodic)
+    assert np.array_equal(mean, want_mean)
+    assert type(mean) is type(want_mean)
+
+
 if HAVE_HYPOTHESIS:
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
