@@ -346,9 +346,7 @@ def cmd_check(args):
         with open(args.config, "r", encoding="utf-8") as fh:
             explicit = "grid" in json.load(fh)
     n = cfg.n if explicit else 256
-    results, extras = checks.run_all(
-        cfg.symbol, n=max(n, 64), seed=cfg.seed, with_flow=not args.no_flow
-    )
+    results, extras = checks.run_all(cfg.symbol, n=n, seed=cfg.seed, with_flow=not args.no_flow)
     print(checks.summarize(results))
     if not args.dump_spray:
         extras.pop("spray_breakdown", None)

@@ -26,7 +26,6 @@ from .spectral import (
     TWO_PI,
     dealias,
     grid,
-    interp_matrix,
     spectral_derivative,
     theta_antiderivative,
     trig_interp,
@@ -148,9 +147,9 @@ def _invert_monotone(displacement, tol=INVERSE_TOL, max_iter=60):
     Newton from the first-order inverse x = theta - p(theta), with a
     bisection fallback; the brackets [theta - max p, theta - min p] always
     contain the solution because x + p(x) is strictly increasing. Each
-    iterate builds one half-spectrum interpolation matrix, which evaluates p
-    and p' together. The stopping test is the roundtrip psi(x) = theta_k to
-    tol, so a returned x is a checked inverse.
+    iterate evaluates p and p' together by one trig_interp call, which
+    builds one interpolation matrix. The stopping test is the roundtrip
+    psi(x) = theta_k to tol, so a returned x is a checked inverse.
     """
     disp = np.asarray(displacement, dtype=float)
     n = disp.shape[0]
@@ -164,7 +163,7 @@ def _invert_monotone(displacement, tol=INVERSE_TOL, max_iter=60):
     # the interpolant of p at the nodes is p itself
     x = np.clip(t - disp, lo, hi)
     for _ in range(max_iter + 1):
-        vals = trig_interp(p_dp, x, matrix=interp_matrix(x, n, half=True))
+        vals = trig_interp(p_dp, x)
         f = x + vals[:, 0] - t
         if np.max(np.abs(f)) < tol:
             return x

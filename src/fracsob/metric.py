@@ -109,30 +109,29 @@ def wj_fields(c, h, n):
     return fields
 
 
-def _w_parts(cfg, c, h, ah=None, warn=True):
-    """Shared plumbing: returns (ah, dsh, w, removed_mean)."""
+def _w_parts(cfg, c, h, ah=None):
+    """Shared plumbing: returns (ah, dsh, w, removed_mean); warns as w_field does."""
     h = np.asarray(h, dtype=float)
     if ah is None:
         ah = apply_conjugated(c, cfg.symbol, "identity", h)
     dsh = arc_derivative(c, h)
     integrand = _dot(ah, dsh)
     w, mean = antiderivative(c, integrand)
-    if warn:
-        scale = np.maximum(np.max(np.abs(integrand), axis=-1), 1e-300)
-        # the pairing can cancel to rounding pointwise (e.g. scaling
-        # velocities on a circle), so the threshold also floors at the
-        # roundoff level of the product's factors
-        size = np.max(np.abs(ah), axis=(-2, -1)) * np.max(np.abs(dsh), axis=(-2, -1))
-        floor = 100.0 * np.finfo(float).eps * size
-        # one warning per offending member, as if each ran alone
-        for i in np.flatnonzero(np.abs(mean) > np.maximum(MEAN_RTOL * scale, floor)):
-            warnings.warn(
-                MeanResidualWarning(
-                    f"w integrand has ds-mean {np.ravel(mean)[i]:.3e} against scale "
-                    f"{np.ravel(scale)[i]:.3e}; the grid is too coarse for this symbol and field"
-                ),
-                stacklevel=3,
-            )
+    scale = np.maximum(np.max(np.abs(integrand), axis=-1), 1e-300)
+    # the pairing can cancel to rounding pointwise (e.g. scaling
+    # velocities on a circle), so the threshold also floors at the
+    # roundoff level of the product's factors
+    size = np.max(np.abs(ah), axis=(-2, -1)) * np.max(np.abs(dsh), axis=(-2, -1))
+    floor = 100.0 * np.finfo(float).eps * size
+    # one warning per offending member, as if each ran alone
+    for i in np.flatnonzero(np.abs(mean) > np.maximum(MEAN_RTOL * scale, floor)):
+        warnings.warn(
+            MeanResidualWarning(
+                f"w integrand has ds-mean {np.ravel(mean)[i]:.3e} against scale "
+                f"{np.ravel(scale)[i]:.3e}; the grid is too coarse for this symbol and field"
+            ),
+            stacklevel=3,
+        )
     return ah, dsh, w, mean
 
 

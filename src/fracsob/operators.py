@@ -12,10 +12,14 @@ identity, inverse, sqrt, sqrt_inverse, and lambda_derivative (the
 derivative of A in its parameter, conjugation held fixed; this is not the
 full curve derivative of A_c).
 
+Every curve takes the same quadrature, a circle (psi the identity)
+included, so A_c depends continuously on c; on a circle it equals the flat
+operator followed by the two-thirds filter.
+
 apply_conjugated and solve_conjugated also act on a batch of curves from
 make_curve((B, N, d) samples) and fields stacked the same way. Each member
-gets what it would get alone: the flat path where its psi is the identity,
-its own symbol parameter (its length), its own refinement stop.
+gets what it would get alone: its own symbol parameter (its length), its
+own refinement stop.
 """
 
 import functools
@@ -88,17 +92,16 @@ def _matrix_multipliers(symbol, variant, lam, m):
 
 
 def _multipliers(symbol, variant, lam, m, shape):
-    """The multipliers of modes m for fields of `shape`, the grid on axis lam.ndim.
+    """The multipliers of modes m at parameter lam for fields of `shape`, grid on axis 0.
 
-    lam is a float, or a (B,) array of per-member parameters. Scalar symbols
-    give real values shaped to broadcast against the field's coefficients;
-    matrix symbols give (M, d, d) blocks, which do not depend on lam.
+    Scalar symbols give real values shaped to broadcast against the field's
+    coefficients; matrix symbols give (M, d, d) blocks for (N, d) fields,
+    which do not depend on lam.
     """
-    lam = np.asarray(lam, dtype=float)
     if symbol.is_scalar:
-        vals = _scalar_multipliers(symbol, variant, lam[..., None] if lam.ndim else float(lam), m)
-        return vals.reshape(vals.shape + (1,) * (len(shape) - lam.ndim - 1))
-    if len(shape) != lam.ndim + 2 or shape[-1] != symbol.dim:
+        vals = _scalar_multipliers(symbol, variant, lam, m)
+        return vals.reshape(vals.shape + (1,) * (len(shape) - 1))
+    if len(shape) != 2 or shape[-1] != symbol.dim:
         raise GridError(f"matrix symbol of dimension {symbol.dim} cannot act on field of shape {shape}")
     return _matrix_multipliers(symbol, variant, lam, m)
 
@@ -110,20 +113,14 @@ def _multiply(symbol, mult, coef):
     return np.einsum("mij,...mj->...mi", mult, coef)
 
 
-def _apply_flat(symbol, variant, lam, u):
-    """Flat operator at parameter lam (a float, or one per batch member) on u."""
-    axis = np.ndim(lam)
-    mult = _multipliers(symbol, variant, lam, modes(u.shape[axis]), u.shape)
-    return np.real(np.fft.ifft(_multiply(symbol, mult, np.fft.fft(u, axis=axis)), axis=axis))
-
-
 def apply_flat(op, u):
     """Apply the flat operator to samples u, (N,) or (N, d) real arrays."""
     u = np.asarray(u, dtype=float)
     n = u.shape[0]
     if n < 2:
         raise GridError(f"field too short for an FFT, N = {n}")
-    return _apply_flat(op.symbol, op.variant, op.lam, u)
+    mult = _multipliers(op.symbol, op.variant, op.lam, modes(n), u.shape)
+    return np.real(np.fft.ifft(_multiply(op.symbol, mult, np.fft.fft(u, axis=0)), axis=0))
 
 
 @dataclass(frozen=True)
@@ -168,11 +165,25 @@ def _band_multipliers(curve, symbol, variant, top):
     return cache[key]
 
 
-def _apply_band(curve, symbol, variant, u):
-    """The quadrature form of A_c on every member of curve."""
+def apply_conjugated(curve, symbol, variant, u):
+    """Apply R_psi o A(length) o R_psi^{-1} to a field on the curve's grid.
+
+    The constant-speed coefficients of u on the band 0 <= m <= N/3 are the
+    quadrature E^H (W u), with E_km = e^(i m psi(theta_k)) and
+    W = |c'| 2 pi / (length N). With the real basis B = [Re E, -Im E]
+    cached on the curve's psi, B^T (W u) holds their real and imaginary
+    parts. They are multiplied by the symbol at lambda = length, summed
+    back as B @ ., and low-pass filtered with the two-thirds rule. On a
+    batch of curves each member is treated on its own.
+    """
+    if variant not in VARIANTS:
+        raise DomainError(f"unknown operator variant {variant!r}")
+    u = np.asarray(u, dtype=float)
+    lead = curve.samples.ndim - 2
+    if u.shape[: lead + 1] != curve.samples.shape[: lead + 1]:
+        raise GridError(f"field of shape {u.shape} does not match the curve grid N = {curve.n}")
     basis = curve.psi.band_basis
     top = basis.shape[-1] // 2
-    lead = curve.samples.ndim - 2
     vector = u.ndim == lead + 2
     field = u if vector else u[..., None]
     # rows 0..top-1 of coef hold the real parts of the coefficients of
@@ -185,40 +196,13 @@ def _apply_band(curve, symbol, variant, u):
         pairs = coef.reshape(coef.shape[:-2] + (2, top, -1)) * mult[..., None, :, None]
         coef = pairs.reshape(coef.shape)
     else:
-        vals = _multipliers(symbol, variant, curve.length, _band_modes(top), field.shape)
+        vals = _multipliers(symbol, variant, curve.length, _band_modes(top), field.shape[lead:])
         mult = vals[:top].copy()
         mult[1:] += np.conj(vals[top:])
         out = _multiply(symbol, mult, coef[..., :top, :] + 1j * coef[..., top:, :])
         coef = np.concatenate([out.real, out.imag], axis=-2)
     out = dealias(basis @ coef, axis=lead)
     return out if vector else out[..., 0]
-
-
-def apply_conjugated(curve, symbol, variant, u):
-    """Apply R_psi o A(length) o R_psi^{-1} to a field on the curve's grid.
-
-    The constant-speed coefficients of u on the band 0 <= m <= N/3 are the
-    quadrature E^H (W u), with E_km = e^(i m psi(theta_k)) and
-    W = |c'| 2 pi / (length N). With the real basis B = [Re E, -Im E]
-    cached on the curve's psi, B^T (W u) holds their real and imaginary
-    parts. They are multiplied by the symbol at lambda = length, summed
-    back as B @ ., and low-pass filtered with the two-thirds rule. A curve
-    whose psi is the identity takes the flat FFT path instead. On a batch
-    of curves each member is treated on its own.
-    """
-    if variant not in VARIANTS:
-        raise DomainError(f"unknown operator variant {variant!r}")
-    u = np.asarray(u, dtype=float)
-    lead = curve.samples.ndim - 2
-    if u.shape[: lead + 1] != curve.samples.shape[: lead + 1]:
-        raise GridError(f"field of shape {u.shape} does not match the curve grid N = {curve.n}")
-    flat = curve.psi.is_identity
-    if flat.all():
-        return _apply_flat(symbol, variant, curve.length, u)
-    out = _apply_band(curve, symbol, variant, u)
-    if flat.any():
-        out[flat] = _apply_flat(symbol, variant, curve.length[flat], u[flat])
-    return out
 
 
 def solve_conjugated(curve, symbol, u, refine=2, x0=None):
@@ -232,16 +216,15 @@ def solve_conjugated(curve, symbol, u, refine=2, x0=None):
     fast on low modes and slows near the two-thirds cutoff, so the loop
     also stops as soon as the residual stagnates or reaches rounding. x0
     seeds the iteration when a previous solve for a nearby right-hand side
-    is available. On a batch, every member stops on its own residual, and
-    members with an identity psi (exact flat inverse) are not refined.
+    is available. On a batch, every member stops on its own residual.
     """
     u = np.asarray(u, dtype=float)
     h = apply_conjugated(curve, symbol, "inverse", u) if x0 is None else np.asarray(x0, dtype=float)
-    active = ~curve.psi.is_identity
-    if refine <= 0 or not active.any():
+    if refine <= 0:
         return h
-    axes = tuple(range(active.ndim, u.ndim))
+    axes = tuple(range(curve.samples.ndim - 2, u.ndim))
     scale = np.max(np.abs(u), axis=axes)
+    active = np.ones(scale.shape, dtype=bool)
     prev = np.inf
     for _ in range(refine):
         r = u - apply_conjugated(curve, symbol, "identity", h)

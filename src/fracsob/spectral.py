@@ -70,49 +70,42 @@ def dealias(u, axis=0):
     return np.real(np.fft.ifft(coef, axis=axis))
 
 
-def interp_matrix(points, n, half=False):
-    """Evaluation matrix of the degree-n trigonometric interpolant.
+def interp_matrix(points, n):
+    """Evaluation matrix of the degree-n interpolant of real samples, modes 0..n//2.
 
-    Row p maps FFT coefficients (fft(u)/n) to the interpolant value at
-    points[p]. The Nyquist column is cos(n*theta/2). With half=True only the
-    columns of modes 0..n//2 are kept: that is all trig_interp needs for
-    real samples, at half the memory and half the product cost.
+    Row p maps the FFT coefficients (fft(u)/n) of modes 0..n//2 to the
+    interpolant value at points[p]. The Nyquist column is cos(n*theta/2).
+    For real samples the negative modes are the conjugates of the positive
+    ones, so trig_interp needs no columns for them.
 
-    The matrix is built mode-major: mode k is row k of an (n, P) array,
-    written contiguously by the recurrence e^(ikx) = e^(i(k-1)x) e^(ix), and
-    each negative mode is the conjugate of its positive partner. The (P, n)
-    result is the transpose view of that array.
+    The matrix is built mode-major: mode k is row k of an (n//2 + 1, P)
+    array, written contiguously by the recurrence e^(ikx) = e^(i(k-1)x) e^(ix).
+    The (P, n//2 + 1) result is the transpose view of that array.
     """
     pts = np.atleast_1d(np.asarray(points, dtype=float))
     top = n // 2
-    k_top = (n - 1) // 2
-    rows = np.empty((top + 1 if half else n, pts.shape[0]), dtype=complex)
+    rows = np.empty((top + 1, pts.shape[0]), dtype=complex)
     rows[0] = 1.0
     base = np.exp(1j * pts)
-    for k in range(1, k_top + 1):
+    for k in range(1, (n - 1) // 2 + 1):
         np.multiply(rows[k - 1], base, out=rows[k])
     if n % 2 == 0:
         rows[top] = np.cos(0.5 * n * pts)
-    if not half:
-        np.conjugate(rows[k_top:0:-1], out=rows[top + 1:])
     return rows.T
 
 
-def trig_interp(u, points, matrix=None):
+def trig_interp(u, points):
     """Evaluate the trigonometric interpolant of samples u at arbitrary points.
 
-    Exact for band-limited u. A precomputed matrix from interp_matrix, full
-    or half, may be passed to amortize repeated evaluations at the same
-    points. Real samples only need modes 0..n//2: the interior ones stand
-    for their conjugate partners too, so their rfft coefficients count
-    twice.
+    Exact for band-limited u. Real samples only need modes 0..n//2: the
+    interior ones stand for their conjugate partners too, so their rfft
+    coefficients count twice.
     """
     u = np.asarray(u, dtype=float)
     n = u.shape[0]
-    ee = interp_matrix(points, n, half=True) if matrix is None else matrix[:, : n // 2 + 1]
     coef = np.fft.rfft(u, axis=0) / n
     coef[1 : (n + 1) // 2] *= 2.0
-    return np.real(ee @ coef)
+    return np.real(interp_matrix(points, n) @ coef)
 
 
 def theta_antiderivative(g):

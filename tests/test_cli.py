@@ -143,14 +143,16 @@ def test_check_exposes_spray_terms_on_request(tmp_path):
     assert "term_w_w0" in payload["spray_breakdown"]
 
 
-def test_check_honors_an_explicit_grid_and_reports_failures(tmp_path, capsys):
+@pytest.mark.parametrize("n", [64, 32])
+def test_check_honors_an_explicit_grid_and_reports_failures(tmp_path, capsys, n):
     # the operator identities genuinely miss their tolerances on a coarse grid,
-    # which must surface as exit code 3, not as a crash
+    # which must surface as exit code 3, not as a crash; a grid below 64 runs
+    # as given, not on a silently larger one
     report = tmp_path / "report.json"
-    rc = main(["check", "--no-flow", "--N", "64", "--json", str(report)])
+    rc = main(["check", "--no-flow", "--N", str(n), "--json", str(report)])
     assert rc == 3
     payload = json.loads(report.read_text())
-    assert payload["n"] == 64
+    assert payload["n"] == n
     assert any(entry["passed"] is False for entry in payload["checks"])
 
 

@@ -98,13 +98,40 @@ def test_conjugated_operator_is_symmetric_for_ds():
 
 
 def test_conjugated_identity_curve_shortcut():
-    c = unit_circle()
-    assert c.psi.is_identity
+    # a circle takes the same quadrature as every other curve, which there
+    # reduces to the flat operator followed by the two-thirds filter
+    for n in (64, 256):
+        c = unit_circle(n)
+        assert c.psi.is_identity
+        # white noise fills every mode, those above n/3 (which the filter
+        # removes) included; the bound is relative to the output, so the
+        # field must fill the band too: rounding at the top band modes is
+        # amplified by the symbol there
+        u = np.random.default_rng(n).standard_normal((n, 2))
+        for sym in (bessel_fractional(1.5), constant_coefficient((1.0, 1.0))):
+            for variant in VARIANTS:
+                via_curve = apply_conjugated(c, sym, variant, u)
+                via_flat = dealias(apply_flat(FlatOperator(sym, c.length, variant), u))
+                assert np.max(np.abs(via_curve - via_flat)) <= 1e-13 * np.max(np.abs(via_flat))
+
+
+def test_conjugated_operator_is_continuous_at_the_circle():
+    # a circle and the same circle moved by 1e-9 take one formula, so the
+    # operator and its solve move by about the size of the perturbation
+    n = 64
+    theta = grid(n)
+    circle = np.column_stack([np.cos(theta), np.sin(theta)])
+    exact = make_curve(circle)
+    moved = make_curve(circle + 1e-9 * np.column_stack([np.cos(3 * theta), np.sin(2 * theta)]))
+    assert exact.psi.is_identity and not moved.psi.is_identity
+    u = np.random.default_rng(0).standard_normal((n, 2))
     sym = bessel_fractional(1.5)
-    u = np.column_stack([np.cos(c.theta), np.sin(2 * c.theta)])
-    via_curve = apply_conjugated(c, sym, "identity", u)
-    via_flat = apply_flat(FlatOperator(sym, c.length, "identity"), u)
-    assert np.array_equal(via_curve, via_flat)
+
+    def gap(a, b):
+        return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+    assert gap(apply_conjugated(moved, sym, "identity", u), apply_conjugated(exact, sym, "identity", u)) <= 1e-6
+    assert gap(solve_conjugated(moved, sym, u), solve_conjugated(exact, sym, u)) <= 1e-6
 
 
 def test_curve_operator_callable_wrapper():
