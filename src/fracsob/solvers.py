@@ -16,7 +16,11 @@ geodesics stacked along a leading axis, and exp_map is its single-member
 case. The boundary-value problem is solved by shooting: Levenberg-Marquardt
 on the endpoint mismatch over a Fourier-truncated initial velocity,
 Jacobian by forward differences, all columns of one iteration integrated
-as one batch. Trial shots that leave the immersion set count as rejected
+as one batch. The first trial shot of an iteration is integrated together
+with the columns at its own point, which the next iteration takes if the
+step is accepted, so a typical iteration is one RK4 run. A shot that runs
+alone keeps its frames, and the shot at the returned velocity is the
+returned path. Trial shots that leave the immersion set count as rejected
 steps and raise the damping instead of aborting.
 """
 
@@ -97,7 +101,10 @@ class ShootingResult:
     """Outcome of geodesic_bvp: the velocity found, its mismatch, the path.
 
     shots counts the geodesics integrated, every member of a batch
-    included; integrations counts the RK4 runs they took.
+    included, speculative Jacobian columns that were dropped too;
+    integrations counts the RK4 runs they took. The path is a shot the
+    solver already made, unless the returned velocity was only ever shot
+    in a batch; then it is one more shot and run, counted here.
     """
 
     initial_velocity: np.ndarray
@@ -302,6 +309,8 @@ def exp_map_spray(cfg, c0, h0, T=1.0, steps=64, stride=1, richardson=False):
     """
     _check_schedule(T, steps, stride)
     _require_dynamics(cfg)
+    if c0.batched:
+        raise GridError("exp_map_spray integrates a single curve, not a batch")
     h0 = _check_field(c0, h0, "h0")
     dt = T / steps
 
@@ -373,12 +382,20 @@ def geodesic_bvp(
     Levenberg-Marquardt with a forward-difference Jacobian: the (2K+1)*d
     column shots of one iteration are integrated as one batch, and columns
     whose shot loses immersion (a ResolutionError included) are retried
-    with the step negated, as a second batch. Trial shots run one at a
-    time; those that lose immersion raise the damping. Internal shots keep
-    only the endpoint and store no frames; the returned path is
-    re-integrated at `stride` (default steps // 16). The result counts the
-    shots and the RK4 runs. Raises NoConvergenceError carrying the best
-    ShootingResult when the cap is hit.
+    with the step negated, as a second batch. The first trial shot of an
+    iteration is integrated in one batch with the columns at the trial
+    point, the rows the next iteration would build; an accepted step hands
+    them on, a rejected one drops them. That speculation is skipped in the
+    last allowed iteration and when the linear model predicts convergence,
+    |r + J dx| <= tol_rel * |c1|. Later trials of an iteration, and the
+    initial shot, run alone and keep frames at `stride` (default
+    steps // 16), which never feed back into the state. Trial shots that
+    lose immersion raise the damping. The returned path is the frames of
+    the shot at the returned velocity; only a velocity shot in a batch is
+    integrated once more by exp_map. Frames are kept for the current and
+    the best velocity only. The result counts the shots and the RK4 runs.
+    Raises NoConvergenceError carrying the best ShootingResult when the
+    cap is hit.
     """
     if c0.batched or c1.batched:
         raise GridError("geodesic_bvp matches two single curves, not batches")
@@ -401,48 +418,60 @@ def geodesic_bvp(
     def velocity(x):
         return basis @ x.reshape(x.shape[:-1] + (n_coef, d))
 
-    def shoot(xs):
+    def shoot(xs, stride=None):
         """Endpoint residual vectors of the shots at the rows of xs, in one
-        batch; None for a shot that loses immersion or goes nonfinite."""
+        batch, and their frames at `stride`; None for a shot that loses
+        immersion or goes nonfinite."""
         nonlocal shots, integrations
         shots += len(xs)
         integrations += 1
         starts = make_curve(np.broadcast_to(c0.samples, (len(xs), n, d)))
-        ends, _, errors = _rk4(cfg, starts, velocity(xs), T, steps)
+        ends, frames, errors = _rk4(cfg, starts, velocity(xs), T, steps, stride)
         out = []
         for b, end in enumerate(ends):
             if end is None and not isinstance(errors[b], (ImmersionError, StepError)):
                 raise errors[b]
             out.append(None if end is None else (end - c1.samples).ravel() * np.sqrt(TWO_PI / n))
-        return out
+        return out, frames
 
-    def finish(x, residual, converged):
+    def finish(x, residual, converged, frames):
         nonlocal shots, integrations
-        shots += 1
-        integrations += 1
         h0 = velocity(x)
-        path = exp_map(cfg, c0, h0, T=T, steps=steps, stride=out_stride)
+        if frames is None:
+            # x was shot in a batch, which stores no frames
+            shots += 1
+            integrations += 1
+            path = exp_map(cfg, c0, h0, T=T, steps=steps, stride=out_stride)
+        else:
+            path = GeodesicPath(tuple(frames), cfg, scheme="rk4", steps=steps)
         return ShootingResult(h0, residual, iterations, path, converged, shots, integrations)
+
+    def fd_deltas(x):
+        return fd_step * np.maximum(1.0, np.abs(x))
 
     coef0, *_ = np.linalg.lstsq(basis, (c1.samples - c0.samples) / T, rcond=None)
     x = coef0.ravel()
     iterations = 0
-    [r] = shoot(x[None])
+    [r], [frames] = shoot(x[None], out_stride)
     if r is None:
         raise ImmersionError("the initial shot already leaves the immersion set")
-    best = (float(np.linalg.norm(r)), x.copy())
+    # frames are kept for the current x and the best x only
+    best = (float(np.linalg.norm(r)), x.copy(), frames)
     if best[0] <= tol_abs:
-        return finish(x, best[0], True)
+        return finish(x, best[0], True, frames)
 
     lam = damping
+    cols = None
     while iterations < max_iter:
         iterations += 1
-        deltas = fd_step * np.maximum(1.0, np.abs(x))
+        deltas = fd_deltas(x)
         probes = np.diag(deltas)
-        cols = shoot(x + probes)
+        if cols is None:
+            cols, _ = shoot(x + probes)
         retry = [j for j, rp in enumerate(cols) if rp is None]
         if retry:
-            for j, rp in zip(retry, shoot(x - probes[retry])):
+            back, _ = shoot(x - probes[retry])
+            for j, rp in zip(retry, back):
                 cols[j] = rp
                 deltas[j] = -deltas[j]
         jac = np.empty((r.size, x.size))
@@ -453,28 +482,39 @@ def geodesic_bvp(
         diag = np.diag(jtj).copy()
         diag[diag <= 0] = 1.0
         accepted = False
+        # the first trial shot carries the next iteration's columns, unless
+        # there is no next iteration or the linear model expects it to
+        # converge; a trial shot alone keeps its frames
+        speculate = iterations < max_iter
         for _ in range(12):
             try:
                 dx = np.linalg.solve(jtj + lam * np.diag(diag), -jtr)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            [r_new] = shoot((x + dx)[None])
+            x_t = x + dx
+            if speculate and np.linalg.norm(r + jac @ dx) > tol_abs:
+                ahead = x_t + np.diag(fd_deltas(x_t))
+                (r_new, *cols_t), _ = shoot(np.vstack([x_t, ahead]))
+                frames_t = None
+            else:
+                [r_new], [frames_t] = shoot(x_t[None], out_stride)
+                cols_t = None
+            speculate = False
             if r_new is not None and np.linalg.norm(r_new) < np.linalg.norm(r):
-                x = x + dx
-                r = r_new
+                x, r, frames, cols = x_t, r_new, frames_t, cols_t
                 lam = max(lam / 3.0, 1e-12)
                 accepted = True
                 break
             lam *= 10.0
         norm_r = float(np.linalg.norm(r))
         if norm_r < best[0]:
-            best = (norm_r, x.copy())
+            best = (norm_r, x.copy(), frames)
         if norm_r <= tol_abs:
-            return finish(x, norm_r, True)
+            return finish(x, norm_r, True, frames)
         if not accepted:
             break
-    result = finish(best[1], best[0], False)
+    result = finish(best[1], best[0], False, best[2])
     raise NoConvergenceError(
         f"shooting stalled at residual {best[0]:.3e} (tolerance {tol_abs:.3e}) "
         f"after {iterations} iterations",
@@ -570,11 +610,9 @@ def path_to_csv(path):
     lines = [",".join(header)]
     for f in path.frames:
         vel = f.velocity if f.velocity is not None else np.zeros_like(f.curve.samples)
-        for k in range(f.curve.n):
-            row = [repr(float(f.t)), str(k)]
-            row += [repr(float(v)) for v in f.curve.samples[k]]
-            row += [repr(float(v)) for v in vel[k]]
-            lines.append(",".join(row))
+        t = repr(float(f.t))
+        rows = np.concatenate([f.curve.samples, vel], axis=1).tolist()
+        lines.extend(f"{t},{k}," + ",".join(map(repr, row)) for k, row in enumerate(rows))
     return "\n".join(lines) + "\n"
 
 

@@ -3,7 +3,8 @@
 The batch integrator behind exp_map and geodesic_bvp stacks curves along a
 leading axis. These tests hold every member to what it gets alone: the same
 layers, the same endpoint, the same failure, and the same shooting
-iterations as the one-column-at-a-time Jacobian loop.
+iterations as the one-column-at-a-time Jacobian loop and as the loop whose
+trial shots carry no speculative columns.
 """
 
 import warnings
@@ -191,8 +192,9 @@ def test_a_column_whose_shot_fails_is_retried_with_the_step_negated(monkeypatch)
     # forward column j moved x_j by +delta; its retry moves it by -delta
     assert np.max(np.abs(retry[0] - (2.0 * base - columns[3]))) <= 1e-12
     result = err.value.result
-    # the last run is exp_map's, for the presented path
-    assert result.shots == 1 + len(columns) + 1 + (len(calls) - 4) + 1
+    # with max_iter=1 no trial carries columns: every trial runs alone and
+    # keeps its frames, so the presented path needs no run of its own
+    assert result.shots == 1 + len(columns) + 1 + (len(calls) - 3)
     assert result.integrations == len(calls)
 
 
@@ -318,8 +320,183 @@ def test_shooting_counts_its_shots_and_integrations():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         res = geodesic_bvp(BESSEL, c0, c1, K=2, steps=32)
-    # the initial shot, per iteration one batch of (2K+1)*d = 10 columns and
-    # one accepted trial step, and the presented path
+    # the initial shot, the first iteration's (2K+1)*d = 10 columns, its
+    # trial step together with the 10 columns at the trial point, and the
+    # second trial step alone; the presented path is that last shot's frames
     assert res.iterations == 2
-    assert res.shots == 1 + 2 * (10 + 1) + 1
-    assert res.integrations == 1 + 2 * (1 + 1) + 1
+    assert res.shots == 1 + 10 + (1 + 10) + 1
+    assert res.integrations == 4
+
+
+def unspeculated_bvp(cfg, c0, c1, K, steps, T=1.0, max_iter=50, tol_rel=1e-6, damping=1e-3, fd_step=1e-6):
+    """The shooting loop whose trial shots run alone without frames, and whose
+    presented path is one more exp_map run, as reference."""
+    n, d = c0.n, c0.dim
+    basis = solvers._fourier_basis(n, K)
+    n_coef = basis.shape[1]
+    tol_abs = tol_rel * max(float(np.linalg.norm(c1.samples)) * np.sqrt(TWO_PI / n), 1e-300)
+    out_stride = max(1, steps // 16)
+
+    def shoot(xs):
+        starts = make_curve(np.broadcast_to(c0.samples, (len(xs), n, d)))
+        ends, _, _ = solvers._rk4(cfg, starts, basis @ xs.reshape(len(xs), n_coef, d), T, steps)
+        return [None if end is None else (end - c1.samples).ravel() * np.sqrt(TWO_PI / n) for end in ends]
+
+    def finish(x, residual, converged):
+        h0 = basis @ x.reshape(n_coef, d)
+        path = exp_map(cfg, c0, h0, T=T, steps=steps, stride=out_stride)
+        return solvers.ShootingResult(h0, residual, iterations, path, converged)
+
+    coef0, *_ = np.linalg.lstsq(basis, (c1.samples - c0.samples) / T, rcond=None)
+    x = coef0.ravel()
+    iterations = 0
+    [r] = shoot(x[None])
+    best = (float(np.linalg.norm(r)), x.copy())
+    if best[0] <= tol_abs:
+        return finish(x, best[0], True)
+    lam = damping
+    while iterations < max_iter:
+        iterations += 1
+        deltas = fd_step * np.maximum(1.0, np.abs(x))
+        probes = np.diag(deltas)
+        cols = shoot(x + probes)
+        retry = [j for j, rp in enumerate(cols) if rp is None]
+        if retry:
+            for j, rp in zip(retry, shoot(x - probes[retry])):
+                cols[j] = rp
+                deltas[j] = -deltas[j]
+        jac = np.empty((r.size, x.size))
+        for j, rp in enumerate(cols):
+            jac[:, j] = 0.0 if rp is None else (rp - r) / deltas[j]
+        jtj = jac.T @ jac
+        jtr = jac.T @ r
+        diag = np.diag(jtj).copy()
+        diag[diag <= 0] = 1.0
+        accepted = False
+        for _ in range(12):
+            dx = np.linalg.solve(jtj + lam * np.diag(diag), -jtr)
+            [r_new] = shoot((x + dx)[None])
+            if r_new is not None and np.linalg.norm(r_new) < np.linalg.norm(r):
+                x, r = x + dx, r_new
+                lam = max(lam / 3.0, 1e-12)
+                accepted = True
+                break
+            lam *= 10.0
+        norm_r = float(np.linalg.norm(r))
+        if norm_r < best[0]:
+            best = (norm_r, x.copy())
+        if norm_r <= tol_abs:
+            return finish(x, norm_r, True)
+        if not accepted:
+            break
+    return finish(best[1], best[0], False)
+
+
+def assert_same_path(path, ref):
+    assert len(path.frames) == len(ref.frames)
+    for f, g in zip(path.frames, ref.frames):
+        assert f.t == g.t
+        assert np.array_equal(f.curve.samples, g.curve.samples)
+        assert np.array_equal(f.velocity, g.velocity)
+        assert np.array_equal(f.momentum, g.momentum)
+
+
+def recording_rk4(monkeypatch, reject_call=None):
+    """Record the initial velocities of every RK4 run; the run numbered
+    reject_call loses its first member, as a rejected trial shot."""
+    real = solvers._rk4
+    calls = []
+
+    def recording(cfg, starts, h0s, T, steps, stride=None):
+        calls.append(np.array(h0s).reshape(-1, starts.n, starts.dim))
+        ends, frames, errors = real(cfg, starts, h0s, T, steps, stride)
+        if len(calls) == reject_call:
+            ends[0] = None
+            errors[0] = ImmersionError("injected")
+        return ends, frames, errors
+
+    monkeypatch.setattr(solvers, "_rk4", recording)
+    return calls
+
+
+@pytest.mark.parametrize("reject_first_trial", [False, True])
+def test_speculative_columns_reproduce_the_unspeculated_loop(monkeypatch, reject_first_trial):
+    # run 3 is the first trial shot in both loops: alone in the reference,
+    # with the 10 columns at the trial point in geodesic_bvp
+    c0, c1 = seeded_match()
+    reject = 3 if reject_first_trial else None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ref_calls = recording_rk4(monkeypatch, reject)
+        ref = unspeculated_bvp(BESSEL, c0, c1, K=2, steps=32)
+        monkeypatch.undo()
+        calls = recording_rk4(monkeypatch, reject)
+        res = geodesic_bvp(BESSEL, c0, c1, K=2, steps=32)
+    assert ref.converged and res.converged
+    assert res.iterations == ref.iterations == 2
+    assert res.residual == ref.residual
+    assert np.array_equal(res.initial_velocity, ref.initial_velocity)
+    assert_same_path(res.path, ref.path)
+    # every shot of the reference, its closing exp_map run aside, is shot
+    # bitwise alike; the columns of a rejected first trial are the only extra
+    sizes = [len(h) for h in calls]
+    if reject_first_trial:
+        assert sizes == [1, 10, 11, 1, 10, 1]
+        wasted = calls[2][1:]
+        calls[2] = calls[2][:1]
+        assert not any(np.array_equal(w, h) for w in wasted for h in np.concatenate(ref_calls))
+    else:
+        assert sizes == [1, 10, 11, 1]
+    assert [len(h) for h in ref_calls][-1] == 1
+    assert np.array_equal(np.concatenate(calls), np.concatenate(ref_calls[:-1]))
+    assert res.shots == sum(sizes)
+    assert res.integrations == len(sizes)
+
+
+def test_the_returned_path_is_the_exp_map_of_the_returned_velocity():
+    c0, c1 = seeded_match()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = geodesic_bvp(BESSEL, c0, c1, K=2, steps=32)
+        alone = exp_map(BESSEL, c0, res.initial_velocity, T=1.0, steps=32, stride=2)
+    assert len(res.path.frames) == 17
+    assert_same_path(res.path, alone)
+
+
+def test_a_speculative_trial_that_converges_takes_its_path_from_exp_map():
+    # on this input the second iteration's linear model predicts a residual
+    # of 1.223e-7 and the step reaches 1.163e-7; a tolerance between the two
+    # makes that trial carry columns and still converge
+    c0, c1 = seeded_match(seed=(0, 4))
+    tol_rel = 1.19e-7 / (np.linalg.norm(c1.samples) * np.sqrt(TWO_PI / c0.n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = geodesic_bvp(BESSEL, c0, c1, K=2, steps=32, tol_rel=tol_rel)
+        ref = unspeculated_bvp(BESSEL, c0, c1, K=2, steps=32, tol_rel=tol_rel)
+        alone = exp_map(BESSEL, c0, res.initial_velocity, T=1.0, steps=32, stride=2)
+    assert res.converged and res.iterations == 2
+    assert 1.16e-7 <= res.residual <= 1.19e-7
+    # both trial steps carry 10 columns; the path is one more run
+    assert res.shots == 1 + 10 + 2 * (1 + 10) + 1
+    assert res.integrations == 5
+    assert res.residual == ref.residual
+    assert np.array_equal(res.initial_velocity, ref.initial_velocity)
+    assert_same_path(res.path, alone)
+
+
+def test_an_identical_target_takes_one_shot_whose_frames_are_the_path():
+    c0 = make_curve(random_curve_samples(np.random.default_rng(7), n=64, amplitude=0.10))
+    res = geodesic_bvp(BESSEL, c0, c0, K=2, steps=32)
+    assert res.converged and res.iterations == 0
+    assert res.shots == 1
+    assert res.integrations == 1
+    assert_same_path(res.path, exp_map(BESSEL, c0, res.initial_velocity, T=1.0, steps=32, stride=2))
+
+
+def test_exp_map_spray_refuses_a_batch_of_curves(monkeypatch):
+    pair = make_curve(np.stack([circle(32), 1.1 * circle(32)]))
+    staged, real = [], solvers.spray
+    monkeypatch.setattr(solvers, "spray", lambda *a, **k: staged.append(a) or real(*a, **k))
+    with pytest.raises(GridError, match="not a batch"):
+        solvers.exp_map_spray(BESSEL, pair, np.zeros((2, 32, 2)), steps=16)
+    assert staged == []

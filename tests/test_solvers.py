@@ -381,6 +381,32 @@ def test_path_to_csv_layout(circle64):
     assert float(first[4]) == pytest.approx(0.25)
 
 
+def rowwise_csv(path):
+    """The writer that formats every value by repr(float(v)), as reference."""
+    d = path.frames[0].curve.dim
+    header = ["t", "k"] + [f"x{i + 1}" for i in range(d)] + [f"v{i + 1}" for i in range(d)]
+    lines = [",".join(header)]
+    for f in path.frames:
+        vel = f.velocity if f.velocity is not None else np.zeros_like(f.curve.samples)
+        for k in range(f.curve.n):
+            row = [repr(float(f.t)), str(k)]
+            row += [repr(float(v)) for v in f.curve.samples[k]]
+            row += [repr(float(v)) for v in vel[k]]
+            lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def test_path_to_csv_matches_the_rowwise_writer(rng):
+    c0, h0 = flow_setup(rng)
+    path = exp_map(BESSEL, c0, h0, T=0.25, steps=16, stride=4)
+    last = path.frames[-1]
+    bare = Frame(0.5, make_curve(3.0 * last.curve.samples), None, None)
+    path = GeodesicPath(path.frames + (bare,), BESSEL)
+    text = path_to_csv(path)
+    assert text == rowwise_csv(path)
+    assert text.count("\n") == 1 + len(path.frames) * 64
+
+
 def test_path_to_json_roundtrip(circle64):
     path = translation_path(circle64, steps=2)
     payload = json.loads(path_to_json(path))
