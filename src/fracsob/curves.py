@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DomainError, GridError, ImmersionError, ResolutionError
 from .spectral import (
     TWO_PI,
-    dealias,
+    _dealiased_derivative,
     grid,
     spectral_derivative,
     theta_antiderivative,
@@ -284,7 +284,7 @@ def make_curve(samples):
         raise GridError(f"curves must live in dimension at least 2, got d = {d}")
     if not np.all(np.isfinite(c)):
         raise GridError("curve samples contain nonfinite values")
-    deriv = dealias(spectral_derivative(c, axis=-2), axis=-2)
+    deriv = _dealiased_derivative(c, axis=-2)
     speed = np.linalg.norm(deriv, axis=-1)
     top = speed.max(axis=-1)
     low = speed.min(axis=-1)

@@ -10,10 +10,20 @@ integrand with vanishing ds-mean) and w0 is the scalar
 
     w0 = int (1/2pi) <A_c c_t, psi_c D_s c_t> + 1/2 <(A_c/len + A_c') c_t, c_t> ds.
 
-The psi_c-weighted term is quadratured by splitting psi = theta + p: the
-periodic part p integrates spectrally, and the sawtooth part reduces with
-int_0^2pi theta g dtheta = -int_0^2pi G dtheta for zero-mean g with
-antiderivative G. A plain trapezoid sum over the sawtooth would only be
+Both coefficients integrate the density g = <A_c c_t, D_s c_t> |c'| in theta,
+and one theta_antiderivative of g serves both. It gives the periodic part P
+(P[0] = 0) and the mean gbar of g, and
+
+    w = P + gbar theta.
+
+This is the arc-length antiderivative with the ds-mean f_bar of
+f = <A_c c_t, D_s c_t> removed and added back as f_bar s(theta): P is
+linear, P[|c'|] = p length/2pi by the definition of psi = theta + p,
+s = psi length/2pi, and f_bar length/2pi = gbar. The removed ds-mean is
+2pi gbar/length. The psi_c-weighted term of w0 is quadratured by the same
+split psi = theta + p: the periodic part p integrates spectrally, and the
+sawtooth part reduces with int_0^2pi theta (g - gbar) dtheta =
+-int_0^2pi P dtheta. A plain trapezoid sum over the sawtooth would only be
 second-order accurate and would poison every downstream tolerance.
 
 momentum_rhs and the w/w0 plumbing under it also take a batch of curves
@@ -32,10 +42,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import _per_member, antiderivative, arc_derivative, ds_integral
+from .curves import _check_field, _per_member, arc_derivative, ds_integral
 from .errors import DomainError, GridError, MeanResidualWarning, NotSupportedError
 from .operators import apply_conjugated, operator_directional_derivative, solve_conjugated
-from .spectral import TWO_PI, theta_antiderivative
+from .spectral import TWO_PI, spectral_derivative, theta_antiderivative
 from .symbols import class_report
 
 #: warn when the ds-mean removed from the w integrand exceeds this relative size
@@ -109,15 +119,32 @@ def wj_fields(c, h, n):
     return fields
 
 
-def _w_parts(cfg, c, h, ah=None):
-    """Shared plumbing: returns (ah, dsh, w, removed_mean); warns as w_field does."""
-    h = np.asarray(h, dtype=float)
+def _w_w0(cfg, c, h, ah=None, want_w0=True):
+    """The nonlocal coefficients at (c, h) from one antiderivative of their density.
+
+    Returns (ah, dsh, dsv, f, w, w0): ah = A_c h (computed unless given),
+    dsh = D_s h and dsv = D_s v from one derivative of the stacked [h, v],
+    the w integrand f = <ah, dsh>, w, and w0 (None unless want_w0). Both
+    coefficients integrate g = f |c'|: with (P, gbar) its theta_antiderivative,
+    w = P + gbar theta, and the sawtooth part of w0 reads the mean of P and
+    gbar. Warns once per member whose removed ds-mean 2 pi gbar / length
+    is above MEAN_RTOL relative to the size of f.
+    """
+    h = _check_field(c, h)
+    if want_w0 and not cfg.symbol.has_derivative:
+        raise NotSupportedError("w0 needs the symbol's lambda-derivative; supply a derivative table")
     if ah is None:
         ah = apply_conjugated(c, cfg.symbol, "identity", h)
-    dsh = arc_derivative(c, h)
-    integrand = _dot(ah, dsh)
-    w, mean = antiderivative(c, integrand)
-    scale = np.maximum(np.max(np.abs(integrand), axis=-1), 1e-300)
+    v = c.unit_tangent
+    d = spectral_derivative(np.concatenate([h, v], axis=-1), axis=c.samples.ndim - 2)
+    d /= c.speed[..., None]
+    dsh, dsv = d[..., : c.dim], d[..., c.dim :]
+    f = _dot(ah, dsh)
+    g = f * c.speed
+    periodic, gbar = theta_antiderivative(g)
+    w = periodic + _per_member(gbar) * c.theta
+    mean = TWO_PI * gbar / c.length
+    scale = np.maximum(np.max(np.abs(f), axis=-1), 1e-300)
     # the pairing can cancel to rounding pointwise (e.g. scaling
     # velocities on a circle), so the threshold also floors at the
     # roundoff level of the product's factors
@@ -132,7 +159,18 @@ def _w_parts(cfg, c, h, ah=None):
             ),
             stacklevel=3,
         )
-    return ah, dsh, w, mean
+    if not want_w0:
+        return ah, dsh, dsv, f, w, None
+    # int_0^2pi psi g dtheta with psi = theta + p: the sawtooth part is
+    # int theta (g - gbar) dtheta + gbar 2 pi^2 = -int P dtheta + gbar 2 pi^2,
+    # the periodic part a trapezoid sum (spectral here)
+    theta_term = -TWO_PI * np.mean(periodic, axis=-1) + gbar * 2.0 * np.pi ** 2
+    p_term = TWO_PI / c.n * _dot(c.psi.displacement, g)
+    term1 = (theta_term + p_term) / TWO_PI
+    aph = apply_conjugated(c, cfg.symbol, "lambda_derivative", h)
+    term2 = 0.5 * ds_integral(c, _dot(ah / _per_member(c.length)[..., None] + aph, h))
+    total = term1 + term2
+    return ah, dsh, dsv, f, w, (total if c.batched else float(total))
 
 
 def w_field(cfg, c, h):
@@ -141,32 +179,7 @@ def w_field(cfg, c, h):
     Warns with MeanResidualWarning when the removed ds-mean of the integrand
     is above MEAN_RTOL relative to the integrand size.
     """
-    return _w_parts(cfg, c, h)[2]
-
-
-def _sawtooth_weighted_integral(c, density):
-    """int_0^2pi psi(theta) density(theta) dtheta, psi = theta + p increasing.
-
-    The periodic part integrates by the trapezoid rule (spectral here); the
-    sawtooth part uses int theta (g - mean) dtheta = -int G dtheta with G the
-    periodic antiderivative, plus mean * 2 pi^2.
-    """
-    periodic_part, mean = theta_antiderivative(density)
-    theta_term = -TWO_PI * np.mean(periodic_part, axis=-1) + mean * 2.0 * np.pi ** 2
-    p_term = TWO_PI / c.n * _dot(c.psi.displacement, density)
-    return theta_term + p_term
-
-
-def _w0(cfg, c, h, ah, dsh):
-    """w0 from h, ah = A_c h and dsh = D_s h, as computed by the caller."""
-    if not cfg.symbol.has_derivative:
-        raise NotSupportedError("w0 needs the symbol's lambda-derivative; supply a derivative table")
-    density = _dot(ah, dsh) * c.speed
-    term1 = _sawtooth_weighted_integral(c, density) / TWO_PI
-    aph = apply_conjugated(c, cfg.symbol, "lambda_derivative", h)
-    term2 = 0.5 * ds_integral(c, _dot(ah / _per_member(c.length)[..., None] + aph, h))
-    total = term1 + term2
-    return total if c.batched else float(total)
+    return _w_w0(cfg, c, h, want_w0=False)[4]
 
 
 def w0_scalar(cfg, c, h, ah=None):
@@ -175,11 +188,9 @@ def w0_scalar(cfg, c, h, ah=None):
     Quadrature of (1/2pi) <A_c h, psi_c D_s h> + 1/2 <(A_c/len + A_c') h, h>
     against ds, with the sawtooth factor psi_c handled exactly. Requires the
     symbol's lambda-derivative. A precomputed A_c h may be passed as ah.
+    Warns as w_field does: w0 integrates the same density.
     """
-    h = np.asarray(h, dtype=float)
-    if ah is None:
-        ah = apply_conjugated(c, cfg.symbol, "identity", h)
-    return _w0(cfg, c, h, ah, arc_derivative(c, h))
+    return _w_w0(cfg, c, h, ah=ah)[5]
 
 
 @dataclass(frozen=True)
@@ -227,15 +238,14 @@ def spray(cfg, c, h, richardson=False, eps_scale=1e-5):
     integrator uses. richardson and eps_scale tune that finite difference.
     """
     h = np.asarray(h, dtype=float)
-    ah, dsh, w, _ = _w_parts(cfg, c, h)
-    w0 = _w0(cfg, c, h, ah, dsh)
+    ah, dsh, dsv, f, w, w0 = _w_w0(cfg, c, h)
     v = c.unit_tangent
     t_op = operator_directional_derivative(
         c, h, cfg.symbol, h, richardson=richardson, eps_scale=eps_scale
     )
     t_dsh = _dot(dsh, v)[:, None] * ah
-    t_transport = _dot(ah, dsh)[:, None] * v
-    t_w = (w + w0)[:, None] * arc_derivative(c, v)
+    t_transport = f[:, None] * v
+    t_w = (w + w0)[:, None] * dsv
     breakdown = SprayBreakdown(t_op, t_dsh, t_transport, t_w, w, w0)
     value = -solve_conjugated(c, cfg.symbol, breakdown.total())
     return value, breakdown
@@ -249,14 +259,12 @@ def momentum_rhs(cfg, c, h, ah=None):
     be passed as ah to save one operator application. On a batch of curves,
     every member is evaluated on its own.
     """
-    h = np.asarray(h, dtype=float)
-    ah, dsh, w, _ = _w_parts(cfg, c, h, ah=ah)
-    w0 = _w0(cfg, c, h, ah, dsh)
+    ah, dsh, dsv, f, w, w0 = _w_w0(cfg, c, h, ah=ah)
     v = c.unit_tangent
     return -(
         _dot(dsh, v)[..., None] * ah
-        + _dot(ah, dsh)[..., None] * v
-        + (w + _per_member(w0))[..., None] * arc_derivative(c, v)
+        + f[..., None] * v
+        + (w + _per_member(w0))[..., None] * dsv
     )
 
 

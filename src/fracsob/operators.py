@@ -55,12 +55,10 @@ class FlatOperator:
             raise DomainError(f"operator parameter lambda must be positive, got {self.lam}")
 
 
-def _scalar_multipliers(symbol, variant, lam, m):
-    vals = scalar_values(symbol, lam, m)
+def _scalar_variant(vals, variant):
+    """The multipliers of a non-derivative variant from the symbol values."""
     if variant == "identity":
         return vals
-    if variant == "lambda_derivative":
-        return scalar_derivative_values(symbol, lam, m)
     if vals.min() <= 0:
         raise NotPositiveDefiniteError(
             f"symbol value {vals.min():.3e} is not positive, variant {variant!r} undefined"
@@ -70,6 +68,12 @@ def _scalar_multipliers(symbol, variant, lam, m):
     if variant == "sqrt":
         return np.sqrt(vals)
     return 1.0 / np.sqrt(vals)
+
+
+def _scalar_multipliers(symbol, variant, lam, m):
+    if variant == "lambda_derivative":
+        return scalar_derivative_values(symbol, lam, m)
+    return _scalar_variant(scalar_values(symbol, lam, m), variant)
 
 
 def _matrix_multipliers(symbol, variant, lam, m):
@@ -149,20 +153,29 @@ def _band_modes(top):
 def _band_multipliers(curve, symbol, variant, top):
     """Folded scalar multipliers a(m) + a(-m) of modes 0..top-1 (a(0) at m = 0).
 
-    A curve's length is fixed, so each (symbol, variant) is evaluated once
-    per curve and kept on it, one row per member of a batch. Only scalar
-    symbols come here: a custom table holds arrays and is not hashable.
+    A curve's length is fixed, so the symbol is evaluated once per curve
+    and kept on it, one row per member of a batch: its raw values on the
+    band serve identity, inverse, sqrt and sqrt_inverse, and the
+    lambda-derivative has its own. The folded multipliers of each
+    (symbol, variant) are kept too. Only scalar symbols come here: a custom
+    table holds arrays and is not hashable.
     """
     cache = vars(curve).setdefault("_band_multipliers", {})
-    key = (symbol, variant)
-    if key not in cache:
+    mult = cache.get((symbol, variant))
+    if mult is None:
         lam = curve.length[..., None] if curve.batched else curve.length
-        vals = _scalar_multipliers(symbol, variant, lam, _band_modes(top))
+        if variant == "lambda_derivative":
+            vals = scalar_derivative_values(symbol, lam, _band_modes(top))
+        else:
+            raw = vars(curve).setdefault("_band_values", {})
+            if symbol not in raw:
+                raw[symbol] = scalar_values(symbol, lam, _band_modes(top))
+            vals = _scalar_variant(raw[symbol], variant)
         mult = vals[..., :top].copy()
         mult[..., 1:] += vals[..., top:]
         mult.setflags(write=False)
-        cache[key] = mult
-    return cache[key]
+        cache[(symbol, variant)] = mult
+    return mult
 
 
 def apply_conjugated(curve, symbol, variant, u):

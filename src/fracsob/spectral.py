@@ -5,6 +5,13 @@ derivatives zero the Nyquist mode; the trigonometric interpolant carries the
 Nyquist coefficient as a pure cosine so that real samples interpolate to a
 real function. Derivative and dealias act along one grid axis (axis 0 by
 default, axis 1 for a batch of fields stacked along a leading axis).
+
+Every field here is real, so the transforms are real ones (rfft/irfft):
+they hold modes m = 0..N//2 only, mode -m being the conjugate of mode m.
+Each cached factor is one value per mode 0..N//2. On even N the last one
+is the Nyquist mode, whose coefficient irfft reads as real: odd-order
+derivatives and the antiderivative set its factor to zero, dealias zeroes
+every mode m > N//3, and the antiderivative also zeroes mode 0.
 """
 
 import functools
@@ -26,22 +33,42 @@ def modes(n):
     return m
 
 
-@functools.lru_cache(maxsize=32)
-def _derivative_factor(n, order):
-    fac = (1j * modes(n)) ** order
+@functools.lru_cache(maxsize=64)
+def _mode_factor(n, order, band):
+    """(i m)^order on the rfft modes m = 0..n//2 of an n-point grid.
+
+    Odd orders zero the Nyquist mode of even n; band zeroes every mode
+    above the two-thirds cutoff n // 3.
+    """
+    m = np.arange(n // 2 + 1)
+    fac = (1j * m) ** order if order else np.ones(m.shape)
     if order % 2 == 1 and n % 2 == 0:
         fac[n // 2] = 0.0
+    if band:
+        fac[n // 3 + 1 :] = 0.0
     fac.setflags(write=False)
     return fac
 
 
 @functools.lru_cache(maxsize=32)
-def _antiderivative_divisor(n):
-    """i m in FFT order, with 1 standing in at m = 0 (that mode is zeroed after the division)."""
-    div = 1j * modes(n)
-    div[0] = 1.0
-    div.setflags(write=False)
-    return div
+def _antiderivative_factor(n):
+    """1/(i m) on the rfft modes m = 0..n//2, zero at m = 0 and at the Nyquist mode."""
+    fac = np.zeros(n // 2 + 1, dtype=complex)
+    fac[1:] = -1j / np.arange(1, n // 2 + 1)
+    if n % 2 == 0:
+        fac[n // 2] = 0.0
+    fac.setflags(write=False)
+    return fac
+
+
+def _multiply_modes(u, axis, order, band):
+    """One real FFT round trip along `axis` with the factor _mode_factor(n, order, band)."""
+    u = np.asarray(u, dtype=float)
+    axis %= u.ndim
+    n = u.shape[axis]
+    coef = np.fft.rfft(u, axis=axis)
+    coef *= _mode_factor(n, order, band).reshape((-1,) + (1,) * (u.ndim - 1 - axis))
+    return np.fft.irfft(coef, n, axis=axis)
 
 
 def spectral_derivative(u, order=1, axis=0):
@@ -51,23 +78,17 @@ def spectral_derivative(u, order=1, axis=0):
     on axis 1. For odd orders the Nyquist mode is zeroed, matching the
     cosine convention of the interpolant.
     """
-    u = np.asarray(u, dtype=float)
-    axis %= u.ndim
-    n = u.shape[axis]
-    coef = np.fft.fft(u, axis=axis)
-    coef *= _derivative_factor(n, order).reshape((n,) + (1,) * (u.ndim - 1 - axis))
-    return np.real(np.fft.ifft(coef, axis=axis))
+    return _multiply_modes(u, axis, order, False)
 
 
 def dealias(u, axis=0):
     """Zero every mode above the two-thirds cutoff |m| > n // 3 along `axis`."""
-    u = np.asarray(u, dtype=float)
-    axis %= u.ndim
-    n = u.shape[axis]
-    coef = np.fft.fft(u, axis=axis)
-    # in FFT order the modes |m| > n // 3 are the middle block
-    coef[(slice(None),) * axis + (slice(n // 3 + 1, n - n // 3),)] = 0.0
-    return np.real(np.fft.ifft(coef, axis=axis))
+    return _multiply_modes(u, axis, 0, True)
+
+
+def _dealiased_derivative(u, axis=0):
+    """dealias(spectral_derivative(u, axis=axis), axis=axis) in one round trip."""
+    return _multiply_modes(u, axis, 1, True)
 
 
 def interp_matrix(points, n):
@@ -120,11 +141,8 @@ def theta_antiderivative(g):
     if g.ndim not in (1, 2):
         raise ValueError("theta_antiderivative expects a scalar field or a batch of them")
     n = g.shape[-1]
-    coef = np.fft.fft(g, axis=-1) / n
-    mean = coef[..., 0].real.copy()
-    coef /= _antiderivative_divisor(n)
-    coef[..., 0] = 0.0
-    if n % 2 == 0:
-        coef[..., n // 2] = 0.0
-    osc = np.real(np.fft.ifft(coef * n, axis=-1))
+    coef = np.fft.rfft(g, axis=-1)
+    mean = coef[..., 0].real / n
+    coef *= _antiderivative_factor(n)
+    osc = np.fft.irfft(coef, n, axis=-1)
     return osc - osc[..., :1], (float(mean) if g.ndim == 1 else mean)

@@ -21,7 +21,8 @@ from fracsob.metric import (
     wj_fields,
 )
 from fracsob.solvers import Frame, GeodesicPath
-from fracsob.spectral import TWO_PI, grid
+from fracsob.operators import apply_conjugated, solve_conjugated
+from fracsob.spectral import TWO_PI, grid, theta_antiderivative
 from fracsob.symbols import (
     bessel_fractional,
     constant_coefficient,
@@ -295,6 +296,15 @@ def test_mean_residual_warning_fires_on_coarse_grids(rng):
         w_field(cfg, c, h)
 
 
+def test_w0_scalar_warns_as_w_field_does(rng):
+    # w0 integrates the same density as w, so a coarse grid warns through both
+    cfg = MetricConfig(bessel_fractional(1.5))
+    c = make_curve(random_curve_samples(rng, n=16, modes=5, amplitude=0.25))
+    h = random_field(rng, 16, modes=7)
+    with pytest.warns(MeanResidualWarning):
+        w0_scalar(cfg, c, h)
+
+
 def test_mean_residual_warning_stays_quiet_on_clean_input(circle64):
     cfg = MetricConfig(bessel_fractional(1.5))
     c = make_curve(circle64)
@@ -303,3 +313,97 @@ def test_mean_residual_warning_stays_quiet_on_clean_input(circle64):
         warnings.simplefilter("error", MeanResidualWarning)
         w_field(cfg, c, h)
         w0_scalar(cfg, c, h)
+
+
+def _pair(a, b):
+    return np.einsum("...j,...j->...", a, b)
+
+
+def reference_antiderivative(c, f):
+    # the arc-length antiderivative with its ds-mean removed and added back
+    # as mean * s(theta), as curves.antiderivative writes it
+    mean_ds = np.asarray(ds_integral(c, f) / c.length)
+    osc, _ = theta_antiderivative((f - mean_ds[..., None]) * c.speed)
+    return osc + mean_ds[..., None] * c.arclength
+
+
+def reference_w_w0(cfg, c, h, ah=None):
+    # w and w0 from two antiderivatives and separate D_s h, D_s v: the
+    # formulas the fused helper in fracsob.metric replaced
+    if ah is None:
+        ah = apply_conjugated(c, cfg.symbol, "identity", h)
+    dsh = arc_derivative(c, h)
+    w = reference_antiderivative(c, _pair(ah, dsh))
+    density = _pair(ah, dsh) * c.speed
+    periodic, mean = theta_antiderivative(density)
+    theta_term = -TWO_PI * np.mean(periodic, axis=-1) + mean * 2.0 * np.pi ** 2
+    p_term = TWO_PI / c.n * _pair(c.psi.displacement, density)
+    aph = apply_conjugated(c, cfg.symbol, "lambda_derivative", h)
+    length = np.asarray(c.length)[..., None, None]
+    w0 = (theta_term + p_term) / TWO_PI + 0.5 * np.asarray(ds_integral(c, _pair(ah / length + aph, h)))
+    return ah, dsh, w, w0
+
+
+def reference_momentum_rhs(cfg, c, h, ah=None):
+    ah, dsh, w, w0 = reference_w_w0(cfg, c, h, ah)
+    v = c.unit_tangent
+    dsv = arc_derivative(c, v)
+    return -(
+        _pair(dsh, v)[..., None] * ah
+        + _pair(ah, dsh)[..., None] * v
+        + (w + np.asarray(w0)[..., None])[..., None] * dsv
+    )
+
+
+FAMILIES = (
+    constant_coefficient((1.0, 1.0)),
+    scale_invariant((1.0, 1.0)),
+    bessel_fractional(1.5),
+    two_term_fractional(1.5, 1.0, 1.0),
+)
+
+
+def _rel(got, want):
+    return np.max(np.abs(np.asarray(got) - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("sym", FAMILIES, ids=["constant", "scale_invariant", "bessel", "two_term"])
+@pytest.mark.parametrize("batch", [None, 3])
+def test_fused_w_and_w0_match_the_two_antiderivative_formulas(n, sym, batch):
+    cfg = MetricConfig(sym)
+    rng = np.random.default_rng(n)
+    members = [(random_curve_samples(rng, n=n, amplitude=0.10), random_field(rng, n)) for _ in range(batch or 1)]
+    samples = np.stack([m[0] for m in members]) if batch else members[0][0]
+    h = np.stack([m[1] for m in members]) if batch else members[0][1]
+    c = make_curve(samples)
+    ah, _, w, w0 = reference_w_w0(cfg, c, h)
+    assert _rel(w_field(cfg, c, h), w) <= 1e-13
+    assert _rel(w0_scalar(cfg, c, h), w0) <= 1e-13
+    assert _rel(w0_scalar(cfg, c, h, ah=ah), w0) <= 1e-13
+    want = reference_momentum_rhs(cfg, c, h)
+    assert _rel(momentum_rhs(cfg, c, h), want) <= 1e-13
+    assert _rel(momentum_rhs(cfg, c, h, ah=ah), want) <= 1e-13
+    assert np.shape(w0_scalar(cfg, c, h)) == np.shape(w0)
+    # with a field other than A_c h passed as ah the density has a mean of
+    # order one, which the ramp of w and the sawtooth term of w0 carry
+    other = np.roll(ah, 3, axis=-2)
+    with pytest.warns(MeanResidualWarning):
+        got = momentum_rhs(cfg, c, h, ah=other)
+    assert _rel(got, reference_momentum_rhs(cfg, c, h, ah=other)) <= 1e-13
+    with pytest.warns(MeanResidualWarning):
+        got = w0_scalar(cfg, c, h, ah=other)
+    assert _rel(got, reference_w_w0(cfg, c, h, ah=other)[3]) <= 1e-13
+    if batch:
+        return
+    # the spray integrates single curves; its breakdown carries w and w0
+    value, parts = spray(cfg, c, h)
+    assert _rel(parts.w_field, w) <= 1e-13
+    assert abs(parts.w0 - w0) <= 1e-13 * abs(w0)
+    dsh = arc_derivative(c, h)
+    v = c.unit_tangent
+    assert _rel(parts.term_transport, _pair(ah, dsh)[:, None] * v) <= 1e-13
+    t_w = (w + w0)[:, None] * arc_derivative(c, v)
+    assert _rel(parts.term_w_w0, t_w) <= 1e-13
+    total = parts.term_operator_derivative + _pair(dsh, v)[:, None] * ah + _pair(ah, dsh)[:, None] * v + t_w
+    assert _rel(value, -solve_conjugated(c, sym, total)) <= 1e-13

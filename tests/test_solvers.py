@@ -425,3 +425,31 @@ def test_path_to_svg_draws_each_frame(circle64):
     assert "viewBox" in text
     thinned = path_to_svg(path, stride=2)
     assert thinned.count("<polyline") == 3
+
+
+def test_each_rk4_stage_makes_24_real_fft_calls_and_no_complex_one(monkeypatch):
+    # a stage: 3 real round trips in make_curve, one filter per operator
+    # application (3 + 2 from the refined solve, 1 for the lambda-derivative),
+    # 2 in momentum_rhs and 1 for the momentum filter
+    calls = {name: 0 for name in ("fft", "ifft", "rfft", "irfft")}
+    for name in calls:
+        original = getattr(np.fft, name)
+
+        def counting(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counting)
+    cfg = MetricConfig(bessel_fractional(1.5))
+    rng = np.random.default_rng(0)
+    c0 = make_curve(random_curve_samples(rng, n=64, amplitude=0.10))
+    h0 = 0.5 * random_field(rng, 64)
+    real = {}
+    for steps in (16, 32):
+        for name in calls:
+            calls[name] = 0
+        exp_map(cfg, c0, h0, T=1.0, steps=steps, stride=steps)
+        assert calls["fft"] == calls["ifft"] == 0
+        assert calls["rfft"] == calls["irfft"]
+        real[steps] = calls["rfft"] + calls["irfft"]
+    assert real[32] - real[16] == 64 * 24
