@@ -295,7 +295,7 @@ def run_all(symbol, n=256, seed=0, with_flow=True):
         CheckResult("spray_quadratic_homogeneity", homog <= 1e-8, measured=homog, tol=1e-8)
     )
 
-    consistency = momentum_spray_residual(cfg, c, h, richardson=True)
+    consistency = momentum_spray_residual(cfg, c, h)
     results.append(
         CheckResult("spray_momentum_consistency", consistency <= 1e-8,
                     measured=consistency, tol=1e-8)
@@ -347,7 +347,7 @@ def run_all(symbol, n=256, seed=0, with_flow=True):
     )
 
     smoke = exp_map(cfg, c0, h0, T=0.25, steps=32, stride=32)
-    smoke_spray = exp_map_spray(cfg, c0, h0, T=0.25, steps=32, stride=32, richardson=True)
+    smoke_spray = exp_map_spray(cfg, c0, h0, T=0.25, steps=32, stride=32)
     form_gap = _rel(
         _max_norm(smoke.endpoint.samples - smoke_spray.endpoint.samples),
         _max_norm(smoke.endpoint.samples),

@@ -380,13 +380,17 @@ def first_variations(c, h):
     """First variations of length and of psi in the direction h.
 
     Returns (dlen, dpsi) with dlen = int <D_s h, v> ds and
-    dpsi(theta) = (2*pi/len) int_0^theta <D_s h, v> ds - (dlen/len) psi(theta).
+    dpsi(theta) = (2*pi/len) int_0^theta <D_s h, v> ds - (dlen/len) psi(theta),
+    with make_curve's filtered D_s h: the exact variations of make_curve(c + eps h).
     """
-    h = _check_field(c, h)
-    integrand = np.einsum("ij,ij->i", arc_derivative(c, h), c.unit_tangent)
+    h = _check_field(c, h, name="direction")
+    if h.shape != c.samples.shape:
+        raise GridError(f"direction shape {h.shape} does not match curve samples {c.samples.shape}")
+    dh = _dealiased_derivative(h, axis=c.samples.ndim - 2)
+    integrand = np.einsum("...j,...j->...", dh, c.unit_tangent) / c.speed
     dlen = ds_integral(c, integrand)
     accum, _ = antiderivative(c, integrand)
-    dpsi = (TWO_PI / c.length) * accum - (dlen / c.length) * c.psi_values
+    dpsi = (TWO_PI / _per_member(c.length)) * accum - _per_member(dlen / c.length) * c.psi_values
     return dlen, dpsi
 
 

@@ -30,7 +30,8 @@ momentum_rhs and the w/w0 plumbing under it also take a batch of curves
 (make_curve on (B, N, d) samples) with (B, N, d) fields, and give each
 member what it would get alone; w0 is then a (B,) array.
 
-The explicit spray adds the operator derivative term:
+The explicit spray adds the operator derivative term, the exact
+derivative of the discrete A_c (operator_directional_derivative):
 
     S_c(h) = -A_c^{-1} { (D_{c,h} A_c) h + <D_s h, v> A_c h
                          + <A_c h, D_s h> v + (w + w0) D_s v }.
@@ -230,19 +231,19 @@ class SprayBreakdown:
         return json.dumps(self.to_dict(), **kwargs)
 
 
-def spray(cfg, c, h, richardson=False, eps_scale=1e-5):
-    """The geodesic spray S_c(h) and its term-by-term breakdown.
+def spray(cfg, c, h):
+    """The geodesic spray S_c(h) and its term-by-term breakdown, on a single curve.
 
-    The operator-derivative term is a finite difference and carries its
-    noise; the momentum form (momentum_rhs) avoids it and is what the
-    integrator uses. richardson and eps_scale tune that finite difference.
+    The operator-derivative term is the exact derivative of the discrete
+    A_c, but it costs about three operator applications; the momentum form
+    (momentum_rhs) needs none and is what the integrator uses.
     """
+    if c.batched:
+        raise GridError("spray evaluates a single curve, not a batch")
     h = np.asarray(h, dtype=float)
     ah, dsh, dsv, f, w, w0 = _w_w0(cfg, c, h)
     v = c.unit_tangent
-    t_op = operator_directional_derivative(
-        c, h, cfg.symbol, h, richardson=richardson, eps_scale=eps_scale
-    )
+    t_op = operator_directional_derivative(c, h, cfg.symbol, h)
     t_dsh = _dot(dsh, v)[:, None] * ah
     t_transport = f[:, None] * v
     t_w = (w + w0)[:, None] * dsv
@@ -292,17 +293,17 @@ def path_energy(cfg, path):
     return float(np.sum(0.5 * (dens[1:] + dens[:-1]) * dt))
 
 
-def momentum_spray_residual(cfg, c, h, richardson=True, eps_scale=1e-3):
+def momentum_spray_residual(cfg, c, h):
     """Consistency of the two forms of the geodesic equation.
 
     Returns the relative size of A_c S_c(h) + (D_{c,h} A_c) h - momentum_rhs,
-    which vanishes identically by the product rule (A_c c_t)_t =
-    (D_{c,c_t}A_c) c_t + A_c c_tt. The default finite-difference settings
-    are chosen for this identity check: a larger step than the operator
-    default, with extrapolation, keeps both truncation and rounding below
-    the identity's 1e-8 scale.
+    which vanishes by the product rule (A_c c_t)_t = (D_{c,c_t}A_c) c_t +
+    A_c c_tt. The derivative term cancels algebraically: A_c S_c(h) is
+    A_c(-A_c^{-1} total) and momentum_rhs is -(total - derivative term), so
+    this reads only solve_conjugated's defect on the spray's source total.
+    tests/test_operators.py checks the derivative against finite differences.
     """
-    value, breakdown = spray(cfg, c, h, richardson=richardson, eps_scale=eps_scale)
+    value, breakdown = spray(cfg, c, h)
     lhs = apply_conjugated(c, cfg.symbol, "identity", value)
     rhs = momentum_rhs(cfg, c, h)
     resid = lhs + breakdown.term_operator_derivative - rhs

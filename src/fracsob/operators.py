@@ -9,8 +9,8 @@ realized by a weighted non-uniform DFT at psi(theta_k) on the two-thirds
 band, so psi^{-1} is never needed. With the real band basis [Re E, -Im E]
 cached on psi, both quadrature products are real matrix products. Variants:
 identity, inverse, sqrt, sqrt_inverse, and lambda_derivative (the
-derivative of A in its parameter, conjugation held fixed; this is not the
-full curve derivative of A_c).
+derivative of A in its parameter, conjugation held fixed). The full curve
+derivative of A_c is operator_directional_derivative, exact, with no step.
 
 Every curve takes the same quadrature, a circle (psi the identity)
 included, so A_c depends continuously on c; on a circle it equals the flat
@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import make_curve
+from .curves import _check_field, _per_member, first_variations
 from .errors import DomainError, GridError, NotPositiveDefiniteError
-from .spectral import dealias, modes
+from .spectral import _dealiased_derivative, dealias, modes
 from .symbols import (
     matrix_derivative_values,
     matrix_values,
@@ -178,6 +178,32 @@ def _band_multipliers(curve, symbol, variant, top):
     return mult
 
 
+def _band_multiply(curve, symbol, variant, coef):
+    """The multiplier step of apply_conjugated, for scalar and matrix symbols.
+
+    Rows 0..top-1 of coef hold the real parts of the coefficients of modes
+    0..N/3, rows top..2top-1 their imaginary parts. A real field's mode -m
+    is the conjugate of mode m, so mode m >= 1 carries a(m) + conj(a(-m))
+    and mode 0 carries a(0). Extra leading axes stack fields.
+    """
+    top = coef.shape[-2] // 2
+    if symbol.is_scalar:
+        mult = _band_multipliers(curve, symbol, variant, top)
+        pairs = coef.reshape(coef.shape[:-2] + (2, top, -1)) * mult[..., None, :, None]
+        return pairs.reshape(coef.shape)
+    vals = _multipliers(symbol, variant, curve.length, _band_modes(top), (curve.n, coef.shape[-1]))
+    mult = vals[:top].copy()
+    mult[1:] += np.conj(vals[top:])
+    out = _multiply(symbol, mult, coef[..., :top, :] + 1j * coef[..., top:, :])
+    return np.concatenate([out.real, out.imag], axis=-2)
+
+
+def _times_im(coef):
+    """i m on band coefficients as _band_multiply holds them: (x_re, x_im) -> (-m x_im, m x_re)."""
+    m = np.arange(coef.shape[-2] // 2)[:, None]
+    return np.concatenate([-m * coef[..., len(m) :, :], m * coef[..., : len(m), :]], axis=-2)
+
+
 def apply_conjugated(curve, symbol, variant, u):
     """Apply R_psi o A(length) o R_psi^{-1} to a field on the curve's grid.
 
@@ -196,25 +222,10 @@ def apply_conjugated(curve, symbol, variant, u):
     if u.shape[: lead + 1] != curve.samples.shape[: lead + 1]:
         raise GridError(f"field of shape {u.shape} does not match the curve grid N = {curve.n}")
     basis = curve.psi.band_basis
-    top = basis.shape[-1] // 2
     vector = u.ndim == lead + 2
     field = u if vector else u[..., None]
-    # rows 0..top-1 of coef hold the real parts of the coefficients of
-    # modes 0..N/3, rows top..2top-1 their imaginary parts
     coef = np.swapaxes(basis, -1, -2) @ (curve.quadrature_weights[..., None] * field)
-    # a real field's mode -m is the conjugate of mode m, so mode m >= 1
-    # carries a(m) + conj(a(-m)) and mode 0 carries a(0)
-    if symbol.is_scalar:
-        mult = _band_multipliers(curve, symbol, variant, top)
-        pairs = coef.reshape(coef.shape[:-2] + (2, top, -1)) * mult[..., None, :, None]
-        coef = pairs.reshape(coef.shape)
-    else:
-        vals = _multipliers(symbol, variant, curve.length, _band_modes(top), field.shape[lead:])
-        mult = vals[:top].copy()
-        mult[1:] += np.conj(vals[top:])
-        out = _multiply(symbol, mult, coef[..., :top, :] + 1j * coef[..., top:, :])
-        coef = np.concatenate([out.real, out.imag], axis=-2)
-    out = dealias(basis @ coef, axis=lead)
+    out = dealias(basis @ _band_multiply(curve, symbol, variant, coef), axis=lead)
     return out if vector else out[..., 0]
 
 
@@ -252,34 +263,29 @@ def solve_conjugated(curve, symbol, u, refine=2, x0=None):
     return h
 
 
-def operator_directional_derivative(
-    curve, h, symbol, k, variant="identity", richardson=False, eps_scale=1e-5
-):
-    """Directional derivative (D_{c,h} A_c) k by central differences.
+def operator_directional_derivative(curve, h, symbol, k):
+    """The exact derivative (D_{c,h} A_c) k of the discrete operator; no curve is re-made.
 
-    The step is eps = eps_scale * ||c||_inf / max(||h||_inf, 1e-30); the
-    perturbed curves are revalidated, so an ImmersionError propagates when
-    c +/- eps*h leaves the immersion set. With richardson=True the
-    (eps, eps/2) extrapolation is returned, which removes the leading
-    truncation term. The default step keeps the perturbed curves safely
-    immersed; at that size the result is rounding-limited near 1e-7, so pass
-    a larger eps_scale (1e-3 with richardson is a good choice) when the
-    downstream identity must hold tighter.
+    apply_conjugated computes A_c k = dealias(B M(L) B^T (W k)). Along h,
+    with (dL, dpsi) from first_variations: dB x = dpsi B (i m x),
+    dB^T y = -(i m) B^T (dpsi y), dW = W (<D_s h, v> - dL/L) with make_curve's
+    filtered D_s h, and dM = dL M'(L), the lambda_derivative multipliers.
     """
-    h = np.asarray(h, dtype=float)
-    if h.shape != curve.samples.shape:
-        raise GridError(f"direction shape {h.shape} does not match curve samples {curve.samples.shape}")
-    eps = eps_scale * np.max(np.abs(curve.samples)) / max(np.max(np.abs(h)), 1e-30)
-
-    def probe(step):
-        moved = make_curve(curve.samples + step * h)
-        return apply_conjugated(moved, symbol, variant, k)
-
-    coarse = (probe(eps) - probe(-eps)) / (2.0 * eps)
-    if not richardson:
-        return coarse
-    fine = (probe(0.5 * eps) - probe(-0.5 * eps)) / eps
-    return (4.0 * fine - coarse) / 3.0
+    k = _check_field(curve, k)
+    field = k if k.ndim == curve.samples.ndim else k[..., None]
+    lead = curve.samples.ndim - 2
+    dlen, dpsi = first_variations(curve, h)
+    dh = _dealiased_derivative(h, axis=lead)
+    dw = np.einsum("...j,...j->...", dh, curve.unit_tangent) / curve.speed - _per_member(dlen / curve.length)
+    basis = curve.psi.band_basis
+    wk = curve.quadrature_weights[..., None] * field
+    # dw = dW / W, x = B^T W k; out = B (M (B^T dW k + dB^T W k) + dM x) + dpsi B (i m M x)
+    x, xw, xp = np.swapaxes(basis, -1, -2) @ np.stack([wk, dw[..., None] * wk, dpsi[..., None] * wk])
+    mx, mz = _band_multiply(curve, symbol, "identity", np.stack([x, xw - _times_im(xp)]))
+    coef = mz + np.asarray(dlen)[..., None, None] * _band_multiply(curve, symbol, "lambda_derivative", x)
+    outer, inner = basis @ np.stack([coef, _times_im(mx)])
+    out = dealias(outer + dpsi[..., None] * inner, axis=lead)
+    return out if k.ndim == curve.samples.ndim else out[..., 0]
 
 
 __all__ = [

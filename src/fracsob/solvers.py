@@ -7,9 +7,8 @@ The exponential map integrates the momentum form
 with classical fixed-step RK4. The momentum form needs no operator
 derivative, so each stage costs a handful of multiplier applications.
 A second integrator in spray form (c_tt = S_c(c_t)) exists for
-cross-checking the product-rule identity between the two forms; it pays
-for a finite-difference operator derivative per stage and is kept for
-smoke tests only.
+cross-checking the two forms; it pays for an operator derivative per
+stage and is kept for smoke tests only.
 
 One RK4 loop (_rk4) serves every shot. It integrates a batch of
 geodesics stacked along a leading axis, and exp_map is its single-member
@@ -300,12 +299,12 @@ def exp_map(cfg, c0, h0, T=1.0, steps=200, stride=1):
     return GeodesicPath(tuple(frames[0]), cfg, scheme="rk4", steps=steps)
 
 
-def exp_map_spray(cfg, c0, h0, T=1.0, steps=64, stride=1, richardson=False):
+def exp_map_spray(cfg, c0, h0, T=1.0, steps=64, stride=1):
     """Integrate the second-order form c_tt = S_c(c_t) directly.
 
-    Exists to cross-check the momentum integrator; the per-stage
-    finite-difference operator derivative makes it slower and noisier, so
-    use exp_map for real work.
+    Exists to cross-check the momentum integrator; it re-makes the curve
+    and pays for an operator derivative and a refined solve at every stage,
+    so use exp_map for real work.
     """
     _check_schedule(T, steps, stride)
     _require_dynamics(cfg)
@@ -319,7 +318,7 @@ def exp_map_spray(cfg, c0, h0, T=1.0, steps=64, stride=1, richardson=False):
             c = make_curve(samples)
         except ImmersionError as exc:
             raise ImmersionError(f"immersion lost near t = {t:.6g}: {exc}") from exc
-        s, _ = spray(cfg, c, h, richardson=richardson)
+        s, _ = spray(cfg, c, h)
         return c, s
 
     x = np.array(c0.samples, dtype=float)

@@ -300,6 +300,38 @@ def test_first_variations_match_finite_differences():
     assert np.max(np.abs(dpsi - fd_psi)) < 1e-6
 
 
+def test_first_variations_filter_the_direction_as_make_curve_does():
+    # modes 25 and 27 lie above the two-thirds cutoff 21 of N = 64, so
+    # make_curve drops them from the derivative of c + eps h
+    c = make_curve(random_curve_samples(np.random.default_rng(0), n=64))
+    theta = c.theta
+    h = np.column_stack([0.3 * np.cos(25 * theta) + 0.1 * np.sin(2 * theta), 0.2 * np.sin(27 * theta)])
+    dlen, dpsi = first_variations(c, h)
+    eps = 1e-6
+    cp = make_curve(c.samples + eps * h)
+    cm = make_curve(c.samples - eps * h)
+    assert abs(dlen - (cp.length - cm.length) / (2 * eps)) < 1e-9
+    assert np.max(np.abs(dpsi - (cp.psi_values - cm.psi_values) / (2 * eps))) < 1e-9
+
+
+def test_first_variations_of_a_batch_match_its_members():
+    rng = np.random.default_rng(4)
+    samples = np.stack([random_curve_samples(rng, n=64) for _ in range(3)])
+    hs = np.stack([random_curve_samples(rng, n=64) - samples[0] for _ in range(3)])
+    dlen, dpsi = first_variations(make_curve(samples), hs)
+    assert dlen.shape == (3,) and dpsi.shape == (3, 64)
+    for i in range(3):
+        alone_len, alone_psi = first_variations(make_curve(samples[i]), hs[i])
+        assert abs(dlen[i] - alone_len) <= 1e-13 * abs(alone_len)
+        assert np.max(np.abs(dpsi[i] - alone_psi)) <= 1e-13 * np.max(np.abs(alone_psi))
+
+
+def test_first_variations_refuse_a_scalar_direction():
+    c = make_curve(ellipse(64))
+    with pytest.raises(GridError, match="direction shape"):
+        first_variations(c, np.ones(64))
+
+
 def test_curve_dict_roundtrip_is_bit_exact(circle64):
     payload = curve_to_dict(circle64)
     assert payload["d"] == 2

@@ -7,7 +7,7 @@ import pytest
 
 from fracsob.checks import random_curve_samples, random_field
 from fracsob.curves import arc_derivative, ds_integral, make_curve, make_diffeo, reparametrize
-from fracsob.errors import DomainError, MeanResidualWarning, NotSupportedError
+from fracsob.errors import DomainError, GridError, MeanResidualWarning, NotSupportedError
 from fracsob.metric import (
     MetricConfig,
     metric,
@@ -236,6 +236,13 @@ def test_spray_is_quadratically_homogeneous(rng):
     scale = np.max(np.abs(s1))
     assert np.max(np.abs(s2 - 4.0 * s1)) < 1e-6 * scale
     assert np.max(np.abs(sm - s1)) < 1e-6 * scale
+
+
+def test_spray_refuses_a_batch_of_curves():
+    rng = np.random.default_rng(0)
+    pair = make_curve(np.stack([random_curve_samples(rng, n=64) for _ in range(2)]))
+    with pytest.raises(GridError, match="single curve, not a batch"):
+        spray(MetricConfig(bessel_fractional(1.5)), pair, np.zeros((2, 64, 2)))
 
 
 def test_spray_breakdown_total_matches_value(circle64):
