@@ -56,8 +56,6 @@ from .metric import (
     wj_fields,
 )
 from .operators import (
-    CurveOperator,
-    FlatOperator,
     apply_conjugated,
     apply_flat,
     operator_directional_derivative,
@@ -97,11 +95,9 @@ __all__ = [
     "ClassReport",
     "ConfigError",
     "ConservationReport",
-    "CurveOperator",
     "Diffeo",
     "DiscreteCurve",
     "DomainError",
-    "FlatOperator",
     "FracsobError",
     "Frame",
     "GeodesicPath",

@@ -52,7 +52,7 @@ from .symbols import (
 
 DEFAULT_CONFIG = {
     "metric": {"family": "bessel_fractional", "r": 1.5, "alphas": [1.0], "d": 2},
-    "grid": {"N": 64},
+    "grid": {},
     "solver": {
         "T": 1.0,
         "steps": 200,
@@ -137,7 +137,8 @@ def load_config(path=None, overrides=None, require_admissible=True):
     one, so switching the family does not drag a stale default r along.
     With require_admissible=False the returned RunConfig carries metric=None
     for symbols that fail the admissibility verdicts (the check and symbols
-    subcommands report on those instead of refusing them).
+    subcommands report on those instead of refusing them). n is None when
+    neither --N nor grid.N gives one; exp and match take N from the curve.
     """
     user = {}
     if path is not None:
@@ -187,8 +188,8 @@ def load_config(path=None, overrides=None, require_admissible=True):
     grid_block = data.get("grid")
     if not isinstance(grid_block, dict):
         grid_block = {"N": grid_block}
-    n = _expect(grid_block, "N", int, "grid", default=64)
-    if n < 8 or n % 2:
+    n = _expect(grid_block, "N", int, "grid")
+    if n is not None and (n < 8 or n % 2):
         raise ConfigError(f"key grid.N must be even and at least 8, got {n}")
 
     solver = dict(DEFAULT_CONFIG["solver"])
@@ -339,13 +340,9 @@ def cmd_match(args):
 
 def cmd_check(args):
     cfg = load_config(args.config, _solver_overrides(args), require_admissible=False)
-    # an explicit --N (or config grid key) overrides; otherwise the battery
+    # an explicit --N (or config grid.N) overrides; otherwise the battery
     # runs on the fine grid its tightest operator tolerances need
-    explicit = args.N is not None
-    if not explicit and args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            explicit = "grid" in json.load(fh)
-    n = cfg.n if explicit else 256
+    n = 256 if cfg.n is None else cfg.n
     results, extras = checks.run_all(cfg.symbol, n=n, seed=cfg.seed, with_flow=not args.no_flow)
     print(checks.summarize(results))
     if not args.dump_spray:

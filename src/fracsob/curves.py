@@ -376,12 +376,12 @@ def antiderivative(c, f):
     return osc + _per_member(mean_ds) * c.arclength, mean_ds
 
 
-def first_variations(c, h):
-    """First variations of length and of psi in the direction h.
+def _variations(c, h):
+    """(dlen, dpsi, dw) of make_curve along h, from one filtered derivative of h.
 
-    Returns (dlen, dpsi) with dlen = int <D_s h, v> ds and
-    dpsi(theta) = (2*pi/len) int_0^theta <D_s h, v> ds - (dlen/len) psi(theta),
-    with make_curve's filtered D_s h: the exact variations of make_curve(c + eps h).
+    With g = <D_s h, v> (make_curve's filtered D_s h), dlen = int g ds,
+    dw = g - dlen/len is dW/W for the quadrature weights W, and
+    dpsi = (2*pi/len) int_0^theta dw ds, one periodic antiderivative.
     """
     h = _check_field(c, h, name="direction")
     if h.shape != c.samples.shape:
@@ -389,9 +389,19 @@ def first_variations(c, h):
     dh = _dealiased_derivative(h, axis=c.samples.ndim - 2)
     integrand = np.einsum("...j,...j->...", dh, c.unit_tangent) / c.speed
     dlen = ds_integral(c, integrand)
-    accum, _ = antiderivative(c, integrand)
-    dpsi = (TWO_PI / _per_member(c.length)) * accum - _per_member(dlen / c.length) * c.psi_values
-    return dlen, dpsi
+    dw = integrand - _per_member(dlen / c.length)
+    osc, _ = theta_antiderivative(dw * c.speed)
+    return dlen, (TWO_PI / _per_member(c.length)) * osc, dw
+
+
+def first_variations(c, h):
+    """First variations of length and of psi in the direction h.
+
+    Returns (dlen, dpsi) with dlen = int <D_s h, v> ds and
+    dpsi(theta) = (2*pi/len) int_0^theta <D_s h, v> ds - (dlen/len) psi(theta),
+    with make_curve's filtered D_s h: the exact variations of make_curve(c + eps h).
+    """
+    return _variations(c, h)[:2]
 
 
 def curve_to_dict(samples):

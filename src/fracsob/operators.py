@@ -1,7 +1,9 @@
 """Modewise operator application, flat and conjugated to a curve.
 
-A flat operator acts on grid samples by multiplying Fourier mode m with a
-variant of the symbol value a(lambda, m). The curve-conjugated operator is
+This module holds only the multiplier step: the multipliers of every
+variant come from symbols (_values, _variant). apply_flat multiplies
+Fourier mode m of grid samples with a variant of a(lambda, m) at a given
+lambda. The curve-conjugated operator is
 
     A_c = R_psi o A(length) o R_psi^{-1},
 
@@ -23,124 +25,34 @@ own refinement stop.
 """
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import _check_field, _per_member, first_variations
-from .errors import DomainError, GridError, NotPositiveDefiniteError
-from .spectral import _dealiased_derivative, dealias, modes
-from .symbols import (
-    matrix_derivative_values,
-    matrix_values,
-    scalar_derivative_values,
-    scalar_values,
-)
-
-VARIANTS = ("identity", "inverse", "sqrt", "sqrt_inverse", "lambda_derivative")
-
-
-@dataclass(frozen=True)
-class FlatOperator:
-    """A symbol family pinned to one parameter value and one variant."""
-
-    symbol: object
-    lam: float
-    variant: str = "identity"
-
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise DomainError(f"unknown operator variant {self.variant!r}")
-        if not np.isfinite(self.lam) or self.lam <= 0:
-            raise DomainError(f"operator parameter lambda must be positive, got {self.lam}")
-
-
-def _scalar_variant(vals, variant):
-    """The multipliers of a non-derivative variant from the symbol values."""
-    if variant == "identity":
-        return vals
-    if vals.min() <= 0:
-        raise NotPositiveDefiniteError(
-            f"symbol value {vals.min():.3e} is not positive, variant {variant!r} undefined"
-        )
-    if variant == "inverse":
-        return 1.0 / vals
-    if variant == "sqrt":
-        return np.sqrt(vals)
-    return 1.0 / np.sqrt(vals)
-
-
-def _scalar_multipliers(symbol, variant, lam, m):
-    if variant == "lambda_derivative":
-        return scalar_derivative_values(symbol, lam, m)
-    return _scalar_variant(scalar_values(symbol, lam, m), variant)
-
-
-def _matrix_multipliers(symbol, variant, lam, m):
-    if variant == "lambda_derivative":
-        return matrix_derivative_values(symbol, lam, m)
-    mats = matrix_values(symbol, lam, m)
-    if variant == "identity":
-        return mats
-    w, v = np.linalg.eigh(mats)
-    if w.min() <= 0:
-        worst = m[np.argmin(w[:, 0])]
-        raise NotPositiveDefiniteError(f"symbol at mode {worst} is not positive definite")
-    if variant == "inverse":
-        f = 1.0 / w
-    elif variant == "sqrt":
-        f = np.sqrt(w)
-    else:
-        f = 1.0 / np.sqrt(w)
-    return (v * f[:, None, :]) @ np.conj(np.swapaxes(v, 1, 2))
-
-
-def _multipliers(symbol, variant, lam, m, shape):
-    """The multipliers of modes m at parameter lam for fields of `shape`, grid on axis 0.
-
-    Scalar symbols give real values shaped to broadcast against the field's
-    coefficients; matrix symbols give (M, d, d) blocks for (N, d) fields,
-    which do not depend on lam.
-    """
-    if symbol.is_scalar:
-        vals = _scalar_multipliers(symbol, variant, lam, m)
-        return vals.reshape(vals.shape + (1,) * (len(shape) - 1))
-    if len(shape) != 2 or shape[-1] != symbol.dim:
-        raise GridError(f"matrix symbol of dimension {symbol.dim} cannot act on field of shape {shape}")
-    return _matrix_multipliers(symbol, variant, lam, m)
+from .curves import _check_field, _variations
+from .errors import GridError
+from .spectral import dealias, modes
+from .symbols import VARIANTS, _values, _variant
 
 
 def _multiply(symbol, mult, coef):
-    """Multipliers from _multipliers applied to coefficients, modes on the grid axis."""
+    """Multipliers applied to coefficients, modes on the grid axis; a matrix symbol needs (..., d) fields."""
     if symbol.is_scalar:
         return coef * mult
+    if coef.ndim < 2 or coef.shape[-1] != symbol.dim:
+        raise GridError(f"matrix symbol of dimension {symbol.dim} cannot act on a field of shape {coef.shape}")
     return np.einsum("mij,...mj->...mi", mult, coef)
 
 
-def apply_flat(op, u):
-    """Apply the flat operator to samples u, (N,) or (N, d) real arrays."""
+def apply_flat(symbol, lam, variant, u):
+    """Apply a variant of the symbol at parameter lam to samples u, (N,) or (N, d) real arrays."""
     u = np.asarray(u, dtype=float)
     n = u.shape[0]
     if n < 2:
         raise GridError(f"field too short for an FFT, N = {n}")
-    mult = _multipliers(op.symbol, op.variant, op.lam, modes(n), u.shape)
-    return np.real(np.fft.ifft(_multiply(op.symbol, mult, np.fft.fft(u, axis=0)), axis=0))
-
-
-@dataclass(frozen=True)
-class CurveOperator:
-    """The conjugated operator of a symbol on a fixed curve."""
-
-    curve: object
-    symbol: object
-    variant: str = "identity"
-
-    @property
-    def flat(self):
-        return FlatOperator(self.symbol, self.curve.length, self.variant)
-
-    def __call__(self, u):
-        return apply_conjugated(self.curve, self.symbol, self.variant, u)
+    mult = _variant(_values(symbol, lam, modes(n), variant == "lambda_derivative"), variant)
+    if symbol.is_scalar:
+        mult = mult.reshape(mult.shape + (1,) * (u.ndim - 1))
+    return np.real(np.fft.ifft(_multiply(symbol, mult, np.fft.fft(u, axis=0)), axis=0))
 
 
 @functools.lru_cache(maxsize=32)
@@ -165,12 +77,12 @@ def _band_multipliers(curve, symbol, variant, top):
     if mult is None:
         lam = curve.length[..., None] if curve.batched else curve.length
         if variant == "lambda_derivative":
-            vals = scalar_derivative_values(symbol, lam, _band_modes(top))
+            vals = _values(symbol, lam, _band_modes(top), derivative=True)
         else:
             raw = vars(curve).setdefault("_band_values", {})
             if symbol not in raw:
-                raw[symbol] = scalar_values(symbol, lam, _band_modes(top))
-            vals = _scalar_variant(raw[symbol], variant)
+                raw[symbol] = _values(symbol, lam, _band_modes(top))
+            vals = _variant(raw[symbol], variant)
         mult = vals[..., :top].copy()
         mult[..., 1:] += vals[..., top:]
         mult.setflags(write=False)
@@ -191,7 +103,7 @@ def _band_multiply(curve, symbol, variant, coef):
         mult = _band_multipliers(curve, symbol, variant, top)
         pairs = coef.reshape(coef.shape[:-2] + (2, top, -1)) * mult[..., None, :, None]
         return pairs.reshape(coef.shape)
-    vals = _multipliers(symbol, variant, curve.length, _band_modes(top), (curve.n, coef.shape[-1]))
+    vals = _variant(_values(symbol, curve.length, _band_modes(top), variant == "lambda_derivative"), variant)
     mult = vals[:top].copy()
     mult[1:] += np.conj(vals[top:])
     out = _multiply(symbol, mult, coef[..., :top, :] + 1j * coef[..., top:, :])
@@ -215,8 +127,6 @@ def apply_conjugated(curve, symbol, variant, u):
     back as B @ ., and low-pass filtered with the two-thirds rule. On a
     batch of curves each member is treated on its own.
     """
-    if variant not in VARIANTS:
-        raise DomainError(f"unknown operator variant {variant!r}")
     u = np.asarray(u, dtype=float)
     lead = curve.samples.ndim - 2
     if u.shape[: lead + 1] != curve.samples.shape[: lead + 1]:
@@ -267,16 +177,14 @@ def operator_directional_derivative(curve, h, symbol, k):
     """The exact derivative (D_{c,h} A_c) k of the discrete operator; no curve is re-made.
 
     apply_conjugated computes A_c k = dealias(B M(L) B^T (W k)). Along h,
-    with (dL, dpsi) from first_variations: dB x = dpsi B (i m x),
-    dB^T y = -(i m) B^T (dpsi y), dW = W (<D_s h, v> - dL/L) with make_curve's
-    filtered D_s h, and dM = dL M'(L), the lambda_derivative multipliers.
+    with (dL, dpsi, dW/W) from one first variation of make_curve:
+    dB x = dpsi B (i m x), dB^T y = -(i m) B^T (dpsi y), and dM = dL M'(L),
+    the lambda_derivative multipliers.
     """
     k = _check_field(curve, k)
     field = k if k.ndim == curve.samples.ndim else k[..., None]
     lead = curve.samples.ndim - 2
-    dlen, dpsi = first_variations(curve, h)
-    dh = _dealiased_derivative(h, axis=lead)
-    dw = np.einsum("...j,...j->...", dh, curve.unit_tangent) / curve.speed - _per_member(dlen / curve.length)
+    dlen, dpsi, dw = _variations(curve, h)
     basis = curve.psi.band_basis
     wk = curve.quadrature_weights[..., None] * field
     # dw = dW / W, x = B^T W k; out = B (M (B^T dW k + dB^T W k) + dM x) + dpsi B (i m M x)
@@ -290,9 +198,8 @@ def operator_directional_derivative(curve, h, symbol, k):
 
 __all__ = [
     "VARIANTS",
-    "CurveOperator",
-    "FlatOperator",
     "apply_conjugated",
     "apply_flat",
     "operator_directional_derivative",
+    "solve_conjugated",
 ]

@@ -12,6 +12,11 @@ plus custom_table for stored matrix-valued symbols. The order attribute is
 r, the induced operator has order 2r. Analytic lambda-derivatives are
 available for every built-in family; custom tables need a user-supplied
 derivative table before they can be used in the geodesic spray.
+
+This module turns a symbol into multipliers for every operator variant in
+VARIANTS, for scalar and matrix symbols alike: _values gives the values or
+the lambda-derivative on a set of modes, _variant applies the variant and
+holds the one positivity check. operators applies the result.
 """
 
 import json
@@ -31,6 +36,8 @@ FAMILIES = (
 )
 
 _SCALAR_FAMILIES = FAMILIES[:4]
+
+VARIANTS = ("identity", "inverse", "sqrt", "sqrt_inverse", "lambda_derivative")
 
 
 @dataclass(frozen=True)
@@ -194,49 +201,64 @@ def _table_lookup(sym, m, which):
     return src[m + m_max]
 
 
+def _values(sym, lam, m, derivative=False):
+    """a(lambda, m), or its lambda-derivative, on modes m.
+
+    Scalar families give real rows broadcast against lam; a custom table
+    gives (len(m), d, d) blocks, which do not depend on lam.
+    """
+    if sym.is_scalar:
+        return (scalar_derivative_values if derivative else scalar_values)(sym, lam, m)
+    _require_lambda(lam)
+    return _table_lookup(sym, m, "derivative" if derivative else "value")
+
+
+def _variant(vals, variant):
+    """The multipliers of an operator variant from symbol values given by _values.
+
+    identity and lambda_derivative take the values as they are (the latter
+    from the derivative table); inverse, sqrt and sqrt_inverse apply 1/x,
+    sqrt(x) and 1/sqrt(x) to scalar values, or to the eigenvalues of each
+    (d, d) block, and need them positive.
+    """
+    if variant not in VARIANTS:
+        raise DomainError(f"unknown operator variant {variant!r}")
+    if variant in ("identity", "lambda_derivative"):
+        return vals
+    blocks = np.iscomplexobj(vals)  # a custom table's blocks; scalar rows are real
+    w, v = np.linalg.eigh(vals) if blocks else (vals, None)
+    if w.min() <= 0:
+        raise NotPositiveDefiniteError(
+            f"symbol has smallest eigenvalue {w.min():.3e}, not positive, so variant {variant!r} is undefined"
+        )
+    f = 1.0 / w if variant == "inverse" else np.sqrt(w) if variant == "sqrt" else 1.0 / np.sqrt(w)
+    return (v * f[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2)) if blocks else f
+
+
+def _matrices(sym, lam, m, variant):
+    """(len(m), d, d) blocks of a variant; scalar families expand to multiples of I."""
+    vals = _variant(_values(sym, lam, np.atleast_1d(m), variant == "lambda_derivative"), variant)
+    return vals[:, None, None] * np.eye(sym.dim) if sym.is_scalar else vals
+
+
 def matrix_values(sym, lam, m):
     """(len(m), d, d) symbol matrices; scalar families expand to multiples of I."""
-    m = np.atleast_1d(m)
-    if sym.is_scalar:
-        return scalar_values(sym, lam, m)[:, None, None] * np.eye(sym.dim)
-    _require_lambda(lam)
-    return _table_lookup(sym, m, "value").copy()
-
-
-def matrix_derivative_values(sym, lam, m):
-    m = np.atleast_1d(m)
-    if sym.is_scalar:
-        return scalar_derivative_values(sym, lam, m)[:, None, None] * np.eye(sym.dim)
-    _require_lambda(lam)
-    return _table_lookup(sym, m, "derivative").copy()
+    return _matrices(sym, lam, m, "identity")
 
 
 def eval_symbol(sym, lam, m):
     """The d x d Hermitian matrix a(lambda, m)."""
-    return matrix_values(sym, lam, [int(m)])[0]
+    return _matrices(sym, lam, int(m), "identity")[0]
 
 
 def symbol_lambda_derivative(sym, lam, m):
     """The d x d Hermitian matrix d/dlambda a(lambda, m)."""
-    return matrix_derivative_values(sym, lam, [int(m)])[0]
-
-
-def _matrix_sqrt(a):
-    w, v = np.linalg.eigh(a)
-    if w.min() <= 0:
-        raise NotPositiveDefiniteError(f"matrix has a nonpositive eigenvalue {w.min():.3e}")
-    return (v * np.sqrt(w)) @ np.conj(v.T)
+    return _matrices(sym, lam, int(m), "lambda_derivative")[0]
 
 
 def sqrt_symbol(sym, lam, m):
     """Unique positive Hermitian square root b with b @ b = a(lambda, m)."""
-    a = eval_symbol(sym, lam, m)
-    if sym.is_scalar:
-        val = a[0, 0].real
-        if val <= 0:
-            raise NotPositiveDefiniteError(f"symbol value {val:.3e} at m = {m} is not positive")
-        return np.sqrt(val) * np.eye(sym.dim)
-    return _matrix_sqrt(a)
+    return _matrices(sym, lam, int(m), "sqrt")[0]
 
 
 def _operator_norms(mats):
@@ -356,7 +378,6 @@ __all__ = [
     "constant_coefficient",
     "custom_table",
     "eval_symbol",
-    "matrix_derivative_values",
     "matrix_values",
     "scalar_derivative_values",
     "scalar_values",

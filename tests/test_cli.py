@@ -156,6 +156,17 @@ def test_check_honors_an_explicit_grid_and_reports_failures(tmp_path, capsys, n)
     assert any(entry["passed"] is False for entry in payload["checks"])
 
 
+def test_check_with_an_empty_grid_block_runs_on_the_fine_grid(tmp_path):
+    # a grid block that names no N leaves the battery on its 256-point grid
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"grid": {}}))
+    assert load_config(str(config), {}).n is None
+    report = tmp_path / "report.json"
+    rc = main(["check", "--no-flow", "--config", str(config), "--json", str(report)])
+    assert rc == 0
+    assert json.loads(report.read_text())["n"] == 256
+
+
 TWO_TERM = ["--family", "two_term_fractional", "--r", "1.5", "--alphas", "1", "1"]
 
 

@@ -5,14 +5,13 @@ import inspect
 import numpy as np
 import pytest
 
-from fracsob import curves, operators
+import fracsob
+from fracsob import curves, operators, symbols
 from fracsob.checks import random_curve_samples, random_field
 from fracsob.curves import ds_integral, make_curve
 from fracsob.errors import DomainError, GridError, NotPositiveDefiniteError
 from fracsob.metric import momentum_spray_residual, spray
 from fracsob.operators import (
-    CurveOperator,
-    FlatOperator,
     VARIANTS,
     apply_conjugated,
     apply_flat,
@@ -27,6 +26,7 @@ from fracsob.symbols import (
     custom_table,
     scalar_values,
     scale_invariant,
+    sqrt_symbol,
     two_term_fractional,
 )
 
@@ -60,30 +60,39 @@ def test_flat_operator_multiplies_pure_modes():
 
 def test_flat_operator_variants_are_consistent():
     sym = bessel_fractional(1.5)
-    op = FlatOperator(sym, TWO_PI, "identity")
     theta = grid(32)
     u = np.column_stack([np.cos(3 * theta) - 0.5, 2.0 * np.sin(theta)])
-    au = apply_flat(op, u)
-    back = apply_flat(FlatOperator(sym, TWO_PI, "inverse"), au)
+    au = apply_flat(sym, TWO_PI, "identity", u)
+    back = apply_flat(sym, TWO_PI, "inverse", au)
     assert np.allclose(back, u, atol=1e-12)
-    b = FlatOperator(sym, TWO_PI, "sqrt")
-    assert np.allclose(apply_flat(b, apply_flat(b, u)), au, atol=1e-11)
-    binv = FlatOperator(sym, TWO_PI, "sqrt_inverse")
-    assert np.allclose(apply_flat(binv, apply_flat(b, u)), u, atol=1e-12)
+    bu = apply_flat(sym, TWO_PI, "sqrt", u)
+    assert np.allclose(apply_flat(sym, TWO_PI, "sqrt", bu), au, atol=1e-11)
+    assert np.allclose(apply_flat(sym, TWO_PI, "sqrt_inverse", bu), u, atol=1e-12)
 
 
 def test_unknown_variant_rejected():
     assert "identity" in VARIANTS
+    u = np.ones((16, 2))
     with pytest.raises(DomainError):
-        FlatOperator(bessel_fractional(1.0), TWO_PI, "cube_root")
+        apply_flat(bessel_fractional(1.0), TWO_PI, "cube_root", u)
+    with pytest.raises(DomainError):
+        apply_conjugated(bent_curve(16), bessel_fractional(1.0), "cube_root", u)
+
+
+def test_apply_flat_takes_the_symbol_and_parameter_directly():
+    # the operator wrapper types are gone: apply_flat takes its arguments in
+    # the order apply_conjugated takes (curve, symbol, variant, u)
+    assert list(inspect.signature(apply_flat).parameters) == ["symbol", "lam", "variant", "u"]
+    assert list(inspect.signature(apply_conjugated).parameters) == ["curve", "symbol", "variant", "u"]
+    for name in ("FlatOperator", "CurveOperator"):
+        assert not hasattr(fracsob, name) and not hasattr(operators, name)
 
 
 def test_inverse_of_degenerate_symbol_fails():
     sym = two_term_fractional(1.2, 0.0, 1.0)  # vanishes at m = 0
-    op = FlatOperator(sym, TWO_PI, "inverse")
     u = np.ones((16, 2))
     with pytest.raises(NotPositiveDefiniteError):
-        apply_flat(op, u)
+        apply_flat(sym, TWO_PI, "inverse", u)
 
 
 def test_conjugated_operator_is_symmetric_for_ds():
@@ -112,10 +121,12 @@ def test_conjugated_identity_curve_shortcut():
         # field must fill the band too: rounding at the top band modes is
         # amplified by the symbol there
         u = np.random.default_rng(n).standard_normal((n, 2))
-        for sym in (bessel_fractional(1.5), constant_coefficient((1.0, 1.0))):
+        coupled = custom_table(_coupled_table(n // 2, 0.7), order=1.0,
+                               derivative=_coupled_table(n // 2, 0.2))
+        for sym in (bessel_fractional(1.5), constant_coefficient((1.0, 1.0)), coupled):
             for variant in VARIANTS:
                 via_curve = apply_conjugated(c, sym, variant, u)
-                via_flat = dealias(apply_flat(FlatOperator(sym, c.length, variant), u))
+                via_flat = dealias(apply_flat(sym, c.length, variant, u))
                 assert np.max(np.abs(via_curve - via_flat)) <= 1e-13 * np.max(np.abs(via_flat))
 
 
@@ -136,14 +147,6 @@ def test_conjugated_operator_is_continuous_at_the_circle():
 
     assert gap(apply_conjugated(moved, sym, "identity", u), apply_conjugated(exact, sym, "identity", u)) <= 1e-6
     assert gap(solve_conjugated(moved, sym, u), solve_conjugated(exact, sym, u)) <= 1e-6
-
-
-def test_curve_operator_callable_wrapper():
-    c = bent_curve()
-    sym = constant_coefficient((1.0, 1.0))
-    op = CurveOperator(c, sym, "identity")
-    u = np.column_stack([np.sin(c.theta), np.cos(c.theta)])
-    assert np.array_equal(op(u), apply_conjugated(c, sym, "identity", u))
 
 
 def test_rotation_equivariance_of_conjugated_operator():
@@ -264,7 +267,7 @@ def test_band_multipliers_are_evaluated_once_per_curve_and_variant(monkeypatch):
         calls.append(1)
         return scalar_values(*args)
 
-    monkeypatch.setattr(operators, "scalar_values", counting)
+    monkeypatch.setattr(symbols, "scalar_values", counting)
     c = bent_curve()
     sym = bessel_fractional(1.5)
     u = np.column_stack([np.cos(2 * c.theta), np.sin(c.theta)])
@@ -303,7 +306,7 @@ def _interpolation_chain(c, sym, u):
     # R_psi o A o R_psi^{-1} by trigonometric interpolation at psi^{-1} and
     # psi, with a two-thirds filter after each interpolation
     w = dealias(trig_interp(u, c.psi.inverse_points))
-    w = apply_flat(FlatOperator(sym, c.length, "identity"), w)
+    w = apply_flat(sym, c.length, "identity", w)
     return dealias(trig_interp(w, c.psi.forward_points))
 
 
@@ -334,7 +337,7 @@ def test_custom_table_matrix_variants_are_consistent():
     u = np.column_stack([np.cos(3 * theta) - 0.5, 2.0 * np.sin(theta) + np.cos(2 * theta)])
 
     def flat(variant, v):
-        return apply_flat(FlatOperator(sym, TWO_PI, variant), v)
+        return apply_flat(sym, TWO_PI, variant, v)
 
     au = flat("identity", u)
     # the coupling moves the second component into the first
@@ -352,8 +355,20 @@ def test_custom_table_that_is_not_positive_definite_is_rejected(variant):
     table = np.einsum("m,ij->mij", 1.0 + ms ** 2, np.eye(2))
     table[:, 0, 1] = table[:, 1, 0] = 2.0
     sym = custom_table(table, order=1.0)
-    with pytest.raises(NotPositiveDefiniteError):
-        apply_flat(FlatOperator(sym, TWO_PI, variant), np.ones((n, 2)))
+    calls = [
+        lambda: apply_flat(sym, TWO_PI, variant, np.ones((n, 2))),
+        lambda: apply_conjugated(bent_curve(2 * n), sym, variant, np.ones((2 * n, 2))),
+        lambda: sqrt_symbol(sym, TWO_PI, 0),
+    ]
+    messages = []
+    for call in calls:
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            call()
+        messages.append(str(err.value))
+    # one check serves every path: it names the smallest eigenvalue and the variant
+    assert "smallest eigenvalue -1.000e+00" in messages[0]
+    assert messages[1] == messages[0] and f"variant {variant!r}" in messages[0]
+    assert messages[2] == messages[0].replace(repr(variant), "'sqrt'")
 
 
 def _fd_derivative(c, h, sym, k, eps_scale=1e-3):
@@ -412,6 +427,24 @@ def test_directional_derivative_of_a_batch_matches_its_members():
             for i in range(3):
                 alone = operator_directional_derivative(make_curve(samples[i]), hs[i], sym, field[i])
                 assert np.max(np.abs(got[i] - alone)) <= 1e-12 * np.max(np.abs(alone))
+
+
+def test_directional_derivative_makes_three_real_transforms(monkeypatch):
+    # one filtered derivative of h and one antiderivative give every
+    # variation, and the output takes one dealias
+    c = bent_curve()
+    h = np.column_stack([np.sin(2 * c.theta), 0.5 * np.cos(c.theta)])
+    operator_directional_derivative(c, h, bessel_fractional(1.5), h)  # build the band basis and caches
+    rfft = np.fft.rfft
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return rfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counting)
+    operator_directional_derivative(c, h, bessel_fractional(1.5), h)
+    assert len(calls) == 3
 
 
 def test_directional_derivative_makes_no_curve(monkeypatch):

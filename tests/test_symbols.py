@@ -103,6 +103,15 @@ def test_sqrt_symbol_squares_back():
     for m, v in zip(MS, vals):
         root = sqrt_symbol(sym, 4.2, int(m))
         assert np.allclose(root @ root, v * np.eye(2), rtol=1e-13)
+    # a coupled table: the root comes from the eigenvalues of each block
+    table = np.einsum("m,ij->mij", 2.0 + MS.astype(float) ** 2, np.eye(2))
+    table[:, 0, 1] = table[:, 1, 0] = 0.7
+    coupled = custom_table(table, order=1.0)
+    for m, block in zip(MS, table):
+        root = sqrt_symbol(coupled, 4.2, int(m))
+        assert np.allclose(root, np.conj(root.T), rtol=0.0, atol=1e-15)
+        assert np.min(np.linalg.eigvalsh(root)) > 0
+        assert np.allclose(root @ root, block, rtol=1e-13)
 
 
 def test_symbol_lambda_derivative_is_scalar_consistent():
