@@ -92,6 +92,11 @@ def random_field(rng, n, dim=2, modes=4, amplitude=1.0):
     return u
 
 
+def _bound(name, measured, tol, detail=""):
+    """The line `name`: passes when measured <= tol."""
+    return CheckResult(name, measured <= tol, measured=measured, tol=tol, detail=detail)
+
+
 def _rel(err, scale):
     return float(err) / max(float(scale), 1e-300)
 
@@ -133,8 +138,7 @@ def run_all(symbol, n=256, seed=0, with_flow=True):
     fine = np.array(report_fine.seminorms, dtype=float)
     stability = _rel(np.max(np.abs(fine - coarse)), np.max(np.abs(coarse)))
     results.append(
-        CheckResult("symbol_seminorms_stable", stability <= 0.05, measured=stability, tol=0.05,
-                    detail="mode-range doubling 128 -> 256")
+        _bound("symbol_seminorms_stable", stability, 0.05, "mode-range doubling 128 -> 256")
     )
     if not (report.hermitian_ok and report.positive_ok and report.elliptic):
         results.append(
@@ -150,21 +154,12 @@ def run_all(symbol, n=256, seed=0, with_flow=True):
 
     psi_inv = c.psi.inverse()
     back = reparametrize(reparametrize(h[:, 0], c.psi), psi_inv)
-    results.append(
-        CheckResult(
-            "curve_reparam_roundtrip",
-            _rel(_max_norm(back - h[:, 0]), _max_norm(h)) <= 1e-10,
-            measured=_rel(_max_norm(back - h[:, 0]), _max_norm(h)),
-            tol=1e-10,
-        )
-    )
+    back_rel = _rel(_max_norm(back - h[:, 0]), _max_norm(h))
+    results.append(_bound("curve_reparam_roundtrip", back_rel, 1e-10))
 
     flat = make_curve(reparametrize(c.samples, psi_inv))
     speed_var = _rel(np.max(flat.speed) - np.min(flat.speed), np.mean(flat.speed))
-    results.append(
-        CheckResult("curve_constant_speed_reparam", speed_var <= 1e-6,
-                    measured=speed_var, tol=1e-6)
-    )
+    results.append(_bound("curve_constant_speed_reparam", speed_var, 1e-6))
 
     ah = apply_conjugated(c, symbol, "identity", h)
     ak = apply_conjugated(c, symbol, "identity", k)
@@ -172,53 +167,35 @@ def run_all(symbol, n=256, seed=0, with_flow=True):
                   - ds_integral(c, np.einsum("ij,ij->i", h, ak)))
     sym_scale = np.sqrt(ds_integral(c, np.einsum("ij,ij->i", h, h))
                         * ds_integral(c, np.einsum("ij,ij->i", k, k)))
-    results.append(
-        CheckResult("operator_symmetry", _rel(sym_gap, sym_scale) <= 1e-10,
-                    measured=_rel(sym_gap, sym_scale), tol=1e-10)
-    )
+    results.append(_bound("operator_symmetry", _rel(sym_gap, sym_scale), 1e-10))
 
-    comm = apply_conjugated(c, symbol, "identity", arc_derivative(c, h)) - arc_derivative(c, ah)
-    comm_rel = _rel(_max_norm(comm), _max_norm(arc_derivative(c, ah)))
-    results.append(
-        CheckResult("operator_commutes_arc_derivative", comm_rel <= 1e-8,
-                    measured=comm_rel, tol=1e-8)
-    )
+    ds_ah = arc_derivative(c, ah)
+    comm = apply_conjugated(c, symbol, "identity", arc_derivative(c, h)) - ds_ah
+    comm_rel = _rel(_max_norm(comm), _max_norm(ds_ah))
+    results.append(_bound("operator_commutes_arc_derivative", comm_rel, 1e-8))
 
     round_trip = apply_conjugated(c, symbol, "inverse", ah)
     rt_rel = _rel(_max_norm(round_trip - h), _max_norm(h))
-    results.append(
-        CheckResult("operator_inverse_roundtrip", rt_rel <= 1e-9, measured=rt_rel, tol=1e-9)
-    )
+    results.append(_bound("operator_inverse_roundtrip", rt_rel, 1e-9))
 
     bbh = apply_conjugated(c, symbol, "sqrt", apply_conjugated(c, symbol, "sqrt", h))
     sqrt_rel = _rel(_max_norm(bbh - ah), _max_norm(ah))
-    results.append(
-        CheckResult("operator_sqrt_factorization", sqrt_rel <= 1e-10,
-                    measured=sqrt_rel, tol=1e-10)
-    )
+    results.append(_bound("operator_sqrt_factorization", sqrt_rel, 1e-10))
 
     shift = c.n // 4
     rolled = make_curve(_roll_samples(c.samples, shift))
     equiv = apply_conjugated(rolled, symbol, "identity", _roll_samples(h, shift))
     equiv_rel = _rel(_max_norm(equiv - _roll_samples(ah, shift)), _max_norm(ah))
-    results.append(
-        CheckResult("operator_rotation_equivariance", equiv_rel <= 1e-10,
-                    measured=equiv_rel, tol=1e-10)
-    )
+    results.append(_bound("operator_rotation_equivariance", equiv_rel, 1e-10))
 
     g_plain = metric(cfg, c, h, k)
     g_sym = metric_symmetric(cfg, c, h, k)
     form_rel = _rel(abs(g_plain - g_sym), abs(g_plain))
-    results.append(
-        CheckResult("metric_symmetric_form", form_rel <= 1e-10, measured=form_rel, tol=1e-10)
-    )
+    results.append(_bound("metric_symmetric_form", form_rel, 1e-10))
 
     g_roll = metric(cfg, rolled, _roll_samples(h, shift), _roll_samples(k, shift))
     roll_rel = _rel(abs(g_roll - g_plain), abs(g_plain))
-    results.append(
-        CheckResult("metric_rotation_invariance", roll_rel <= 1e-10,
-                    measured=roll_rel, tol=1e-10)
-    )
+    results.append(_bound("metric_rotation_invariance", roll_rel, 1e-10))
 
     theta = grid(n)
     phi = make_diffeo(0.12 * np.sin(theta) + 0.05 * np.cos(2 * theta))
@@ -229,10 +206,7 @@ def run_all(symbol, n=256, seed=0, with_flow=True):
     k_phi = np.column_stack([reparametrize(k[:, j], phi) for j in range(c.dim)])
     g_phi = metric(cfg, c_phi, h_phi, k_phi)
     reparam_rel = _rel(abs(g_phi - g_plain), abs(g_plain))
-    results.append(
-        CheckResult("metric_reparam_invariance", reparam_rel <= 1e-8,
-                    measured=reparam_rel, tol=1e-8)
-    )
+    results.append(_bound("metric_reparam_invariance", reparam_rel, 1e-8))
 
     scale_sym = scale_invariant((1.0, 1.0))
     scale_cfg = MetricConfig(scale_sym)
@@ -243,9 +217,7 @@ def run_all(symbol, n=256, seed=0, with_flow=True):
         g_s = metric(scale_cfg, c_s, lam_factor * h, lam_factor * k)
         worst_scale = max(worst_scale, _rel(abs(g_s - g_base), abs(g_base)))
     results.append(
-        CheckResult("metric_scale_invariance", worst_scale <= 1e-9,
-                    measured=worst_scale, tol=1e-9,
-                    detail="fixed scale-invariant n=1 family")
+        _bound("metric_scale_invariance", worst_scale, 1e-9, "fixed scale-invariant n=1 family")
     )
 
     oracle_sym = constant_coefficient((1.0, 1.0))
@@ -256,17 +228,13 @@ def run_all(symbol, n=256, seed=0, with_flow=True):
     closed = sum((-1) ** j * fields[j] for j in range(2))
     oracle_rel = _rel(_max_norm(w + w0 - closed), _max_norm(closed))
     results.append(
-        CheckResult("integer_closed_form_w_w0", oracle_rel <= 1e-8,
-                    measured=oracle_rel, tol=1e-8,
-                    detail="fixed n=1 constant-coefficient family")
+        _bound("integer_closed_form_w_w0", oracle_rel, 1e-8, "fixed n=1 constant-coefficient family")
     )
 
     dsh = arc_derivative(c, h)
     integrand = np.einsum("ij,ij->i", ah, dsh)
     mean_rel = _rel(abs(ds_integral(c, integrand)) / c.length, _max_norm(integrand))
-    results.append(
-        CheckResult("w_integrand_mean_zero", mean_rel <= 1e-10, measured=mean_rel, tol=1e-10)
-    )
+    results.append(_bound("w_integrand_mean_zero", mean_rel, 1e-10))
 
     w_cfg = w_field(cfg, c, h)
     lhs = w0_scalar(cfg, c, h) - 0.5 * ds_integral(
@@ -279,28 +247,17 @@ def run_all(symbol, n=256, seed=0, with_flow=True):
     )
     rhs = -ds_integral(c, w_cfg) / c.length
     byparts_rel = _rel(abs(lhs - rhs), max(abs(lhs), abs(rhs)))
-    results.append(
-        CheckResult("w0_by_parts_identity", byparts_rel <= 1e-9,
-                    measured=byparts_rel, tol=1e-9)
-    )
+    results.append(_bound("w0_by_parts_identity", byparts_rel, 1e-9))
 
-    s1, _ = spray(cfg, c, h)
+    s1, breakdown = spray(cfg, c, h)
     s2, _ = spray(cfg, c, 2.0 * h)
     s3, _ = spray(cfg, c, -h)
     homog = max(
         _rel(_max_norm(s2 - 4.0 * s1), _max_norm(s2)),
         _rel(_max_norm(s3 - s1), _max_norm(s1)),
     )
-    results.append(
-        CheckResult("spray_quadratic_homogeneity", homog <= 1e-8, measured=homog, tol=1e-8)
-    )
-
-    consistency = momentum_spray_residual(cfg, c, h)
-    results.append(
-        CheckResult("spray_momentum_consistency", consistency <= 1e-8,
-                    measured=consistency, tol=1e-8)
-    )
-    _, breakdown = spray(cfg, c, h)
+    results.append(_bound("spray_quadratic_homogeneity", homog, 1e-8))
+    results.append(_bound("spray_momentum_consistency", momentum_spray_residual(cfg, c, h), 1e-8))
     extras["spray_breakdown"] = breakdown.to_dict()
 
     if not with_flow:
@@ -318,21 +275,13 @@ def run_all(symbol, n=256, seed=0, with_flow=True):
     h0 = 0.4 * random_field(rng_flow, n_flow)
     path = exp_map(cfg, c0, h0, T=0.5, steps=64, stride=8)
     rep = conservation_report(path)
-    results.append(
-        CheckResult("flow_energy_drift", rep.energy_drift <= 1e-6,
-                    measured=rep.energy_drift, tol=1e-6)
-    )
-    results.append(
-        CheckResult("flow_momentum_consistency", rep.momentum_consistency <= 1e-8,
-                    measured=rep.momentum_consistency, tol=1e-8)
-    )
+    results.append(_bound("flow_energy_drift", rep.energy_drift, 1e-6))
+    results.append(_bound("flow_momentum_consistency", rep.momentum_consistency, 1e-8))
 
     end = path.frames[-1]
     returned = exp_map(cfg, end.curve, -end.velocity, T=0.5, steps=64, stride=64)
     rev = _rel(_max_norm(returned.endpoint.samples - c0.samples), _max_norm(c0.samples))
-    results.append(
-        CheckResult("flow_time_reversal", rev <= 1e-6, measured=rev, tol=1e-6)
-    )
+    results.append(_bound("flow_time_reversal", rev, 1e-6))
 
     shift = n_flow // 4
     c0r = make_curve(_roll_samples(c0.samples, shift))
@@ -341,10 +290,7 @@ def run_all(symbol, n=256, seed=0, with_flow=True):
         _max_norm(rolled_path.endpoint.samples - _roll_samples(path.endpoint.samples, shift)),
         _max_norm(path.endpoint.samples),
     )
-    results.append(
-        CheckResult("flow_rotation_equivariance", equiv_flow <= 1e-6,
-                    measured=equiv_flow, tol=1e-6)
-    )
+    results.append(_bound("flow_rotation_equivariance", equiv_flow, 1e-6))
 
     smoke = exp_map(cfg, c0, h0, T=0.25, steps=32, stride=32)
     smoke_spray = exp_map_spray(cfg, c0, h0, T=0.25, steps=32, stride=32)
@@ -352,10 +298,7 @@ def run_all(symbol, n=256, seed=0, with_flow=True):
         _max_norm(smoke.endpoint.samples - smoke_spray.endpoint.samples),
         _max_norm(smoke.endpoint.samples),
     )
-    results.append(
-        CheckResult("flow_spray_vs_momentum_endpoint", form_gap <= 1e-6,
-                    measured=form_gap, tol=1e-6)
-    )
+    results.append(_bound("flow_spray_vs_momentum_endpoint", form_gap, 1e-6))
 
     try:
         match = geodesic_bvp(cfg, c0, c0, K=4, steps=32, max_iter=5)

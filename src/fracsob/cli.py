@@ -240,8 +240,8 @@ def _load_curve_file(path, expected=None, label="curve"):
     return samples
 
 
-def _curve_from_file(path, label="curve"):
-    samples = _load_curve_file(path, label=label)
+def _curve_from_file(path, expected=None, label="curve"):
+    samples = _load_curve_file(path, expected=expected, label=label)
     try:
         return make_curve(samples)
     except FracsobError as exc:
@@ -252,22 +252,12 @@ def _write_path_artifacts(path_obj, cfg, stem):
     out_dir = cfg.io["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     written = []
-    formats = cfg.io["formats"]
-    if "csv" in formats:
-        name = os.path.join(out_dir, f"{stem}.csv")
-        with open(name, "w", encoding="utf-8") as fh:
-            fh.write(path_to_csv(path_obj))
-        written.append(name)
-    if "json" in formats:
-        name = os.path.join(out_dir, f"{stem}.json")
-        with open(name, "w", encoding="utf-8") as fh:
-            fh.write(path_to_json(path_obj))
-        written.append(name)
-    if "svg" in formats:
-        name = os.path.join(out_dir, f"{stem}.svg")
-        with open(name, "w", encoding="utf-8") as fh:
-            fh.write(path_to_svg(path_obj))
-        written.append(name)
+    for fmt, writer in (("csv", path_to_csv), ("json", path_to_json), ("svg", path_to_svg)):
+        if fmt in cfg.io["formats"]:
+            name = os.path.join(out_dir, f"{stem}.{fmt}")
+            with open(name, "w", encoding="utf-8") as fh:
+                fh.write(writer(path_obj))
+            written.append(name)
     report = conservation_report(path_obj)
     name = os.path.join(out_dir, f"{stem}_conservation.json")
     payload = report.to_dict()
@@ -297,11 +287,7 @@ def cmd_exp(args):
 def cmd_match(args):
     cfg = load_config(args.config, _solver_overrides(args))
     c0 = _curve_from_file(args.source, label="source")
-    tgt = _load_curve_file(args.target, expected=c0.samples.shape, label="target")
-    try:
-        c1 = make_curve(tgt)
-    except FracsobError as exc:
-        raise ConfigError(f"target file {args.target}: {exc}") from exc
+    c1 = _curve_from_file(args.target, expected=c0.samples.shape, label="target")
     try:
         result = geodesic_bvp(
             cfg.metric, c0, c1,

@@ -6,21 +6,25 @@ The exponential map integrates the momentum form
 
 with classical fixed-step RK4. The momentum form needs no operator
 derivative, so each stage costs a handful of multiplier applications.
-A second integrator in spray form (c_tt = S_c(c_t)) exists for
-cross-checking the two forms; it pays for an operator derivative per
-stage and is kept for smoke tests only.
+exp_map_spray integrates the spray form c_tt = S_c(c_t) instead, to
+cross-check the two forms; it pays for an operator derivative per stage
+and is kept for smoke tests only.
 
-One RK4 loop (_rk4) serves every shot. It integrates a batch of
-geodesics stacked along a leading axis, and exp_map is its single-member
-case. The boundary-value problem is solved by shooting: Levenberg-Marquardt
-on the endpoint mismatch over a Fourier-truncated initial velocity,
-Jacobian by forward differences, all columns of one iteration integrated
-as one batch. The first trial shot of an iteration is integrated together
-with the columns at its own point, which the next iteration takes if the
-step is accepted, so a typical iteration is one RK4 run. A shot that runs
-alone keeps its frames, and the shot at the returned velocity is the
-returned path. Trial shots that leave the immersion set count as rejected
-steps and raise the damping instead of aborting.
+One RK4 loop (_rk4) serves exp_map, exp_map_spray and every shot. It
+takes the form it integrates as data: the state at t = 0, the velocity
+read off the state, and the rate of the state. So the spray form has the
+same frames, failure isolation and errors as exp_map. The loop
+integrates a batch of geodesics stacked along a leading axis, and
+exp_map and exp_map_spray are its single-member case. The boundary-value
+problem is solved by shooting: Levenberg-Marquardt on the endpoint
+mismatch over a Fourier-truncated initial velocity, Jacobian by forward
+differences, all columns of one iteration integrated as one batch. The
+first trial shot of an iteration is integrated together with the columns
+at its own point, which the next iteration takes if the step is
+accepted, so a typical iteration is one RK4 run. A shot that runs alone
+keeps its frames, and the shot at the returned velocity is the returned
+path. Trial shots that leave the immersion set count as rejected steps
+and raise the damping instead of aborting.
 """
 
 import json
@@ -28,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import _check_field, make_curve
+from .curves import _check_field, ds_integral, make_curve
 from .errors import (
     DomainError,
     FracsobError,
@@ -38,7 +42,7 @@ from .errors import (
     NotSupportedError,
     StepError,
 )
-from .metric import metric, momentum_rhs, spray
+from .metric import _dot, momentum_rhs, spray
 from .operators import apply_conjugated, solve_conjugated
 from .spectral import TWO_PI, dealias, grid
 
@@ -126,9 +130,50 @@ def _require_dynamics(cfg):
         )
 
 
-def _rk4(cfg, c0, h0, T, steps, stride=None):
-    """Classical RK4 on (c, mu), mu = A_c c_t, for a batch of geodesics.
+@dataclass(frozen=True)
+class _Form:
+    """A first-order form of the geodesic equation on (c, y) for _rk4.
 
+    start(h0, mu0) is y at t = 0, from the initial velocity and momentum.
+    velocity(cfg, c, y, final) is c_t read off the state, final=True for
+    the velocity stored at t = T. rate(cfg, c, h, y) is y_t at velocity h.
+    """
+
+    start: object
+    velocity: object
+    rate: object
+
+
+def _momentum_velocity(cfg, c, mu, final=False):
+    h = solve_conjugated(c, cfg.symbol, mu)
+    if final:
+        # time reversal from the endpoint needs this deeper solve
+        h = solve_conjugated(c, cfg.symbol, mu, refine=16, x0=h)
+    return h
+
+
+def _momentum_rate(cfg, c, h, mu):
+    # keep the evolved momentum on the resolved band: the quadratic
+    # products in the right hand side regenerate the top-third modes the
+    # operators drop, and letting them accumulate in mu breaks time
+    # reversal
+    return dealias(momentum_rhs(cfg, c, h, ah=mu), axis=1)
+
+
+def _spray_rate(cfg, c, h, _):
+    return np.stack([spray(cfg, c.member(i), h[i])[0] for i in range(len(h))])
+
+
+#: y = mu = A_c c_t, evolved by momentum_rhs; no operator derivative
+_MOMENTUM = _Form(lambda h0, mu0: mu0, _momentum_velocity, _momentum_rate)
+#: y = c_t, evolved by the spray S_c(c_t) of each member
+_SPRAY = _Form(lambda h0, mu0: h0, lambda cfg, c, h, final=False: h, _spray_rate)
+
+
+def _rk4(cfg, c0, h0, T, steps, stride=None, form=_MOMENTUM):
+    """Classical RK4 on (c, y) for a batch of geodesics in the given form.
+
+    y is the momentum mu = A_c c_t by default, or c_t itself with _SPRAY.
     c0 is a batch of curves (make_curve on (B, N, d) samples) and h0 holds
     their (B, N, d) initial velocities; a single curve with an (N, d)
     velocity is a batch of one. The members share array operations
@@ -138,9 +183,9 @@ def _rk4(cfg, c0, h0, T, steps, stride=None):
     endpoints are kept. Otherwise every `stride` steps and at t = T each
     member stores a frame (velocity h, momentum A_c h). At t = 0 that is
     the exact pair (h0, mu0). An interior frame takes h from its step's
-    first-stage solve, so storing it costs one application. Only the t = T
-    frame deeply solves h from the momentum. Frames never feed back into
-    the state.
+    first stage, so storing it costs one application. Only the t = T
+    frame reads h with final=True (a deep solve in the momentum form).
+    Frames never feed back into the state.
 
     Returns (ends, frames, errors): ends[b] is member b's (N, d) samples at
     T, or None when it stopped with errors[b]; frames[b] lists its frames.
@@ -148,9 +193,10 @@ def _rk4(cfg, c0, h0, T, steps, stride=None):
     symbol = cfg.symbol
     dt = T / steps
     x = np.array(c0.samples, dtype=float)
-    mu = apply_conjugated(c0, symbol, "identity", h0)
+    mu0 = apply_conjugated(c0, symbol, "identity", h0)
     if not c0.batched:
-        x, mu, h0 = x[None], mu[None], h0[None]
+        x, mu0, h0 = x[None], mu0[None], h0[None]
+    y = form.start(h0, mu0)
     ids = np.arange(len(x))
     errors = {}
     frames = [[] for _ in ids]
@@ -181,33 +227,29 @@ def _rk4(cfg, c0, h0, T, steps, stride=None):
         return None, keep
 
     def stage(frac, t):
-        """((c, h, g), None) at x + frac dt k for the live rows, or (None, keep)
-        after recording the rows that fail."""
-        xs, ms = (x + frac * dt * ks[-1][0], mu + frac * dt * ks[-1][1]) if ks else (x, mu)
+        """((c, h, g), None) at (x, y) + frac dt k for the live rows, or
+        (None, keep) after recording the rows that fail."""
+        xs, ys = (x + frac * dt * ks[-1][0], y + frac * dt * ks[-1][1]) if ks else (x, y)
         c, keep = curves_at(xs, t)
         if c is None:
             return None, keep
-        h = solve_conjugated(c, symbol, ms)
+        h = form.velocity(cfg, c, ys)
         try:
-            g = momentum_rhs(cfg, c, h, ah=ms)
+            g = form.rate(cfg, c, h, ys)
         except GridError:
-            # momentum_rhs refuses nonfinite velocities
+            # the rates refuse nonfinite velocities
             finite = np.isfinite(h).all(axis=(1, 2))
             if finite.all():
                 raise
             for i in np.flatnonzero(~finite):
                 errors[int(ids[i])] = StepError(f"nonfinite state near t = {t:.6g}")
             return None, finite
-        # keep the evolved momentum on the resolved band: the quadratic
-        # products in the right hand side regenerate the top-third modes the
-        # operators drop, and letting them accumulate in mu breaks time
-        # reversal
-        return (c, h, dealias(g, axis=1)), None
+        return (c, h, g), None
 
     def drop(keep):
-        nonlocal x, mu, ids, ks
-        x, mu, ids = x[keep], mu[keep], ids[keep]
-        ks = [(kx[keep], km[keep]) for kx, km in ks]
+        nonlocal x, y, ids, ks
+        x, y, ids = x[keep], y[keep], ids[keep]
+        ks = [(kx[keep], ky[keep]) for kx, ky in ks]
 
     def settle(evaluate):
         """evaluate() once no live row fails in it; None when no row is left."""
@@ -238,25 +280,24 @@ def _rk4(cfg, c0, h0, T, steps, stride=None):
             c, h, g = out
             if not ks and stride and n % stride == 0:
                 if n == 0:
-                    # h0 and mu = A_c h0 are the exact initial pair
-                    store(t, c, h0[ids], mu)
+                    # h0 and mu0 = A_c h0 are the exact initial pair
+                    store(t, c, h0[ids], mu0[ids])
                 else:
                     store(t, c, h, apply_conjugated(c, symbol, "identity", h))
             ks.append((h, g))
             # the next stage builds its own curve; let this one go first
             del c, out
-        (k1x, k1m), (k2x, k2m), (k3x, k3m), (k4x, k4m) = ks
+        (k1x, k1y), (k2x, k2y), (k3x, k3y), (k4x, k4y) = ks
         x = x + dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        mu = mu + dt / 6.0 * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
-        if not (np.isfinite(x).all() and np.isfinite(mu).all()):
-            finite = np.isfinite(x).all(axis=(1, 2)) & np.isfinite(mu).all(axis=(1, 2))
+        y = y + dt / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            finite = np.isfinite(x).all(axis=(1, 2)) & np.isfinite(y).all(axis=(1, 2))
             for i in np.flatnonzero(~finite):
                 errors[int(ids[i])] = StepError(f"nonfinite state after step {n + 1} (t = {(n + 1) * dt:.6g})")
             drop(finite)
     c = settle(lambda: curves_at(x, T))
     if c is not None and stride:
-        # time reversal from the endpoint needs this deeper solve
-        h = solve_conjugated(c, symbol, mu, refine=16, x0=solve_conjugated(c, symbol, mu))
+        h = form.velocity(cfg, c, y, final=True)
         store(T, c, h, apply_conjugated(c, symbol, "identity", h))
     return result()
 
@@ -269,6 +310,19 @@ def _check_schedule(T, steps, stride):
         raise DomainError(f"need stride >= 1, got {stride}")
     if T <= 0:
         raise DomainError(f"need T > 0, got {T}")
+
+
+def _geodesic(name, scheme, cfg, c0, h0, T, steps, stride, **form):
+    """The path of one curve from _rk4, or the error its member stopped with."""
+    _check_schedule(T, steps, stride)
+    _require_dynamics(cfg)
+    if c0.batched:
+        raise GridError(f"{name} integrates a single curve, not a batch")
+    h0 = _check_field(c0, h0, "h0")
+    _, frames, errors = _rk4(cfg, c0, h0, T, steps, stride, **form)
+    if errors:
+        raise errors[0]
+    return GeodesicPath(tuple(frames[0]), cfg, scheme=scheme, steps=steps)
 
 
 def exp_map(cfg, c0, h0, T=1.0, steps=200, stride=1):
@@ -288,63 +342,18 @@ def exp_map(cfg, c0, h0, T=1.0, steps=200, stride=1):
     batch of one of the RK4 loop that geodesic_bvp runs on whole batches of
     shots.
     """
-    _check_schedule(T, steps, stride)
-    _require_dynamics(cfg)
-    if c0.batched:
-        raise GridError("exp_map integrates a single curve, not a batch")
-    h0 = _check_field(c0, h0, "h0")
-    _, frames, errors = _rk4(cfg, c0, h0, T, steps, stride)
-    if errors:
-        raise errors[0]
-    return GeodesicPath(tuple(frames[0]), cfg, scheme="rk4", steps=steps)
+    return _geodesic("exp_map", "rk4", cfg, c0, h0, T, steps, stride)
 
 
 def exp_map_spray(cfg, c0, h0, T=1.0, steps=64, stride=1):
     """Integrate the second-order form c_tt = S_c(c_t) directly.
 
-    Exists to cross-check the momentum integrator; it re-makes the curve
-    and pays for an operator derivative and a refined solve at every stage,
-    so use exp_map for real work.
+    The same RK4 loop as exp_map, on (c, c_t) instead of (c, mu), with the
+    same frames and errors. Exists to cross-check the momentum form: it
+    pays for an operator derivative and a refined solve at every stage, so
+    use exp_map for real work.
     """
-    _check_schedule(T, steps, stride)
-    _require_dynamics(cfg)
-    if c0.batched:
-        raise GridError("exp_map_spray integrates a single curve, not a batch")
-    h0 = _check_field(c0, h0, "h0")
-    dt = T / steps
-
-    def rhs(samples, h, t):
-        try:
-            c = make_curve(samples)
-        except ImmersionError as exc:
-            raise ImmersionError(f"immersion lost near t = {t:.6g}: {exc}") from exc
-        s, _ = spray(cfg, c, h)
-        return c, s
-
-    x = np.array(c0.samples, dtype=float)
-    h = np.array(h0, dtype=float)
-    frames = []
-    for n in range(steps):
-        t = n * dt
-        c, s = rhs(x, h, t)
-        if n % stride == 0:
-            mu = apply_conjugated(c, cfg.symbol, "identity", h)
-            frames.append(Frame(t, c, h.copy(), mu))
-        k1x, k1h = h, s
-        _, k2h = rhs(x + 0.5 * dt * k1x, h + 0.5 * dt * k1h, t + 0.5 * dt)
-        k2x = h + 0.5 * dt * k1h
-        _, k3h = rhs(x + 0.5 * dt * k2x, h + 0.5 * dt * k2h, t + 0.5 * dt)
-        k3x = h + 0.5 * dt * k2h
-        _, k4h = rhs(x + dt * k3x, h + dt * k3h, t + dt)
-        k4x = h + dt * k3h
-        x = x + dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        h = h + dt / 6.0 * (k1h + 2.0 * k2h + 2.0 * k3h + k4h)
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(h))):
-            raise StepError(f"nonfinite state after step {n + 1} (t = {(n + 1) * dt:.6g})")
-    c, _ = rhs(x, h, T)
-    mu = apply_conjugated(c, cfg.symbol, "identity", h)
-    frames.append(Frame(T, c, h.copy(), mu))
-    return GeodesicPath(tuple(frames), cfg, scheme="rk4-spray", steps=steps)
+    return _geodesic("exp_map_spray", "rk4-spray", cfg, c0, h0, T, steps, stride, form=_SPRAY)
 
 
 def _fourier_basis(n, k_max):
@@ -566,20 +575,22 @@ def conservation_report(path, drift_tol=1e-6, consistency_tol=1e-8):
     stores A_c h as each frame's momentum, so on its paths this reads zero.
     It catches a path whose frames were altered, not the defect left by
     the solve for h. The energies come from the stored velocities: exact at
-    t = 0, from the stage solve inside, from the deep solve at t = T.
+    t = 0, from the stage solve inside, from the deep solve at t = T. One
+    application of A_c per frame serves both series.
     """
     if len(path.frames) < 2:
         raise GridError("a conservation report needs at least 2 frames")
     cfg = path.config
     energies, lengths, speeds, mismatch = [], [], [], []
     for f in path.frames:
-        energies.append(metric(cfg, f.curve, f.velocity, f.velocity))
+        ah = apply_conjugated(f.curve, cfg.symbol, "identity", f.velocity)
+        # G_c(h, h) as metric() takes it, from the same image
+        energies.append(float(ds_integral(f.curve, _dot(ah, f.velocity))))
         lengths.append(f.curve.length)
         speeds.append(float(np.min(f.curve.speed)))
         if f.momentum is not None:
-            ref = apply_conjugated(f.curve, cfg.symbol, "identity", f.velocity)
             denom = max(float(np.linalg.norm(f.momentum)), 1e-300)
-            mismatch.append(float(np.linalg.norm(f.momentum - ref)) / denom)
+            mismatch.append(float(np.linalg.norm(f.momentum - ah)) / denom)
     energies = np.array(energies)
     e0 = max(abs(energies[0]), 1e-300)
     drift = float(np.max(np.abs(energies - energies[0])) / e0)

@@ -166,6 +166,43 @@ def test_a_member_that_pinches_off_fails_alone_at_its_own_time():
         assert rel_gap(end, exp_map(BESSEL, c0, h0, T=1.0, steps=16, stride=16).endpoint.samples) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "poisoned_call, message",
+    [
+        # the first stage of step 2: the next stage's velocity is nonfinite
+        (4, "nonfinite state near t = 0.046875"),
+        # the last stage of step 1: the step's update is nonfinite
+        (3, "nonfinite state after step 1 (t = 0.03125)"),
+    ],
+)
+def test_a_member_that_goes_nonfinite_stops_alone_with_a_step_error(monkeypatch, poisoned_call, message):
+    n = 64
+    rng = np.random.default_rng(11)
+    samples = random_curve_samples(rng, n=n, amplitude=0.10)
+    h0s = np.stack([0.3 * random_field(rng, n, modes=3) for _ in range(3)])
+    c0 = make_curve(samples)
+    alone = [exp_map(BESSEL, c0, h0, T=0.5, steps=16, stride=16).endpoint.samples for h0 in h0s]
+    calls = []
+
+    def poisoned(*args, **kwargs):
+        g = momentum_rhs(*args, **kwargs)
+        if len(calls) == poisoned_call:
+            g[1] = np.nan
+        calls.append(1)
+        return g
+
+    monkeypatch.setattr(solvers, "momentum_rhs", poisoned)
+    starts = make_curve(np.broadcast_to(samples, h0s.shape))
+    ends, frames, errors = solvers._rk4(BESSEL, starts, h0s, 0.5, 16, 4)
+    assert list(errors) == [1]
+    assert isinstance(errors[1], StepError)
+    assert str(errors[1]) == message
+    assert ends[1] is None
+    assert [len(f) for f in frames] == [5, 1, 5]
+    for b in (0, 2):
+        assert rel_gap(ends[b], alone[b]) <= 1e-12
+
+
 def test_a_column_whose_shot_fails_is_retried_with_the_step_negated(monkeypatch):
     n, K = 32, 2
     theta = grid(n)

@@ -1,5 +1,6 @@
 """Tests for geodesic integration, shooting, and path reporting."""
 
+import importlib
 import json
 import warnings
 
@@ -18,7 +19,7 @@ from fracsob.errors import (
     NotSupportedError,
     ResolutionError,
 )
-from fracsob.metric import MetricConfig, metric, momentum_rhs
+from fracsob.metric import MetricConfig, metric, momentum_rhs, spray
 from fracsob.operators import apply_conjugated, solve_conjugated
 from fracsob.solvers import (
     Frame,
@@ -270,6 +271,58 @@ def test_exp_map_agrees_with_spray_integration(rng):
     assert np.max(np.abs(p0.endpoint.samples - p1.endpoint.samples)) < 1e-6 * scale
 
 
+def spray_loop_reference(cfg, c0, h0, T, steps, stride):
+    """The hand-written spray-form RK4 loop exp_map_spray once ran on,
+    returning its frames as (t, samples, velocity, momentum)."""
+    dt = T / steps
+
+    def rhs(samples, h):
+        c = make_curve(samples)
+        return c, spray(cfg, c, h)[0]
+
+    x = np.array(c0.samples, dtype=float)
+    h = np.array(h0, dtype=float)
+    frames = []
+    for n in range(steps):
+        c, s = rhs(x, h)
+        if n % stride == 0:
+            frames.append((n * dt, c.samples, h.copy(), apply_conjugated(c, cfg.symbol, "identity", h)))
+        k1x, k1h = h, s
+        _, k2h = rhs(x + 0.5 * dt * k1x, h + 0.5 * dt * k1h)
+        k2x = h + 0.5 * dt * k1h
+        _, k3h = rhs(x + 0.5 * dt * k2x, h + 0.5 * dt * k2h)
+        k3x = h + 0.5 * dt * k2h
+        _, k4h = rhs(x + dt * k3x, h + dt * k3h)
+        k4x = h + dt * k3h
+        x = x + dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        h = h + dt / 6.0 * (k1h + 2.0 * k2h + 2.0 * k3h + k4h)
+    c = make_curve(x)
+    frames.append((T, c.samples, h.copy(), apply_conjugated(c, cfg.symbol, "identity", h)))
+    return frames
+
+
+def test_exp_map_spray_frames_equal_the_hand_written_spray_loop(rng):
+    c0, h0 = flow_setup(rng)
+    path = exp_map_spray(BESSEL, c0, h0, T=0.25, steps=32, stride=8)
+    ref = spray_loop_reference(BESSEL, c0, h0, T=0.25, steps=32, stride=8)
+    assert path.scheme == "rk4-spray"
+    assert len(path.frames) == len(ref) == 5
+    for f, (t, samples, velocity, momentum) in zip(path.frames, ref):
+        assert f.t == t
+        assert np.array_equal(f.curve.samples, samples)
+        assert np.array_equal(f.velocity, velocity)
+        assert np.array_equal(f.momentum, momentum)
+
+
+def test_exp_map_spray_keeps_the_resolution_error():
+    # the grid stops resolving the speed of the squeezed circle before it
+    # pinches off, in both forms of the geodesic equation
+    h0 = -10.0 * np.column_stack([np.cos(grid(64)), np.zeros(64)])
+    for fn in (exp_map, exp_map_spray):
+        with pytest.raises(ResolutionError, match="near t = "):
+            fn(BESSEL, circle(), h0, T=1.0, steps=16)
+
+
 def test_geodesic_path_validation(circle64):
     c = make_curve(circle64)
     vel = np.zeros((64, 2))
@@ -316,6 +369,28 @@ def test_conservation_report_flags_a_corrupted_frame(circle64):
     assert not report.ok
     assert not report.flags["momentum_consistent"]
     assert not report.flags["energy_drift_ok"]
+
+
+def test_conservation_report_applies_the_operator_once_per_frame(rng, monkeypatch):
+    c0, h0 = flow_setup(rng)
+    path = exp_map(BESSEL, c0, h0, T=0.5, steps=32, stride=2)
+    expected = [metric(BESSEL, f.curve, f.velocity, f.velocity) for f in path.frames]
+    bare = GeodesicPath(tuple(Frame(f.t, f.curve, f.velocity, None) for f in path.frames), BESSEL)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return apply_conjugated(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "apply_conjugated", counting)
+    # fracsob.metric is the function metric(); import the module by name
+    monkeypatch.setattr(importlib.import_module("fracsob.metric"), "apply_conjugated", counting)
+    for p in (path, bare):
+        calls.clear()
+        report = conservation_report(p)
+        assert len(calls) == len(p.frames) == 17
+        assert np.array_equal(report.energies, expected)
+    assert report.momentum_consistency == 0.0
 
 
 def test_conservation_report_needs_two_frames(circle64):
