@@ -63,31 +63,38 @@ def _band_modes(top):
 
 
 def _band_multipliers(curve, symbol, variant, top):
-    """Folded scalar multipliers a(m) + a(-m) of modes 0..top-1 (a(0) at m = 0).
+    """Folded multipliers of modes 0..top-1: a(0) at m = 0, a(m) + conj(a(-m)) above.
 
     A curve's length is fixed, so the symbol is evaluated once per curve
     and kept on it, one row per member of a batch: its raw values on the
     band serve identity, inverse, sqrt and sqrt_inverse, and the
     lambda-derivative has its own. The folded multipliers of each
-    (symbol, variant) are kept too. Only scalar symbols come here: a custom
-    table holds arrays and is not hashable.
+    (symbol, variant) are kept too. Scalar symbols give real rows. A custom
+    table gives (top, d, d) blocks, one eigh per block for a variant other
+    than identity; it holds arrays and is not hashable, so its entries are
+    keyed by its id and hold the table, which keeps the id from being reused.
     """
+    key = symbol if symbol.is_scalar else id(symbol)
     cache = vars(curve).setdefault("_band_multipliers", {})
-    mult = cache.get((symbol, variant))
-    if mult is None:
+    entry = cache.get((key, variant))
+    if entry is None:
         lam = curve.length[..., None] if curve.batched else curve.length
         if variant == "lambda_derivative":
             vals = _values(symbol, lam, _band_modes(top), derivative=True)
         else:
             raw = vars(curve).setdefault("_band_values", {})
-            if symbol not in raw:
-                raw[symbol] = _values(symbol, lam, _band_modes(top))
-            vals = _variant(raw[symbol], variant)
-        mult = vals[..., :top].copy()
-        mult[..., 1:] += vals[..., top:]
+            if key not in raw:
+                raw[key] = (symbol, _values(symbol, lam, _band_modes(top)))
+            vals = _variant(raw[key][1], variant)
+        if symbol.is_scalar:
+            mult = vals[..., :top].copy()
+            mult[..., 1:] += vals[..., top:]
+        else:
+            mult = vals[:top].copy()
+            mult[1:] += np.conj(vals[top:])
         mult.setflags(write=False)
-        cache[(symbol, variant)] = mult
-    return mult
+        entry = cache[(key, variant)] = (symbol, mult)
+    return entry[1]
 
 
 def _band_multiply(curve, symbol, variant, coef):
@@ -99,13 +106,10 @@ def _band_multiply(curve, symbol, variant, coef):
     and mode 0 carries a(0). Extra leading axes stack fields.
     """
     top = coef.shape[-2] // 2
+    mult = _band_multipliers(curve, symbol, variant, top)
     if symbol.is_scalar:
-        mult = _band_multipliers(curve, symbol, variant, top)
         pairs = coef.reshape(coef.shape[:-2] + (2, top, -1)) * mult[..., None, :, None]
         return pairs.reshape(coef.shape)
-    vals = _variant(_values(symbol, curve.length, _band_modes(top), variant == "lambda_derivative"), variant)
-    mult = vals[:top].copy()
-    mult[1:] += np.conj(vals[top:])
     out = _multiply(symbol, mult, coef[..., :top, :] + 1j * coef[..., top:, :])
     return np.concatenate([out.real, out.imag], axis=-2)
 

@@ -12,6 +12,11 @@ Each cached factor is one value per mode 0..N//2. On even N the last one
 is the Nyquist mode, whose coefficient irfft reads as real: odd-order
 derivatives and the antiderivative set its factor to zero, dealias zeroes
 every mode m > N//3, and the antiderivative also zeroes mode 0.
+
+On grids of at most 128 points a round trip of derivative or dealias costs
+numpy.fft call overhead, not arithmetic, so there it runs as one product
+with the cached (N, N) real matrix of the same linear map (the spectral
+differentiation matrix). Larger grids take the transforms.
 """
 
 import functools
@@ -19,6 +24,11 @@ import functools
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+
+# the largest grid whose round trips run as a dense product: measured with one
+# BLAS thread, the product beats rfft/irfft up to N = 128, also on a batch of
+# 11 fields, and loses from N = 256 on batches
+_DENSE_MAX_N = 128
 
 
 def grid(n):
@@ -61,11 +71,30 @@ def _antiderivative_factor(n):
     return fac
 
 
+@functools.lru_cache(maxsize=64)
+def _mode_matrix(n, order, band):
+    """The (n, n) real matrix of the round trip with the factor _mode_factor(n, order, band)."""
+    mat = np.fft.irfft(_mode_factor(n, order, band)[:, None] * np.fft.rfft(np.eye(n), axis=0), n, axis=0)
+    mat.setflags(write=False)
+    return mat
+
+
 def _multiply_modes(u, axis, order, band):
-    """One real FFT round trip along `axis` with the factor _mode_factor(n, order, band)."""
+    """One real FFT round trip along `axis` with the factor _mode_factor(n, order, band).
+
+    On a grid of at most _DENSE_MAX_N points, fields (..., n, d) and scalar
+    rows (..., n) take it as a product with _mode_matrix, one matrix product
+    per member, so a member of a batch gets bitwise what it gets alone. A
+    derivative acts on u - u[0], so a constant maps to exactly 0.
+    """
     u = np.asarray(u, dtype=float)
     axis %= u.ndim
     n = u.shape[axis]
+    if n <= _DENSE_MAX_N and axis >= u.ndim - 2:
+        mat = _mode_matrix(n, order, band)
+        if axis == u.ndim - 1:
+            return np.matmul(mat, (u - u[..., :1] if order else u)[..., None])[..., 0]
+        return np.matmul(mat, u - u[..., :1, :] if order else u)
     coef = np.fft.rfft(u, axis=axis)
     coef *= _mode_factor(n, order, band).reshape((-1,) + (1,) * (u.ndim - 1 - axis))
     return np.fft.irfft(coef, n, axis=axis)

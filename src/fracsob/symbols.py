@@ -68,6 +68,20 @@ class LambdaSymbol:
         if any(a < 0 for a in self.alphas):
             raise DomainError(f"coefficients must be nonnegative, got {self.alphas}")
 
+    def __hash__(self):
+        # hashed once, as the operator caches look a symbol up on every
+        # application; a custom table holds arrays and raises TypeError
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash((self.family, self.order, self.alphas, self.dim, self.table))
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __getstate__(self):
+        # str hashes differ between processes, so a copy hashes itself anew
+        return {k: v for k, v in vars(self).items() if k != "_hash"}
+
     @property
     def is_scalar(self):
         return self.family in _SCALAR_FAMILIES

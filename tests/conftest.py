@@ -41,3 +41,23 @@ def rng():
 def circle64():
     theta = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
     return np.column_stack([np.cos(theta), np.sin(theta)])
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(ns, *names) wraps each ns.<name> in a counter; returns the counts by name."""
+    calls = {}
+
+    def install(ns, *names):
+        for name in names:
+            original = getattr(ns, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            calls[name] = 0
+            monkeypatch.setattr(ns, name, counting)
+        return calls
+
+    return install

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import fracsob
-from fracsob import curves, operators, symbols
+from fracsob import curves, operators, spectral, symbols
 from fracsob.checks import random_curve_samples, random_field
 from fracsob.curves import ds_integral, make_curve
 from fracsob.errors import DomainError, GridError, NotPositiveDefiniteError
@@ -287,6 +287,33 @@ def test_band_multipliers_are_evaluated_once_per_curve_and_variant(monkeypatch):
     assert len(calls) == 2
 
 
+def test_custom_table_band_multipliers_are_computed_once_per_curve_and_variant(count_calls):
+    count_calls(symbols, "_table_lookup")
+    calls = count_calls(np.linalg, "eigh")
+    c = bent_curve()
+    table = _coupled_table(c.n // 2, 0.7)
+    sym = custom_table(table, order=1.0, derivative=np.zeros_like(table))
+    u = np.column_stack([np.cos(2 * c.theta), np.sin(c.theta)])
+    first = apply_conjugated(c, sym, "inverse", u)
+    again = apply_conjugated(c, sym, "inverse", u)
+    assert calls == {"_table_lookup": 1, "eigh": 1}
+    assert np.array_equal(first, again)
+    # the variants share the table's values kept on the curve, one eigh each;
+    # the lambda-derivative reads its own table; the solve reuses both entries
+    apply_conjugated(c, sym, "identity", u)
+    apply_conjugated(c, sym, "sqrt", u)
+    apply_conjugated(c, sym, "lambda_derivative", u)
+    solve_conjugated(c, sym, u)
+    assert calls == {"_table_lookup": 2, "eigh": 2}
+    # an equal table is another object with its own entries, and the same numbers
+    twin = custom_table(table, order=1.0, derivative=np.zeros_like(table))
+    assert np.array_equal(apply_conjugated(c, twin, "inverse", u), first)
+    assert calls == {"_table_lookup": 3, "eigh": 3}
+    fresh = bent_curve()
+    assert np.array_equal(apply_conjugated(fresh, sym, "inverse", u), first)
+    assert calls == {"_table_lookup": 4, "eigh": 4}
+
+
 @pytest.mark.parametrize("seed", [2, 18])
 def test_rotation_equivariance_on_the_battery_draw(seed):
     # the curve, then h, drawn as `fracsob check` draws them at N = 256
@@ -429,22 +456,24 @@ def test_directional_derivative_of_a_batch_matches_its_members():
                 assert np.max(np.abs(got[i] - alone)) <= 1e-12 * np.max(np.abs(alone))
 
 
-def test_directional_derivative_makes_three_real_transforms(monkeypatch):
+def test_directional_derivative_makes_three_real_transforms(count_calls):
     # one filtered derivative of h and one antiderivative give every
-    # variation, and the output takes one dealias
-    c = bent_curve()
-    h = np.column_stack([np.sin(2 * c.theta), 0.5 * np.cos(c.theta)])
-    operator_directional_derivative(c, h, bessel_fractional(1.5), h)  # build the band basis and caches
-    rfft = np.fft.rfft
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return rfft(*args, **kwargs)
-
-    monkeypatch.setattr(np.fft, "rfft", counting)
-    operator_directional_derivative(c, h, bessel_fractional(1.5), h)
-    assert len(calls) == 3
+    # variation, and the output takes one dealias. At N = 256 each is one
+    # rfft; at N = 64 the derivative and the dealias are dense products in
+    # spectral._multiply_modes and only the antiderivative calls rfft.
+    count_calls(np.fft, "rfft")
+    calls = count_calls(spectral, "_multiply_modes")
+    for n in (64, 256):
+        c = bent_curve(n)
+        h = np.column_stack([np.sin(2 * c.theta), 0.5 * np.cos(c.theta)])
+        operator_directional_derivative(c, h, bessel_fractional(1.5), h)  # build the band basis and caches
+        calls.update(dict.fromkeys(calls, 0))
+        operator_directional_derivative(c, h, bessel_fractional(1.5), h)
+        if n == 64:
+            assert calls["_multiply_modes"] + calls["rfft"] == 3
+            assert calls["rfft"] == 1
+        else:
+            assert calls["rfft"] == 3
 
 
 def test_directional_derivative_makes_no_curve(monkeypatch):

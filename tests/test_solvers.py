@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fracsob import solvers
+from fracsob import solvers, spectral
 from fracsob.checks import random_curve_samples, random_field
 from fracsob.curves import make_curve
 from fracsob.errors import (
@@ -502,29 +502,31 @@ def test_path_to_svg_draws_each_frame(circle64):
     assert thinned.count("<polyline") == 3
 
 
-def test_each_rk4_stage_makes_24_real_fft_calls_and_no_complex_one(monkeypatch):
-    # a stage: 3 real round trips in make_curve, one filter per operator
-    # application (3 + 2 from the refined solve, 1 for the lambda-derivative),
-    # 2 in momentum_rhs and 1 for the momentum filter
-    calls = {name: 0 for name in ("fft", "ifft", "rfft", "irfft")}
-    for name in calls:
-        original = getattr(np.fft, name)
-
-        def counting(*args, _original=original, _name=name, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(np.fft, name, counting)
+def test_each_rk4_stage_makes_24_real_fft_calls_and_no_complex_one(count_calls):
+    # a stage makes 12 real round trips: 3 in make_curve, one filter per
+    # operator application (3 + 2 from the refined solve, 1 for the
+    # lambda-derivative), 2 in momentum_rhs and 1 for the momentum filter.
+    # At N = 256 each is an rfft/irfft pair, 24 calls. At N = 64 the 10
+    # derivatives and filters are dense products in spectral._multiply_modes
+    # and only the 2 antiderivatives call rfft/irfft.
+    count_calls(np.fft, "fft", "ifft", "rfft", "irfft")
+    calls = count_calls(spectral, "_multiply_modes")
     cfg = MetricConfig(bessel_fractional(1.5))
-    rng = np.random.default_rng(0)
-    c0 = make_curve(random_curve_samples(rng, n=64, amplitude=0.10))
-    h0 = 0.5 * random_field(rng, 64)
-    real = {}
-    for steps in (16, 32):
-        for name in calls:
-            calls[name] = 0
-        exp_map(cfg, c0, h0, T=1.0, steps=steps, stride=steps)
-        assert calls["fft"] == calls["ifft"] == 0
-        assert calls["rfft"] == calls["irfft"]
-        real[steps] = calls["rfft"] + calls["irfft"]
-    assert real[32] - real[16] == 64 * 24
+    for n in (64, 256):
+        rng = np.random.default_rng(0)
+        c0 = make_curve(random_curve_samples(rng, n=n, amplitude=0.10))
+        h0 = 0.5 * random_field(rng, n)
+        exp_map(cfg, c0, h0, T=1.0, steps=16, stride=16)  # builds the cached round-trip matrices
+        real, round_trips = {}, {}
+        for steps in (16, 32):
+            calls.update(dict.fromkeys(calls, 0))
+            exp_map(cfg, c0, h0, T=1.0, steps=steps, stride=steps)
+            assert calls["fft"] == calls["ifft"] == 0
+            assert calls["rfft"] == calls["irfft"]
+            real[steps] = calls["rfft"] + calls["irfft"]
+            round_trips[steps] = calls["_multiply_modes"] + calls["rfft"]
+        if n == 64:
+            assert round_trips[32] - round_trips[16] == 64 * 12
+            assert real[32] - real[16] == 64 * 4
+        else:
+            assert real[32] - real[16] == 64 * 24

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from fracsob import spectral
 from fracsob.spectral import (
     TWO_PI,
+    _dealiased_derivative,
     dealias,
     grid,
     interp_matrix,
@@ -235,6 +237,74 @@ def _direct(u, axis, factor):
     e = _phases(n)
     coef = np.einsum("mk,...k->...m", e.conj(), np.moveaxis(u, axis, -1)) / n
     return np.moveaxis(np.real((coef * factor) @ e), -1, axis)
+
+
+def transform_round_trip(u, axis, order, band):
+    """The rfft/irfft round trip that grids above 128 points take."""
+    n = u.shape[axis]
+    coef = np.fft.rfft(u, axis=axis)
+    coef *= spectral._mode_factor(n, order, band).reshape((-1,) + (1,) * (u.ndim - 1 - axis % u.ndim))
+    return np.fft.irfft(coef, n, axis=axis)
+
+
+# (order, band): derivatives of orders 1 to 3, dealias, and the dealiased derivative
+ROUND_TRIPS = [(1, False), (2, False), (3, False), (0, True), (1, True)]
+
+
+def _shapes(n, batch=5):
+    """(shape, grid axis) of a field, a vector field, a batch of each."""
+    return [((n,), 0), ((n, 2), 0), ((batch, n), 1), ((batch, n, 2), 1)]
+
+
+@pytest.mark.parametrize("n", [8, 64, 128])
+@pytest.mark.parametrize("order, band", ROUND_TRIPS)
+def test_dense_round_trip_agrees_with_the_transform(n, order, band):
+    rng = np.random.default_rng(n + 10 * order + band)
+    mat = spectral._mode_matrix(n, order, band)
+    assert mat.shape == (n, n) and not mat.flags.writeable
+    assert spectral._mode_matrix(n, order, band) is mat
+    for shape, axis in _shapes(n):
+        u = rng.standard_normal(shape)
+        got = spectral._multiply_modes(u, axis, order, band)
+        want = transform_round_trip(u, axis, order, band)
+        assert got.shape == u.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [8, 64, 128])
+@pytest.mark.parametrize("order, band", ROUND_TRIPS)
+def test_dense_round_trip_gives_a_batch_member_what_it_gets_alone(n, order, band):
+    rng = np.random.default_rng(n)
+    for shape in [(11, n), (11, n, 2), (3, 4, n, 2)]:
+        u = rng.standard_normal(shape)
+        axis = len(shape) - (1 if len(shape) == 2 else 2)
+        got = spectral._multiply_modes(u, axis, order, band)
+        for i in np.ndindex(shape[: axis]):
+            assert np.array_equal(got[i], spectral._multiply_modes(u[i], 0, order, band))
+
+
+@pytest.mark.parametrize("n", [8, 64, 128])
+def test_derivative_of_a_constant_is_exactly_zero(n):
+    # the dense grids differentiate u - u[0]; the transform leaves rounding
+    # in the nonzero modes of most constants (about 2e-16 at n = 130)
+    rng = np.random.default_rng(n)
+    for shape, axis in _shapes(n, batch=3):
+        u = np.repeat(np.expand_dims(rng.standard_normal(shape[:axis] + shape[axis + 1 :]), axis), n, axis=axis)
+        for order in (1, 2, 3):
+            assert not np.any(spectral_derivative(u, order=order, axis=axis))
+        assert not np.any(_dealiased_derivative(u, axis=axis))
+
+
+def test_grids_above_128_points_keep_the_transform(count_calls):
+    calls = count_calls(np.fft, "rfft")
+    for n, transforms in ((128, 0), (130, 9)):
+        rng = np.random.default_rng(n)
+        fields = [(rng.standard_normal((n, 2)), 0), (rng.standard_normal((3, n, 2)), 1), (rng.standard_normal((3, n)), 1)]
+        for _ in range(2):  # the first pass builds the cached matrices
+            calls["rfft"] = 0
+            for u, axis in fields:
+                spectral_derivative(u, axis=axis), dealias(u, axis=axis), _dealiased_derivative(u, axis=axis)
+        assert calls["rfft"] == transforms
 
 
 if HAVE_HYPOTHESIS:

@@ -1,5 +1,7 @@
 """Tests for the length-dependent Fourier multiplier families."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -234,3 +236,18 @@ def test_class_report_roundtrips_to_json():
     payload = json.loads(rep.to_json())
     assert payload["family"] == "bessel_fractional"
     assert payload["elliptic"] is True
+
+
+def test_symbol_hash_is_the_field_hash_and_a_table_refuses_it():
+    sym = bessel_fractional(1.5)
+    assert hash(sym) == hash(("bessel_fractional", 1.5, (1.0,), 2, None))
+    assert hash(sym) == hash(sym) == hash(bessel_fractional(1.5))
+    copy = pickle.loads(pickle.dumps(sym))
+    assert copy == sym and hash(copy) == hash(sym)
+    # str hashes differ between processes, so a kept hash must not travel
+    object.__setattr__(sym, "_hash", hash(sym) + 1)
+    assert hash(pickle.loads(pickle.dumps(sym))) == hash(bessel_fractional(1.5))
+    table = custom_table(np.ones((3, 2, 2)), order=1.0)
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            hash(table)
