@@ -15,13 +15,14 @@ takes the form it integrates as data: the state at t = 0, the velocity
 read off the state, and the rate of the state. So the spray form has the
 same frames, failure isolation and errors as exp_map. The loop
 integrates a batch of geodesics stacked along a leading axis, and
-exp_map and exp_map_spray are its single-member case. The boundary-value
-problem is solved by shooting: Levenberg-Marquardt on the endpoint
-mismatch over a Fourier-truncated initial velocity, Jacobian by forward
-differences, all columns of one iteration integrated as one batch. The
-first trial shot of an iteration is integrated together with the columns
-at its own point, which the next iteration takes if the step is
-accepted, so a typical iteration is one RK4 run. A shot that runs alone
+_geodesics turns one run into a path per member; exp_map and
+exp_map_spray are its single-member case. The boundary-value problem is
+solved by shooting: Levenberg-Marquardt on the endpoint mismatch over a
+Fourier-truncated initial velocity, Jacobian by forward differences, all
+columns of one iteration integrated as one batch. The initial shot and
+the first trial shot of an iteration are integrated together with the
+columns at their own point, which the next iteration takes if the point
+is kept, so a typical iteration is one RK4 run. A shot that runs alone
 keeps its frames, and the shot at the returned velocity is the returned
 path. Trial shots that leave the immersion set count as rejected steps
 and raise the damping instead of aborting.
@@ -107,7 +108,8 @@ class ShootingResult:
     included, speculative Jacobian columns that were dropped too;
     integrations counts the RK4 runs they took. The path is a shot the
     solver already made, unless the returned velocity was only ever shot
-    in a batch; then it is one more shot and run, counted here.
+    in a batch (the initial velocity of a match that needed iterations
+    included); then it is one more shot and run, counted here.
     """
 
     initial_velocity: np.ndarray
@@ -134,11 +136,13 @@ def _require_dynamics(cfg):
 class _Form:
     """A first-order form of the geodesic equation on (c, y) for _rk4.
 
-    start(h0, mu0) is y at t = 0, from the initial velocity and momentum.
-    velocity(cfg, c, y, final) is c_t read off the state, final=True for
-    the velocity stored at t = T. rate(cfg, c, h, y) is y_t at velocity h.
+    scheme names the form on the paths it makes. start(h0, mu0) is y at
+    t = 0, from the initial velocity and momentum. velocity(cfg, c, y,
+    final) is c_t read off the state, final=True for the velocity stored
+    at t = T. rate(cfg, c, h, y) is y_t at velocity h.
     """
 
+    scheme: str
     start: object
     velocity: object
     rate: object
@@ -165,9 +169,9 @@ def _spray_rate(cfg, c, h, _):
 
 
 #: y = mu = A_c c_t, evolved by momentum_rhs; no operator derivative
-_MOMENTUM = _Form(lambda h0, mu0: mu0, _momentum_velocity, _momentum_rate)
+_MOMENTUM = _Form("rk4", lambda h0, mu0: mu0, _momentum_velocity, _momentum_rate)
 #: y = c_t, evolved by the spray S_c(c_t) of each member
-_SPRAY = _Form(lambda h0, mu0: h0, lambda cfg, c, h, final=False: h, _spray_rate)
+_SPRAY = _Form("rk4-spray", lambda h0, mu0: h0, lambda cfg, c, h, final=False: h, _spray_rate)
 
 
 def _rk4(cfg, c0, h0, T, steps, stride=None, form=_MOMENTUM):
@@ -312,17 +316,24 @@ def _check_schedule(T, steps, stride):
         raise DomainError(f"need T > 0, got {T}")
 
 
-def _geodesic(name, scheme, cfg, c0, h0, T, steps, stride, **form):
-    """The path of one curve from _rk4, or the error its member stopped with."""
+def _geodesics(cfg, c0, h0, T, steps, stride, form=_MOMENTUM):
+    """One path per member of c0 from one _rk4 run, or the error of the
+    lowest-numbered member that stopped. A single curve is a batch of one."""
     _check_schedule(T, steps, stride)
     _require_dynamics(cfg)
+    h0 = _check_field(c0, h0, "h0")
+    _, frames, errors = _rk4(cfg, c0, h0, T, steps, stride, form)
+    if errors:
+        raise errors[min(errors)]
+    return [GeodesicPath(tuple(f), cfg, scheme=form.scheme, steps=steps) for f in frames]
+
+
+def _geodesic(name, cfg, c0, h0, T, steps, stride, form=_MOMENTUM):
+    """The path of one curve: _geodesics on a batch of one."""
     if c0.batched:
         raise GridError(f"{name} integrates a single curve, not a batch")
-    h0 = _check_field(c0, h0, "h0")
-    _, frames, errors = _rk4(cfg, c0, h0, T, steps, stride, **form)
-    if errors:
-        raise errors[0]
-    return GeodesicPath(tuple(frames[0]), cfg, scheme=scheme, steps=steps)
+    [path] = _geodesics(cfg, c0, h0, T, steps, stride, form)
+    return path
 
 
 def exp_map(cfg, c0, h0, T=1.0, steps=200, stride=1):
@@ -342,7 +353,7 @@ def exp_map(cfg, c0, h0, T=1.0, steps=200, stride=1):
     batch of one of the RK4 loop that geodesic_bvp runs on whole batches of
     shots.
     """
-    return _geodesic("exp_map", "rk4", cfg, c0, h0, T, steps, stride)
+    return _geodesic("exp_map", cfg, c0, h0, T, steps, stride)
 
 
 def exp_map_spray(cfg, c0, h0, T=1.0, steps=64, stride=1):
@@ -353,7 +364,7 @@ def exp_map_spray(cfg, c0, h0, T=1.0, steps=64, stride=1):
     pays for an operator derivative and a refined solve at every stage, so
     use exp_map for real work.
     """
-    return _geodesic("exp_map_spray", "rk4-spray", cfg, c0, h0, T, steps, stride, form=_SPRAY)
+    return _geodesic("exp_map_spray", cfg, c0, h0, T, steps, stride, _SPRAY)
 
 
 def _fourier_basis(n, k_max):
@@ -390,13 +401,16 @@ def geodesic_bvp(
     Levenberg-Marquardt with a forward-difference Jacobian: the (2K+1)*d
     column shots of one iteration are integrated as one batch, and columns
     whose shot loses immersion (a ResolutionError included) are retried
-    with the step negated, as a second batch. The first trial shot of an
-    iteration is integrated in one batch with the columns at the trial
-    point, the rows the next iteration would build; an accepted step hands
-    them on, a rejected one drops them. That speculation is skipped in the
-    last allowed iteration and when the linear model predicts convergence,
-    |r + J dx| <= tol_rel * |c1|. Later trials of an iteration, and the
-    initial shot, run alone and keep frames at `stride` (default
+    with the step negated, as a second batch. The initial shot is
+    integrated in one batch with the first iteration's columns, so that
+    iteration shoots none of its own; it runs alone when max_iter is 0 or
+    |c1 - c0| <= tol_rel * |c1|, where it is the answer. The first trial
+    shot of an iteration is integrated in one batch with the columns at
+    the trial point, the rows the next iteration would build; an accepted
+    step hands them on, a rejected one drops them. That speculation is
+    skipped in the last allowed iteration and when the linear model
+    predicts convergence, |r + J dx| <= tol_rel * |c1|. Later trials of an
+    iteration run alone. A shot alone keeps frames at `stride` (default
     steps // 16), which never feed back into the state. Trial shots that
     lose immersion raise the damping. The returned path is the frames of
     the shot at the returned velocity; only a velocity shot in a batch is
@@ -451,16 +465,29 @@ def geodesic_bvp(
             integrations += 1
             path = exp_map(cfg, c0, h0, T=T, steps=steps, stride=out_stride)
         else:
-            path = GeodesicPath(tuple(frames), cfg, scheme="rk4", steps=steps)
+            path = GeodesicPath(tuple(frames), cfg, scheme=_MOMENTUM.scheme, steps=steps)
         return ShootingResult(h0, residual, iterations, path, converged, shots, integrations)
 
     def fd_deltas(x):
         return fd_step * np.maximum(1.0, np.abs(x))
 
+    def shoot_with_columns(x):
+        """The shot at x and the forward-difference columns at x, in one batch."""
+        (r, *cols), _ = shoot(np.vstack([x, x + np.diag(fd_deltas(x))]))
+        return r, cols
+
     coef0, *_ = np.linalg.lstsq(basis, (c1.samples - c0.samples) / T, rcond=None)
     x = coef0.ravel()
     iterations = 0
-    [r], [frames] = shoot(x[None], out_stride)
+    # the initial shot carries the first iteration's columns, unless no
+    # iteration may run or the target is within tolerance of c0, where
+    # that shot is the answer; a shot alone keeps its frames
+    if max_iter > 0 and _l2_norm(c1.samples - c0.samples, n) > tol_abs:
+        r, cols = shoot_with_columns(x)
+        frames = None
+    else:
+        [r], [frames] = shoot(x[None], out_stride)
+        cols = None
     if r is None:
         raise ImmersionError("the initial shot already leaves the immersion set")
     # frames are kept for the current x and the best x only
@@ -469,7 +496,6 @@ def geodesic_bvp(
         return finish(x, best[0], True, frames)
 
     lam = damping
-    cols = None
     while iterations < max_iter:
         iterations += 1
         deltas = fd_deltas(x)
@@ -502,8 +528,7 @@ def geodesic_bvp(
                 continue
             x_t = x + dx
             if speculate and np.linalg.norm(r + jac @ dx) > tol_abs:
-                ahead = x_t + np.diag(fd_deltas(x_t))
-                (r_new, *cols_t), _ = shoot(np.vstack([x_t, ahead]))
+                r_new, cols_t = shoot_with_columns(x_t)
                 frames_t = None
             else:
                 [r_new], [frames_t] = shoot(x_t[None], out_stride)

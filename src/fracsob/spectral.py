@@ -82,10 +82,11 @@ def _mode_matrix(n, order, band):
 def _multiply_modes(u, axis, order, band):
     """One real FFT round trip along `axis` with the factor _mode_factor(n, order, band).
 
-    On a grid of at most _DENSE_MAX_N points, fields (..., n, d) and scalar
-    rows (..., n) take it as a product with _mode_matrix, one matrix product
-    per member, so a member of a batch gets bitwise what it gets alone. A
-    derivative acts on u - u[0], so a constant maps to exactly 0.
+    A derivative acts on u - u[0] along `axis`, so a constant maps to
+    exactly 0. On a grid of at most _DENSE_MAX_N points, fields (..., n, d)
+    and scalar rows (..., n) take the round trip as a product with
+    _mode_matrix, one matrix product per member, so a member of a batch
+    gets bitwise what it gets alone.
     """
     u = np.asarray(u, dtype=float)
     axis %= u.ndim
@@ -95,6 +96,8 @@ def _multiply_modes(u, axis, order, band):
         if axis == u.ndim - 1:
             return np.matmul(mat, (u - u[..., :1] if order else u)[..., None])[..., 0]
         return np.matmul(mat, u - u[..., :1, :] if order else u)
+    if order:
+        u = u - np.take(u, [0], axis=axis)
     coef = np.fft.rfft(u, axis=axis)
     coef *= _mode_factor(n, order, band).reshape((-1,) + (1,) * (u.ndim - 1 - axis))
     return np.fft.irfft(coef, n, axis=axis)

@@ -215,15 +215,16 @@ def test_a_column_whose_shot_fails_is_retried_with_the_step_negated(monkeypatch)
     def failing_column(cfg, starts, h0s, T, steps, stride=None):
         ends, frames, errors = real(cfg, starts, h0s, T, steps, stride)
         calls.append(np.array(h0s))
-        if len(calls) == 2:
-            ends[3] = None
-            errors[3] = ImmersionError("injected")
+        if len(calls) == 1:
+            # row 0 is the initial shot, so column 3 is member 4
+            ends[4] = None
+            errors[4] = ImmersionError("injected")
         return ends, frames, errors
 
     monkeypatch.setattr(solvers, "_rk4", failing_column)
     with pytest.raises(NoConvergenceError) as err:
         geodesic_bvp(BESSEL, c0, target, K=K, steps=32, T=1.0, max_iter=1, tol_rel=1e-30)
-    base, columns, retry = calls[0][0], calls[1], calls[2]
+    base, columns, retry = calls[0][0], calls[0][1:], calls[1]
     assert len(columns) == (2 * K + 1) * 2
     assert retry.shape == (1, n, 2)
     # forward column j moved x_j by +delta; its retry moves it by -delta
@@ -231,7 +232,7 @@ def test_a_column_whose_shot_fails_is_retried_with_the_step_negated(monkeypatch)
     result = err.value.result
     # with max_iter=1 no trial carries columns: every trial runs alone and
     # keeps its frames, so the presented path needs no run of its own
-    assert result.shots == 1 + len(columns) + 1 + (len(calls) - 3)
+    assert result.shots == 1 + len(columns) + 1 + (len(calls) - 2)
     assert result.integrations == len(calls)
 
 
@@ -254,9 +255,10 @@ def test_a_column_that_loses_resolution_is_retried_with_the_step_negated(monkeyp
     def watching(cfg, starts, h0s, T, steps, stride=None):
         nonlocal trips
         calls.append(np.array(h0s))
-        if len(calls) == 2:
-            # the columns' first make_curve: the whole batch, then members 0..3 alone
-            trips = iter((True, False, False, False, True))
+        if len(calls) == 1:
+            # the first make_curve of the initial shot and its columns: the
+            # whole batch, then members 0..4 alone (column 3 is member 4)
+            trips = iter((True, False, False, False, False, True))
         ends, frames, errors = real_rk4(cfg, starts, h0s, T, steps, stride)
         errors_seen.append(dict(errors))
         return ends, frames, errors
@@ -265,13 +267,13 @@ def test_a_column_that_loses_resolution_is_retried_with_the_step_negated(monkeyp
     monkeypatch.setattr(solvers, "_rk4", watching)
     with pytest.raises(NoConvergenceError) as err:
         geodesic_bvp(BESSEL, c0, target, K=K, steps=16, T=1.0, max_iter=1, tol_rel=1e-30)
-    assert list(errors_seen[1]) == [3]
-    assert isinstance(errors_seen[1][3], ResolutionError)
-    assert "near t = 0" in str(errors_seen[1][3])
-    base, columns, retry = calls[0][0], calls[1], calls[2]
+    assert list(errors_seen[0]) == [4]
+    assert isinstance(errors_seen[0][4], ResolutionError)
+    assert "near t = 0" in str(errors_seen[0][4])
+    base, columns, retry = calls[0][0], calls[0][1:], calls[1]
     assert retry.shape == (1, n, 2)
     assert np.max(np.abs(retry[0] - (2.0 * base - columns[3]))) <= 1e-12
-    assert errors_seen[2] == {}
+    assert errors_seen[1] == {}
     assert err.value.result.iterations == 1
 
 
@@ -357,12 +359,13 @@ def test_shooting_counts_its_shots_and_integrations():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         res = geodesic_bvp(BESSEL, c0, c1, K=2, steps=32)
-    # the initial shot, the first iteration's (2K+1)*d = 10 columns, its
-    # trial step together with the 10 columns at the trial point, and the
-    # second trial step alone; the presented path is that last shot's frames
+    # the initial shot together with the first iteration's (2K+1)*d = 10
+    # columns, its trial step together with the 10 columns at the trial
+    # point, and the second trial step alone; the presented path is that
+    # last shot's frames
     assert res.iterations == 2
-    assert res.shots == 1 + 10 + (1 + 10) + 1
-    assert res.integrations == 4
+    assert res.shots == (1 + 10) + (1 + 10) + 1
+    assert res.integrations == 3
 
 
 def unspeculated_bvp(cfg, c0, c1, K, steps, T=1.0, max_iter=50, tol_rel=1e-6, damping=1e-3, fd_step=1e-6):
@@ -444,9 +447,9 @@ def recording_rk4(monkeypatch, reject_call=None):
     real = solvers._rk4
     calls = []
 
-    def recording(cfg, starts, h0s, T, steps, stride=None):
+    def recording(cfg, starts, h0s, *args, **kwargs):
         calls.append(np.array(h0s).reshape(-1, starts.n, starts.dim))
-        ends, frames, errors = real(cfg, starts, h0s, T, steps, stride)
+        ends, frames, errors = real(cfg, starts, h0s, *args, **kwargs)
         if len(calls) == reject_call:
             ends[0] = None
             errors[0] = ImmersionError("injected")
@@ -458,16 +461,16 @@ def recording_rk4(monkeypatch, reject_call=None):
 
 @pytest.mark.parametrize("reject_first_trial", [False, True])
 def test_speculative_columns_reproduce_the_unspeculated_loop(monkeypatch, reject_first_trial):
-    # run 3 is the first trial shot in both loops: alone in the reference,
-    # with the 10 columns at the trial point in geodesic_bvp
+    # the first trial shot is run 3 of the reference, alone, and run 2 of
+    # geodesic_bvp, with the 10 columns at the trial point; run 1 there is
+    # the initial shot with the first iteration's 10 columns
     c0, c1 = seeded_match()
-    reject = 3 if reject_first_trial else None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        ref_calls = recording_rk4(monkeypatch, reject)
+        ref_calls = recording_rk4(monkeypatch, 3 if reject_first_trial else None)
         ref = unspeculated_bvp(BESSEL, c0, c1, K=2, steps=32)
         monkeypatch.undo()
-        calls = recording_rk4(monkeypatch, reject)
+        calls = recording_rk4(monkeypatch, 2 if reject_first_trial else None)
         res = geodesic_bvp(BESSEL, c0, c1, K=2, steps=32)
     assert ref.converged and res.converged
     assert res.iterations == ref.iterations == 2
@@ -478,12 +481,12 @@ def test_speculative_columns_reproduce_the_unspeculated_loop(monkeypatch, reject
     # bitwise alike; the columns of a rejected first trial are the only extra
     sizes = [len(h) for h in calls]
     if reject_first_trial:
-        assert sizes == [1, 10, 11, 1, 10, 1]
-        wasted = calls[2][1:]
-        calls[2] = calls[2][:1]
+        assert sizes == [11, 11, 1, 10, 1]
+        wasted = calls[1][1:]
+        calls[1] = calls[1][:1]
         assert not any(np.array_equal(w, h) for w in wasted for h in np.concatenate(ref_calls))
     else:
-        assert sizes == [1, 10, 11, 1]
+        assert sizes == [11, 11, 1]
     assert [len(h) for h in ref_calls][-1] == 1
     assert np.array_equal(np.concatenate(calls), np.concatenate(ref_calls[:-1]))
     assert res.shots == sum(sizes)
@@ -513,9 +516,10 @@ def test_a_speculative_trial_that_converges_takes_its_path_from_exp_map():
         alone = exp_map(BESSEL, c0, res.initial_velocity, T=1.0, steps=32, stride=2)
     assert res.converged and res.iterations == 2
     assert 1.16e-7 <= res.residual <= 1.19e-7
-    # both trial steps carry 10 columns; the path is one more run
-    assert res.shots == 1 + 10 + 2 * (1 + 10) + 1
-    assert res.integrations == 5
+    # the initial shot and both trial steps carry 10 columns; the path is
+    # one more run
+    assert res.shots == 3 * (1 + 10) + 1
+    assert res.integrations == 4
     assert res.residual == ref.residual
     assert np.array_equal(res.initial_velocity, ref.initial_velocity)
     assert_same_path(res.path, alone)
@@ -528,6 +532,88 @@ def test_an_identical_target_takes_one_shot_whose_frames_are_the_path():
     assert res.shots == 1
     assert res.integrations == 1
     assert_same_path(res.path, exp_map(BESSEL, c0, res.initial_velocity, T=1.0, steps=32, stride=2))
+
+
+def near_target(c0):
+    """A target that differs from c0, but by less than the default tolerance."""
+    c1 = make_curve(c0.samples + 1e-9 * random_field(np.random.default_rng(8), c0.n, modes=2))
+    gap = solvers._l2_norm(c1.samples - c0.samples, c0.n)
+    assert 0.0 < gap <= 1e-6 * solvers._l2_norm(c1.samples, c0.n)
+    return c1
+
+
+def test_a_target_within_tolerance_of_the_source_takes_one_lone_shot(monkeypatch):
+    c0 = make_curve(random_curve_samples(np.random.default_rng(7), n=64, amplitude=0.10))
+    c1 = near_target(c0)
+    calls = recording_rk4(monkeypatch)
+    res = geodesic_bvp(BESSEL, c0, c1, K=2, steps=32)
+    monkeypatch.undo()
+    assert [len(h) for h in calls] == [1]
+    assert res.converged and res.iterations == 0
+    assert np.any(res.initial_velocity != 0.0)
+    assert res.shots == res.integrations == 1
+    assert_same_path(res.path, exp_map(BESSEL, c0, res.initial_velocity, T=1.0, steps=32, stride=2))
+
+
+def test_max_iter_zero_takes_one_lone_shot_whose_frames_are_the_path(monkeypatch):
+    c0, c1 = seeded_match()
+    calls = recording_rk4(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(NoConvergenceError) as err:
+            geodesic_bvp(BESSEL, c0, c1, K=2, steps=32, max_iter=0)
+        monkeypatch.undo()
+        alone = exp_map(BESSEL, c0, err.value.result.initial_velocity, T=1.0, steps=32, stride=2)
+    result = err.value.result
+    assert [len(h) for h in calls] == [1]
+    assert result.iterations == 0
+    assert result.shots == result.integrations == 1
+    assert_same_path(result.path, alone)
+
+
+@pytest.mark.parametrize("target, runs", [("far", [11]), ("near", [1])])
+def test_a_failing_initial_shot_raises_the_same_error_alone_or_in_a_batch(monkeypatch, target, runs):
+    c0, c1 = seeded_match()
+    if target == "near":
+        c1 = near_target(c0)
+    calls = recording_rk4(monkeypatch, reject_call=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ImmersionError) as err:
+            geodesic_bvp(BESSEL, c0, c1, K=2, steps=32)
+    assert str(err.value) == "the initial shot already leaves the immersion set"
+    assert [len(h) for h in calls] == runs
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_each_path_of_a_batch_of_geodesics_is_its_own_exp_map(n):
+    rng = np.random.default_rng(n)
+    samples = np.stack([random_curve_samples(rng, n=n, amplitude=0.10) for _ in range(3)])
+    h0s = np.stack([0.3 * random_field(rng, n, modes=3) for _ in range(3)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        paths = solvers._geodesics(BESSEL, make_curve(samples), h0s, T=0.5, steps=16, stride=4)
+        assert len(paths) == 3
+        for path, s, h0 in zip(paths, samples, h0s):
+            assert (path.scheme, path.steps) == ("rk4", 16)
+            assert_same_path(path, exp_map(BESSEL, make_curve(s), h0, T=0.5, steps=16, stride=4))
+
+
+def test_a_batch_of_geodesics_raises_the_error_of_its_first_failing_member():
+    # member 2 pinches off before member 1 stops; the batch raises member 1's error
+    n = 64
+    theta = grid(n)
+    pinch = np.column_stack([-32.0 * np.cos(theta), np.zeros(n)])
+    h0s = np.stack([0.2 * random_field(np.random.default_rng(3), n, modes=3), 4.0 * pinch, pinch])
+    alone = []
+    for h0 in h0s[1:]:
+        with pytest.raises(ImmersionError) as err:
+            exp_map(BESSEL, make_curve(circle(n)), h0, T=1.0, steps=16, stride=16)
+        alone.append(str(err.value))
+    assert alone[0] != alone[1]
+    with pytest.raises(ImmersionError) as batch:
+        solvers._geodesics(BESSEL, make_curve(np.stack([circle(n)] * 3)), h0s, T=1.0, steps=16, stride=16)
+    assert str(batch.value) == alone[0]
 
 
 def test_exp_map_spray_refuses_a_batch_of_curves(monkeypatch):

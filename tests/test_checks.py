@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from fracsob.checks import (
     CheckResult,
@@ -13,6 +14,9 @@ from fracsob.checks import (
     summarize,
 )
 from fracsob.curves import make_curve
+from fracsob.errors import NoConvergenceError
+from fracsob.metric import MetricConfig
+from fracsob.solvers import conservation_report, exp_map, exp_map_spray, geodesic_bvp
 from fracsob.symbols import bessel_fractional, constant_coefficient, two_term_fractional
 
 
@@ -80,3 +84,48 @@ def test_random_inputs_are_smooth_and_immersed(rng):
     field = random_field(rng, 64, modes=4)
     assert field.shape == (64, 2)
     assert np.all(np.isfinite(field))
+
+
+def one_run_per_flow(symbol, seed=0):
+    """The flow lines' measurements with one exp_map run per flow, as
+    reference for the battery, which shares runs between them."""
+    cfg = MetricConfig(symbol)
+    rng_flow = np.random.default_rng(seed + 1)
+    c0 = make_curve(random_curve_samples(rng_flow, n=64))
+    h0 = 0.4 * random_field(rng_flow, 64)
+
+    def rel(err, scale):
+        return float(np.max(np.abs(err))) / max(float(np.max(np.abs(scale))), 1e-300)
+
+    path = exp_map(cfg, c0, h0, T=0.5, steps=64, stride=8)
+    rep = conservation_report(path)
+    end = path.frames[-1]
+    returned = exp_map(cfg, end.curve, -end.velocity, T=0.5, steps=64, stride=64)
+    c0r = make_curve(np.roll(c0.samples, 16, axis=0))
+    rolled = exp_map(cfg, c0r, np.roll(h0, 16, axis=0), T=0.5, steps=64, stride=64)
+    smoke = exp_map(cfg, c0, h0, T=0.25, steps=32, stride=32)
+    smoke_spray = exp_map_spray(cfg, c0, h0, T=0.25, steps=32, stride=32)
+    try:
+        bvp_res = geodesic_bvp(cfg, c0, c0, K=4, steps=32, max_iter=5).residual
+    except NoConvergenceError as exc:
+        bvp_res = exc.result.residual
+    return {
+        "flow_energy_drift": rep.energy_drift,
+        "flow_momentum_consistency": rep.momentum_consistency,
+        "flow_time_reversal": rel(returned.endpoint.samples - c0.samples, c0.samples),
+        "flow_rotation_equivariance": rel(
+            rolled.endpoint.samples - np.roll(path.endpoint.samples, 16, axis=0), path.endpoint.samples
+        ),
+        "flow_spray_vs_momentum_endpoint": rel(
+            smoke.endpoint.samples - smoke_spray.endpoint.samples, smoke.endpoint.samples
+        ),
+        "bvp_identical_target": bvp_res,
+    }
+
+
+@pytest.mark.parametrize("symbol", [bessel_fractional(1.5), two_term_fractional(1.5, 1.0, 1.0)],
+                         ids=["bessel", "two_term"])
+def test_flow_lines_measure_what_one_run_per_flow_measures(symbol):
+    results, _ = run_all(symbol, n=64, seed=0)
+    measured = {r.name: r.measured for r in results if r.name.startswith(("flow_", "bvp_"))}
+    assert measured == one_run_per_flow(symbol)

@@ -221,11 +221,13 @@ def test_directional_derivative_vanishes_for_translations():
 
 
 def test_directional_derivative_of_a_translation_is_exactly_zero():
-    # every variation is a derivative of the direction, which vanishes on a constant
-    c = make_curve(random_curve_samples(np.random.default_rng(1), n=64))
-    h = np.tile([0.3, -0.2], (c.n, 1))
-    k = random_field(np.random.default_rng(2), 64)
-    assert np.max(np.abs(operator_directional_derivative(c, h, bessel_fractional(1.5), k))) == 0.0
+    # every variation is a derivative of the direction, which vanishes on a
+    # constant, on the dense grids and on the transform's (n > 128) alike
+    for n in (64, 130, 200):
+        c = make_curve(random_curve_samples(np.random.default_rng(1), n=n))
+        h = np.tile([0.3, -0.2], (c.n, 1))
+        k = random_field(np.random.default_rng(2), n)
+        assert np.max(np.abs(operator_directional_derivative(c, h, bessel_fractional(1.5), k))) == 0.0
 
 
 def test_directional_derivative_scaling_has_closed_form():

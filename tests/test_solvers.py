@@ -508,7 +508,9 @@ def test_each_rk4_stage_makes_24_real_fft_calls_and_no_complex_one(count_calls):
     # lambda-derivative), 2 in momentum_rhs and 1 for the momentum filter.
     # At N = 256 each is an rfft/irfft pair, 24 calls. At N = 64 the 10
     # derivatives and filters are dense products in spectral._multiply_modes
-    # and only the 2 antiderivatives call rfft/irfft.
+    # and only the 2 antiderivatives call rfft/irfft. The runs store no
+    # frames, so the final frame's deep solve, whose stagnation stop moves
+    # with rounding, does not enter the difference.
     count_calls(np.fft, "fft", "ifft", "rfft", "irfft")
     calls = count_calls(spectral, "_multiply_modes")
     cfg = MetricConfig(bessel_fractional(1.5))
@@ -520,7 +522,7 @@ def test_each_rk4_stage_makes_24_real_fft_calls_and_no_complex_one(count_calls):
         real, round_trips = {}, {}
         for steps in (16, 32):
             calls.update(dict.fromkeys(calls, 0))
-            exp_map(cfg, c0, h0, T=1.0, steps=steps, stride=steps)
+            solvers._rk4(cfg, c0, h0, 1.0, steps)
             assert calls["fft"] == calls["ifft"] == 0
             assert calls["rfft"] == calls["irfft"]
             real[steps] = calls["rfft"] + calls["irfft"]

@@ -283,10 +283,10 @@ def test_dense_round_trip_gives_a_batch_member_what_it_gets_alone(n, order, band
             assert np.array_equal(got[i], spectral._multiply_modes(u[i], 0, order, band))
 
 
-@pytest.mark.parametrize("n", [8, 64, 128])
+@pytest.mark.parametrize("n", [8, 64, 128, 130, 256])
 def test_derivative_of_a_constant_is_exactly_zero(n):
-    # the dense grids differentiate u - u[0]; the transform leaves rounding
-    # in the nonzero modes of most constants (about 2e-16 at n = 130)
+    # both paths differentiate u - u[0]; the transform of a constant itself
+    # leaves rounding in the nonzero modes (about 2e-16 at n = 130)
     rng = np.random.default_rng(n)
     for shape, axis in _shapes(n, batch=3):
         u = np.repeat(np.expand_dims(rng.standard_normal(shape[:axis] + shape[axis + 1 :]), axis), n, axis=axis)
