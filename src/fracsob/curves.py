@@ -68,7 +68,8 @@ class Diffeo:
     displacement holds p on the grid, (N,) or a batch (B, N). The inverse
     psi^{-1}(theta) - theta on the same grid is solved only when first asked
     for (single diffeomorphisms only). Construct through make_diffeo (or
-    identity) so the orientation check is done for you.
+    identity) so the orientation check is done for you; make_curve checks
+    its psi from the speed instead.
     """
 
     displacement: np.ndarray
@@ -268,8 +269,10 @@ def make_curve(samples):
     derivative is low-pass filtered with the two-thirds rule before the
     nonlinear speed computation. Raises ImmersionError when the sampled
     speed drops below IMMERSION_RTOL times its maximum (in any member of a
-    batch), its subclass ResolutionError when the arc-length map fails
-    make_diffeo's orientation check, GridError on a bad grid.
+    batch), its subclass ResolutionError when the arc-length map psi is not
+    orientation preserving, GridError on a bad grid. The orientation check
+    reads psi' from the speed (_psi_slope), so it takes no transform;
+    make_diffeo keeps its spectral check for displacements from outside.
     """
     # C order keeps every reduction over the grid axis in the order a
     # single curve gets, whatever the layout of a batch (a broadcast view
@@ -301,12 +304,34 @@ def make_curve(samples):
     # psi - theta integrates only the nonzero modes of |c'|: a ramp left in
     # it at rounding size would break rotation equivariance of A_c
     osc, mean = theta_antiderivative(speed)
-    try:
-        psi = make_diffeo(osc / _per_member(mean))
-    except DomainError as exc:
-        # the displacement is finite here, so this is the orientation check
-        raise ResolutionError(f"the grid does not resolve the speed: {exc}") from exc
+    slope = _psi_slope(speed, mean)
+    if slope.min() <= 0.0:
+        raise ResolutionError(
+            f"the grid does not resolve the speed: diffeomorphism is not orientation preserving: "
+            f"min psi' = {slope.min():.3e}"
+        )
+    psi = Diffeo(osc / _per_member(mean))
     return DiscreteCurve(c, speed, length if c.ndim == 3 else float(length), tangent, psi)
+
+
+@functools.lru_cache(maxsize=16)
+def _alternating(n):
+    """(-1)^k on an n-point grid: the Nyquist mode's samples."""
+    sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    sign.setflags(write=False)
+    return sign
+
+
+def _psi_slope(speed, mean):
+    """psi' = 1 + p' of make_curve's psi, from the speed and its mean; no transform.
+
+    p integrates every mode of |c'|/mean but 0 and the Nyquist mode, so
+    1 + p' is |c'| less its Nyquist part, over the mean. It equals
+    make_diffeo's 1 + spectral_derivative(p) to rounding.
+    """
+    sign = _alternating(speed.shape[-1])
+    nyquist = (speed @ sign) / speed.shape[-1]
+    return (speed - _per_member(nyquist) * sign) / _per_member(mean)
 
 
 def _check_field(c, u, name="field"):

@@ -57,7 +57,7 @@ def apply_flat(symbol, lam, variant, u):
 
 @functools.lru_cache(maxsize=32)
 def _band_modes(top):
-    """Modes 0..top-1, then -1..-(top-1)."""
+    """Modes 0..top-1, then -1..-(top-1): the band a custom table is folded on."""
     m = np.arange(top)
     return np.concatenate([m, -m[1:]])
 
@@ -69,26 +69,30 @@ def _band_multipliers(curve, symbol, variant, top):
     and kept on it, one row per member of a batch: its raw values on the
     band serve identity, inverse, sqrt and sqrt_inverse, and the
     lambda-derivative has its own. The folded multipliers of each
-    (symbol, variant) are kept too. Scalar symbols give real rows. A custom
-    table gives (top, d, d) blocks, one eigh per block for a variant other
-    than identity; it holds arrays and is not hashable, so its entries are
-    keyed by its id and hold the table, which keeps the id from being reused.
+    (symbol, variant) are kept too. A scalar symbol is even in m, bitwise
+    (it reads m through m**2), so it is evaluated on modes 0..top-1 only
+    and its fold is 2 a(m) for m >= 1, real rows. A custom table gives
+    (top, d, d) blocks on modes -(top-1)..top-1, one eigh per block for a
+    variant other than identity; it holds arrays and is not hashable, so
+    its entries are keyed by its id and hold the table, which keeps the id
+    from being reused.
     """
     key = symbol if symbol.is_scalar else id(symbol)
     cache = vars(curve).setdefault("_band_multipliers", {})
     entry = cache.get((key, variant))
     if entry is None:
         lam = curve.length[..., None] if curve.batched else curve.length
+        band = np.arange(top) if symbol.is_scalar else _band_modes(top)
         if variant == "lambda_derivative":
-            vals = _values(symbol, lam, _band_modes(top), derivative=True)
+            vals = _values(symbol, lam, band, derivative=True)
         else:
             raw = vars(curve).setdefault("_band_values", {})
             if key not in raw:
-                raw[key] = (symbol, _values(symbol, lam, _band_modes(top)))
+                raw[key] = (symbol, _values(symbol, lam, band))
             vals = _variant(raw[key][1], variant)
         if symbol.is_scalar:
-            mult = vals[..., :top].copy()
-            mult[..., 1:] += vals[..., top:]
+            mult = 2.0 * vals
+            mult[..., 0] = vals[..., 0]
         else:
             mult = vals[:top].copy()
             mult[1:] += np.conj(vals[top:])
@@ -152,9 +156,11 @@ def solve_conjugated(curve, symbol, u, refine=2, x0=None):
     inverse of the forward operator. Each residual-correction pass
     h <- h + A_c^{-1}(u - A_c h) contracts the defect; the contraction is
     fast on low modes and slows near the two-thirds cutoff, so the loop
-    also stops as soon as the residual stagnates or reaches rounding. x0
-    seeds the iteration when a previous solve for a nearby right-hand side
-    is available. On a batch, every member stops on its own residual.
+    also stops as soon as the residual stagnates or reaches rounding. A
+    member whose last correction raised its residual gets its previous
+    iterate back, the better of the two. x0 seeds the iteration when a
+    previous solve for a nearby right-hand side is available. On a batch,
+    every member stops on its own residual.
     """
     u = np.asarray(u, dtype=float)
     h = apply_conjugated(curve, symbol, "inverse", u) if x0 is None else np.asarray(x0, dtype=float)
@@ -163,17 +169,24 @@ def solve_conjugated(curve, symbol, u, refine=2, x0=None):
     axes = tuple(range(curve.samples.ndim - 2, u.ndim))
     scale = np.max(np.abs(u), axis=axes)
     active = np.ones(scale.shape, dtype=bool)
-    prev = np.inf
+    prev, prev_h = np.inf, h
+
+    def per_member(flags):
+        return flags.reshape(flags.shape + (1,) * len(axes))
+
     for _ in range(refine):
         r = u - apply_conjugated(curve, symbol, "identity", h)
         size = np.max(np.abs(r), axis=axes)
         # a member that stops stays stopped, so prev only matters where active
+        rose = active & (size >= prev)
+        if rose.any():
+            h = np.where(per_member(rose), prev_h, h)
         active = active & (size < prev) & (size > 1e-15 * scale)
         if not active.any():
             break
-        prev = size
+        prev, prev_h = size, h
         step = apply_conjugated(curve, symbol, "inverse", r)
-        h = h + step if active.all() else np.where(active.reshape(active.shape + (1,) * len(axes)), h + step, h)
+        h = h + step if active.all() else np.where(per_member(active), h + step, h)
     return h
 
 

@@ -13,10 +13,11 @@ is the Nyquist mode, whose coefficient irfft reads as real: odd-order
 derivatives and the antiderivative set its factor to zero, dealias zeroes
 every mode m > N//3, and the antiderivative also zeroes mode 0.
 
-On grids of at most 128 points a round trip of derivative or dealias costs
-numpy.fft call overhead, not arithmetic, so there it runs as one product
-with the cached (N, N) real matrix of the same linear map (the spectral
-differentiation matrix). Larger grids take the transforms.
+On grids of at most 128 points a round trip costs numpy.fft call overhead,
+not arithmetic, so there it runs as one product with a cached real matrix
+of the same linear map: (N, N) for derivative and dealias (the spectral
+differentiation matrix), (N + 1, N) for the antiderivative, whose last row
+gives the mean. Larger grids take the transforms.
 """
 
 import functools
@@ -75,6 +76,19 @@ def _antiderivative_factor(n):
 def _mode_matrix(n, order, band):
     """The (n, n) real matrix of the round trip with the factor _mode_factor(n, order, band)."""
     mat = np.fft.irfft(_mode_factor(n, order, band)[:, None] * np.fft.rfft(np.eye(n), axis=0), n, axis=0)
+    mat.setflags(write=False)
+    return mat
+
+
+@functools.lru_cache(maxsize=32)
+def _antiderivative_matrix(n):
+    """The (n + 1, n) real matrix of theta_antiderivative: rows 0..n-1 give P, row n the mean.
+
+    Row 0 of the periodic map is subtracted from every row, so P[0] is
+    exactly 0 and a zero field maps to exactly 0.
+    """
+    osc = np.fft.irfft(_antiderivative_factor(n)[:, None] * np.fft.rfft(np.eye(n), axis=0), n, axis=0)
+    mat = np.vstack([osc - osc[:1], np.full((1, n), 1.0 / n)])
     mat.setflags(write=False)
     return mat
 
@@ -167,12 +181,18 @@ def theta_antiderivative(g):
     Returns (P, mean): P integrates only the nonzero modes of g, so it is
     periodic with P[0] = 0, and the full integral is P + mean*theta. The
     Nyquist mode integrates to zero at every grid node and is dropped.
-    g is a scalar field (n,), or a batch (B, n) with one mean per row.
+    g is a scalar field (n,), or a batch (B, n) with one mean per row. On a
+    grid of at most _DENSE_MAX_N points it is one product per member with
+    _antiderivative_matrix, so a member of a batch gets bitwise what it gets
+    alone.
     """
     g = np.asarray(g, dtype=float)
     if g.ndim not in (1, 2):
         raise ValueError("theta_antiderivative expects a scalar field or a batch of them")
     n = g.shape[-1]
+    if n <= _DENSE_MAX_N:
+        out = np.matmul(_antiderivative_matrix(n), g[..., None])[..., 0]
+        return out[..., :n], (float(out[n]) if g.ndim == 1 else out[:, n])
     coef = np.fft.rfft(g, axis=-1)
     mean = coef[..., 0].real / n
     coef *= _antiderivative_factor(n)

@@ -16,7 +16,6 @@ from fracsob import curves, solvers
 from fracsob.checks import random_curve_samples, random_field
 from fracsob.curves import make_curve
 from fracsob.errors import (
-    DomainError,
     GridError,
     ImmersionError,
     NoConvergenceError,
@@ -237,20 +236,19 @@ def test_a_column_whose_shot_fails_is_retried_with_the_step_negated(monkeypatch)
 
 
 def test_a_column_that_loses_resolution_is_retried_with_the_step_negated(monkeypatch):
-    # make_diffeo's orientation check fails for forward column 3 at its first
+    # make_curve's orientation check fails for forward column 3 at its first
     # stage, as it does for a curve whose speed the grid no longer resolves;
     # make_curve turns that into a failed member, not an aborted match
     n, K = 32, 2
     c0 = make_curve(circle(n))
     target = make_curve(1.1 * circle(n))
-    real_rk4, real_diffeo = solvers._rk4, curves.make_diffeo
+    real_rk4, real_slope = solvers._rk4, curves._psi_slope
     calls, errors_seen = [], []
     trips = iter(())
 
-    def tripping_diffeo(p):
-        if next(trips, False):
-            raise DomainError("diffeomorphism is not orientation preserving: min psi' = -1.0e-02")
-        return real_diffeo(p)
+    def tripping_slope(speed, mean):
+        slope = real_slope(speed, mean)
+        return slope - 1.01 if next(trips, False) else slope
 
     def watching(cfg, starts, h0s, T, steps, stride=None):
         nonlocal trips
@@ -263,13 +261,14 @@ def test_a_column_that_loses_resolution_is_retried_with_the_step_negated(monkeyp
         errors_seen.append(dict(errors))
         return ends, frames, errors
 
-    monkeypatch.setattr(curves, "make_diffeo", tripping_diffeo)
+    monkeypatch.setattr(curves, "_psi_slope", tripping_slope)
     monkeypatch.setattr(solvers, "_rk4", watching)
     with pytest.raises(NoConvergenceError) as err:
         geodesic_bvp(BESSEL, c0, target, K=K, steps=16, T=1.0, max_iter=1, tol_rel=1e-30)
     assert list(errors_seen[0]) == [4]
     assert isinstance(errors_seen[0][4], ResolutionError)
     assert "near t = 0" in str(errors_seen[0][4])
+    assert "not orientation preserving" in str(errors_seen[0][4])
     base, columns, retry = calls[0][0], calls[0][1:], calls[1]
     assert retry.shape == (1, n, 2)
     assert np.max(np.abs(retry[0] - (2.0 * base - columns[3]))) <= 1e-12

@@ -19,7 +19,7 @@ from fracsob.curves import (
     reparametrize,
     write_samples,
 )
-from fracsob.errors import DomainError, GridError, ImmersionError
+from fracsob.errors import DomainError, GridError, ImmersionError, ResolutionError
 from fracsob.spectral import grid, interp_matrix, trig_interp
 
 try:
@@ -240,6 +240,52 @@ def test_make_diffeo_rejects_orientation_reversal():
 def test_make_diffeo_rejects_tiny_grids():
     with pytest.raises(GridError):
         make_diffeo(np.zeros(4))
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_psi_slope_from_the_speed_matches_the_spectral_derivative(n):
+    # make_curve reads psi' off the speed; make_diffeo differentiates p
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        c = make_curve(random_curve_samples(rng, n=n, amplitude=0.10))
+        slope = curves._psi_slope(c.speed, spectral.theta_antiderivative(c.speed)[1])
+        want = 1.0 + spectral.spectral_derivative(c.psi.displacement)
+        assert np.max(np.abs(slope - want)) <= 1e-13
+    batch = make_curve(np.stack([random_curve_samples(rng, n=n, amplitude=0.10) for _ in range(3)]))
+    slope = curves._psi_slope(batch.speed, spectral.theta_antiderivative(batch.speed)[1])
+    want = 1.0 + spectral.spectral_derivative(batch.psi.displacement, axis=-1)
+    assert np.max(np.abs(slope - want)) <= 1e-13
+
+
+def test_an_unresolved_speed_raises_the_resolution_error_of_make_diffeo(monkeypatch):
+    # the circle squeezed along x: the geodesic reaches a curve whose
+    # sampled speed gives an arc-length map that turns back on the grid;
+    # the check from the speed reports it with make_diffeo's message
+    from fracsob import solvers
+    from fracsob.metric import MetricConfig
+    from fracsob.symbols import bessel_fractional
+
+    seen = []
+
+    def recording(samples):
+        seen.append(np.array(samples))
+        return make_curve(samples)
+
+    monkeypatch.setattr(solvers, "make_curve", recording)
+    theta = grid(64)
+    h0 = np.column_stack([-3.0 * np.cos(theta), np.zeros(64)])
+    c0 = make_curve(np.column_stack([np.cos(theta), np.sin(theta)]))
+    with pytest.raises(ResolutionError):
+        solvers.exp_map(MetricConfig(bessel_fractional(1.5)), c0, h0, T=1.0, steps=16, stride=16)
+    samples = seen[-1]
+    speed = np.linalg.norm(spectral._dealiased_derivative(samples), axis=-1)
+    assert speed.min() > curves.IMMERSION_RTOL * speed.max()
+    osc, mean = spectral.theta_antiderivative(speed)
+    with pytest.raises(DomainError) as reference:
+        make_diffeo(osc / mean)
+    with pytest.raises(ResolutionError) as err:
+        make_curve(samples)
+    assert str(err.value) == f"the grid does not resolve the speed: {reference.value}"
 
 
 def test_reparametrize_identity_is_a_no_op():

@@ -202,6 +202,43 @@ def test_solve_conjugated_accepts_a_seed():
     assert err < 1e-5
 
 
+def test_solve_conjugated_keeps_the_better_iterate_when_a_correction_overshoots(monkeypatch):
+    # every correction of member 1 is overshot 50-fold, so its first one
+    # raises the residual: that member gets its first iterate back, while
+    # member 0 keeps refining as it would alone
+    rng = np.random.default_rng(3)
+    batch = make_curve(np.stack([random_curve_samples(rng, n=64, amplitude=0.10) for _ in range(2)]))
+    sym = bessel_fractional(1.5)
+    mu = apply_conjugated(batch, sym, "identity", np.stack([random_field(rng, 64) for _ in range(2)]))
+    alone = solve_conjugated(batch.member(0), sym, mu[0])
+    first = apply_conjugated(batch, sym, "inverse", mu)
+    real_apply = operators.apply_conjugated
+    inverses = []
+
+    def overshooting(curve, symbol, variant, u):
+        out = real_apply(curve, symbol, variant, u)
+        if variant == "inverse":
+            inverses.append(1)
+            if len(inverses) > 1:  # a correction, not the first iterate
+                out[1] *= 50.0
+        return out
+
+    monkeypatch.setattr(operators, "apply_conjugated", overshooting)
+    h = solve_conjugated(batch, sym, mu)
+    monkeypatch.undo()
+    assert len(inverses) == 3
+    assert np.array_equal(h[1], first[1])
+    assert np.array_equal(h[0], alone)
+    # the overshot iterate has the larger residual
+    member = batch.member(1)
+
+    def residual(h1):
+        return np.max(np.abs(apply_conjugated(member, sym, "identity", h1) - mu[1]))
+
+    correction = apply_conjugated(member, sym, "inverse", mu[1] - apply_conjugated(member, sym, "identity", first[1]))
+    assert residual(h[1]) < residual(first[1] + 50.0 * correction)
+
+
 def test_grid_mismatch_rejected():
     c = bent_curve(64)
     sym = bessel_fractional(1.0)
@@ -287,6 +324,42 @@ def test_band_multipliers_are_evaluated_once_per_curve_and_variant(monkeypatch):
     fresh = bent_curve()
     assert np.array_equal(apply_conjugated(fresh, sym, "identity", u), first)
     assert len(calls) == 2
+
+
+def folded_band_multipliers(curve, symbol, variant, top):
+    """The fold over the whole band: a(0), then a(m) + a(-m), from values on modes -(top-1)..top-1."""
+    lam = curve.length[..., None] if curve.batched else curve.length
+    band = np.concatenate([np.arange(top), -np.arange(1, top)])
+    vals = symbols._values(symbol, lam, band, derivative=variant == "lambda_derivative")
+    if variant != "lambda_derivative":
+        vals = symbols._variant(vals, variant)
+    mult = vals[..., :top].copy()
+    mult[..., 1:] += vals[..., top:]
+    return mult
+
+
+SCALAR_FAMILIES = [
+    constant_coefficient((1.0, 0.5, 0.25)),
+    scale_invariant((1.0, 0.5)),
+    bessel_fractional(1.5),
+    two_term_fractional(0.75, 1.0, 0.5),
+]
+
+
+@pytest.mark.parametrize("sym", SCALAR_FAMILIES, ids=lambda s: s.family)
+def test_scalar_band_multipliers_equal_the_fold_over_plus_and_minus_m(sym):
+    # scalar families are even in m, so 2 a(m) on modes 0..N/3 is bitwise
+    # the fold a(m) + a(-m) over the whole band
+    rng = np.random.default_rng(7)
+    single = bent_curve()
+    batch = make_curve(np.stack([random_curve_samples(rng, n=64, amplitude=0.10) for _ in range(3)]))
+    top = single.n // 3 + 1
+    for c in (single, batch):
+        for variant in VARIANTS:
+            got = operators._band_multipliers(c, sym, variant, top)
+            want = folded_band_multipliers(c, sym, variant, top)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want), (variant, c.batched)
 
 
 def test_custom_table_band_multipliers_are_computed_once_per_curve_and_variant(count_calls):
@@ -461,19 +534,22 @@ def test_directional_derivative_of_a_batch_matches_its_members():
 def test_directional_derivative_makes_three_real_transforms(count_calls):
     # one filtered derivative of h and one antiderivative give every
     # variation, and the output takes one dealias. At N = 256 each is one
-    # rfft; at N = 64 the derivative and the dealias are dense products in
-    # spectral._multiply_modes and only the antiderivative calls rfft.
+    # rfft; at N = 64 all three are cached dense products, the derivative
+    # and the dealias in spectral._multiply_modes and the antiderivative in
+    # spectral.theta_antiderivative, and none calls rfft.
     count_calls(np.fft, "rfft")
     calls = count_calls(spectral, "_multiply_modes")
+    count_calls(curves, "theta_antiderivative")
     for n in (64, 256):
         c = bent_curve(n)
         h = np.column_stack([np.sin(2 * c.theta), 0.5 * np.cos(c.theta)])
         operator_directional_derivative(c, h, bessel_fractional(1.5), h)  # build the band basis and caches
         calls.update(dict.fromkeys(calls, 0))
         operator_directional_derivative(c, h, bessel_fractional(1.5), h)
+        assert calls["theta_antiderivative"] == 1
         if n == 64:
-            assert calls["_multiply_modes"] + calls["rfft"] == 3
-            assert calls["rfft"] == 1
+            assert calls["_multiply_modes"] + calls["theta_antiderivative"] == 3
+            assert calls["rfft"] == 0
         else:
             assert calls["rfft"] == 3
 

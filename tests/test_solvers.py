@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fracsob import solvers, spectral
+from fracsob import curves, solvers, spectral
 from fracsob.checks import random_curve_samples, random_field
 from fracsob.curves import make_curve
 from fracsob.errors import (
@@ -502,17 +502,22 @@ def test_path_to_svg_draws_each_frame(circle64):
     assert thinned.count("<polyline") == 3
 
 
-def test_each_rk4_stage_makes_24_real_fft_calls_and_no_complex_one(count_calls):
-    # a stage makes 12 real round trips: 3 in make_curve, one filter per
-    # operator application (3 + 2 from the refined solve, 1 for the
-    # lambda-derivative), 2 in momentum_rhs and 1 for the momentum filter.
-    # At N = 256 each is an rfft/irfft pair, 24 calls. At N = 64 the 10
-    # derivatives and filters are dense products in spectral._multiply_modes
-    # and only the 2 antiderivatives call rfft/irfft. The runs store no
-    # frames, so the final frame's deep solve, whose stagnation stop moves
-    # with rounding, does not enter the difference.
+def test_each_rk4_stage_makes_no_fft_call_at_64_points_and_22_real_ones_at_256(count_calls):
+    # a stage makes 11 real round trips: 2 in make_curve (the filtered
+    # derivative and the antiderivative; psi's orientation is read off the
+    # speed), one filter per operator application (3 + 2 from the refined
+    # solve, 1 for the lambda-derivative), 2 in momentum_rhs and 1 for the
+    # momentum filter. At N = 256 each is an rfft/irfft pair, 22 calls. At
+    # N = 64 all are cached dense products: the 9 derivatives and filters in
+    # spectral._multiply_modes and the 2 antiderivatives in
+    # spectral.theta_antiderivative, so no numpy.fft call is made. The runs
+    # store no frames, so the final frame's deep solve, whose stagnation
+    # stop moves with rounding, does not enter the difference.
     count_calls(np.fft, "fft", "ifft", "rfft", "irfft")
     calls = count_calls(spectral, "_multiply_modes")
+    # make_curve and momentum_rhs hold theta_antiderivative by name
+    count_calls(curves, "theta_antiderivative")
+    count_calls(importlib.import_module("fracsob.metric"), "theta_antiderivative")
     cfg = MetricConfig(bessel_fractional(1.5))
     for n in (64, 256):
         rng = np.random.default_rng(0)
@@ -526,9 +531,11 @@ def test_each_rk4_stage_makes_24_real_fft_calls_and_no_complex_one(count_calls):
             assert calls["fft"] == calls["ifft"] == 0
             assert calls["rfft"] == calls["irfft"]
             real[steps] = calls["rfft"] + calls["irfft"]
-            round_trips[steps] = calls["_multiply_modes"] + calls["rfft"]
+            round_trips[steps] = (calls["_multiply_modes"], calls["theta_antiderivative"])
+        multiplies, antiderivatives = np.subtract(round_trips[32], round_trips[16])
+        assert antiderivatives == 64 * 2
         if n == 64:
-            assert round_trips[32] - round_trips[16] == 64 * 12
-            assert real[32] - real[16] == 64 * 4
+            assert real[16] == real[32] == 0
+            assert multiplies == 64 * 9
         else:
-            assert real[32] - real[16] == 64 * 24
+            assert real[32] - real[16] == 64 * 22

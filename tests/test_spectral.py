@@ -189,14 +189,44 @@ def rebuilt_factor_antiderivative(g):
 
 @pytest.mark.parametrize("shape", ANTIDERIVATIVE_SHAPES)
 def test_theta_antiderivative_with_a_cached_divisor_is_bitwise_unchanged(shape):
+    # grids above 128 points keep the transform, bitwise; smaller grids take
+    # the cached dense matrix of the same map, which reorders the rounding:
+    # on these draws the periodic parts differ by at most 6.1e-16 of max|P|,
+    # the means by at most 3.1e-16 relative
     g = 1.5 + np.random.default_rng(shape[-1]).standard_normal(shape)
     periodic, mean = theta_antiderivative(g)
     want_periodic, want_mean = rebuilt_factor_antiderivative(g)
-    assert np.array_equal(periodic, want_periodic)
-    assert np.array_equal(mean, want_mean)
+    if shape[-1] > spectral._DENSE_MAX_N:
+        assert np.array_equal(periodic, want_periodic)
+        assert np.array_equal(mean, want_mean)
+    else:
+        assert np.max(np.abs(periodic - want_periodic)) <= 2.4e-15 * np.max(np.abs(want_periodic))
+        assert np.max(np.abs(np.asarray(mean) - want_mean)) <= 3.3e-16 * np.max(np.abs(want_mean))
     assert type(mean) is type(want_mean)
-    # a second call reads the same cached factor
+    # a second call reads the same cached factor or matrix
     assert np.array_equal(theta_antiderivative(g)[0], periodic)
+
+
+@pytest.mark.parametrize("n", [9, 64, 128])
+def test_dense_antiderivative_maps_zero_to_exactly_zero(n):
+    mat = spectral._antiderivative_matrix(n)
+    assert mat.shape == (n + 1, n) and not mat.flags.writeable
+    assert spectral._antiderivative_matrix(n) is mat
+    for shape in [(n,), (3, n)]:
+        periodic, mean = theta_antiderivative(np.zeros(shape))
+        assert not np.any(periodic) and not np.any(mean)
+    # and P[0] is exactly 0 on any field
+    assert not np.any(theta_antiderivative(np.random.default_rng(n).standard_normal((3, n)))[0][:, 0])
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_dense_antiderivative_gives_a_batch_member_what_it_gets_alone(n):
+    g = 1.5 + np.random.default_rng(n).standard_normal((11, n))
+    periodic, mean = theta_antiderivative(g)
+    for i in range(len(g)):
+        alone_periodic, alone_mean = theta_antiderivative(g[i])
+        assert np.array_equal(periodic[i], alone_periodic)
+        assert mean[i] == alone_mean
 
 
 @pytest.mark.parametrize("shape", ANTIDERIVATIVE_SHAPES)
@@ -219,9 +249,10 @@ def test_theta_antiderivative_is_exact_on_trigonometric_polynomials(shape):
 
 @pytest.mark.parametrize("shape", ANTIDERIVATIVE_SHAPES)
 def test_theta_antiderivative_matches_the_complex_transform_to_rounding(shape):
-    # the real transform reorders the rounding of the complex one: on these
-    # draws the periodic parts differ by at most 5.6e-16 (|P| <= 0.91), the
-    # means by at most one ulp
+    # the real transform (n > 128) and the dense product (n <= 128) reorder
+    # the rounding of the complex transform: on these draws the periodic
+    # parts differ by at most 5.0e-16 (|P| <= 1.05), the means by at most
+    # one ulp
     g = 1.5 + np.random.default_rng(shape[-1]).standard_normal(shape)
     periodic, mean = theta_antiderivative(g)
     want_periodic, want_mean = complex_fft_antiderivative(g)
