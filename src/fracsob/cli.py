@@ -13,8 +13,9 @@ Configuration is a JSON file with blocks
 
 Every block is optional; flags override config values, and the environment
 variable FRACSOB_SEED overrides the configured seed (flags beat both).
+Each subcommand takes only the flags it reads (_COMMAND_FLAGS).
 
-Exit codes: 0 success, 1 configuration or parse errors, 2 solver failures,
+Exit codes: 0 success, 1 configuration or usage errors, 2 solver failures,
 3 invariant-suite failures.
 """
 
@@ -154,14 +155,13 @@ def load_config(path=None, overrides=None, require_admissible=True):
 
     data = copy.deepcopy(DEFAULT_CONFIG)
     metric_block = {}
-    if "metric" in user:
-        if not isinstance(user["metric"], dict):
-            raise ConfigError("key metric must be a JSON object")
-        metric_block.update(user["metric"])
     for block, value in user.items():
+        # grid may be a bare N; these blocks must be objects
+        if block in ("metric", "solver", "io") and not isinstance(value, dict):
+            raise ConfigError(f"key {block} must be a JSON object")
         if block == "metric":
-            continue
-        if isinstance(value, dict) and isinstance(data.get(block), dict):
+            metric_block.update(value)
+        elif isinstance(value, dict) and isinstance(data.get(block), dict):
             data[block].update(value)
         else:
             data[block] = value
@@ -192,8 +192,7 @@ def load_config(path=None, overrides=None, require_admissible=True):
     if n is not None and (n < 8 or n % 2):
         raise ConfigError(f"key grid.N must be even and at least 8, got {n}")
 
-    solver = dict(DEFAULT_CONFIG["solver"])
-    solver.update(data.get("solver") or {})
+    solver = data["solver"]
     for key in ("T", "tol_rel", "damping"):
         solver[key] = _expect(solver, key, float, "solver", required=True)
         if solver[key] <= 0:
@@ -203,8 +202,7 @@ def load_config(path=None, overrides=None, require_admissible=True):
         if solver[key] < 0 or (key in ("steps", "stride") and solver[key] < 1):
             raise ConfigError(f"key solver.{key} must be positive, got {solver[key]}")
 
-    io_block = dict(DEFAULT_CONFIG["io"])
-    io_block.update(data.get("io") or {})
+    io_block = data["io"]
     formats = io_block.get("formats")
     if not isinstance(formats, (list, tuple)) or any(
         f not in ("csv", "json", "svg") for f in formats
@@ -221,7 +219,7 @@ def load_config(path=None, overrides=None, require_admissible=True):
 
     seed = _expect(data, "seed", int, "", default=0)
     return RunConfig(symbol=symbol, metric=metric_cfg, n=n, solver=solver,
-                     io=dict(io_block), seed=seed)
+                     io=io_block, seed=seed)
 
 
 def _load_curve_file(path, expected=None, label="curve"):
@@ -269,7 +267,7 @@ def _write_path_artifacts(path_obj, cfg, stem):
 
 
 def cmd_exp(args):
-    cfg = load_config(args.config, _solver_overrides(args))
+    cfg = load_config(args.config, _overrides(args))
     c0 = _curve_from_file(args.curve)
     h0 = _load_curve_file(args.velocity, expected=c0.samples.shape, label="velocity")
     path = exp_map(
@@ -285,7 +283,7 @@ def cmd_exp(args):
 
 
 def cmd_match(args):
-    cfg = load_config(args.config, _solver_overrides(args))
+    cfg = load_config(args.config, _overrides(args))
     c0 = _curve_from_file(args.source, label="source")
     c1 = _curve_from_file(args.target, expected=c0.samples.shape, label="target")
     try:
@@ -325,7 +323,7 @@ def cmd_match(args):
 
 
 def cmd_check(args):
-    cfg = load_config(args.config, _solver_overrides(args), require_admissible=False)
+    cfg = load_config(args.config, _overrides(args), require_admissible=False)
     # an explicit --N (or config grid.N) overrides; otherwise the battery
     # runs on the fine grid its tightest operator tolerances need
     n = 256 if cfg.n is None else cfg.n
@@ -341,7 +339,7 @@ def cmd_check(args):
 
 
 def cmd_symbols(args):
-    cfg = load_config(args.config, _solver_overrides(args), require_admissible=False)
+    cfg = load_config(args.config, _overrides(args), require_admissible=False)
     lo, hi = args.lambda_range
     report = class_report(cfg.symbol, (lo, hi), m_max=args.m_max)
     lambdas = np.linspace(lo, hi, 5)
@@ -369,42 +367,53 @@ def cmd_symbols(args):
     return 0
 
 
-def _solver_overrides(args):
-    pairs = {
-        "metric.family": getattr(args, "family", None),
-        "metric.r": getattr(args, "r", None),
-        "metric.alphas": getattr(args, "alphas", None),
-        "grid.N": getattr(args, "N", None),
-        "solver.T": getattr(args, "T", None),
-        "solver.steps": getattr(args, "steps", None),
-        "solver.stride": getattr(args, "stride", None),
-        "solver.K": getattr(args, "K", None),
-        "solver.max_iter": getattr(args, "max_iter", None),
-        "solver.tol_rel": getattr(args, "tol_rel", None),
-        "io.out_dir": getattr(args, "out", None),
-        "seed": getattr(args, "seed", None),
-    }
-    return {k: v for k, v in pairs.items() if v is not None}
+#: the override flags as add_argument keywords; each value lands on its config key (dest)
+_FLAGS = {
+    "--family": dict(dest="metric.family", help="metric family name"),
+    "--r": dict(dest="metric.r", type=float, help="fractional order r"),
+    "--alphas": dict(dest="metric.alphas", type=float, nargs="+", help="family coefficients"),
+    "--seed": dict(dest="seed", type=int, help="seed for randomized checks"),
+    "--N": dict(dest="grid.N", type=int, help="grid size"),
+    "--T": dict(dest="solver.T", type=float, help="integration time"),
+    "--steps": dict(dest="solver.steps", type=int, help="RK4 step count"),
+    "--stride": dict(dest="solver.stride", type=int, help="frame storage stride"),
+    "--K": dict(dest="solver.K", type=int, help="shooting mode truncation"),
+    "--max-iter": dict(dest="solver.max_iter", type=int, help="shooting iteration cap"),
+    "--tol-rel": dict(dest="solver.tol_rel", type=float, help="shooting relative tolerance"),
+    "--out": dict(dest="io.out_dir", help="output directory"),
+}
+
+#: the override flags each subcommand reads, beyond the metric and the seed
+_COMMAND_FLAGS = {
+    "exp": ("--T", "--steps", "--stride", "--out"),
+    "match": ("--T", "--steps", "--K", "--max-iter", "--tol-rel", "--out"),
+    "check": ("--N",),
+    "symbols": (),
+}
 
 
-def _add_common(parser):
+def _overrides(args):
+    return {spec["dest"]: getattr(args, spec["dest"], None) for spec in _FLAGS.values()}
+
+
+def _add_overrides(parser, command, func):
+    """The subcommand's handler, --config and override flags."""
+    parser.set_defaults(func=func)
     parser.add_argument("--config", help="JSON configuration file")
-    parser.add_argument("--family", help="metric family name")
-    parser.add_argument("--r", type=float, help="fractional order r")
-    parser.add_argument("--alphas", type=float, nargs="+", help="family coefficients")
-    parser.add_argument("--N", type=int, help="grid size")
-    parser.add_argument("--T", type=float, help="integration time")
-    parser.add_argument("--steps", type=int, help="RK4 step count")
-    parser.add_argument("--stride", type=int, help="frame storage stride")
-    parser.add_argument("--K", type=int, help="shooting mode truncation")
-    parser.add_argument("--max-iter", dest="max_iter", type=int, help="shooting iteration cap")
-    parser.add_argument("--tol-rel", dest="tol_rel", type=float, help="shooting relative tolerance")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--seed", type=int, help="seed for randomized checks")
+    for flag in ("--family", "--r", "--alphas", "--seed") + _COMMAND_FLAGS[command]:
+        parser.add_argument(flag, metavar=flag[2:].upper().replace("-", "_"), **_FLAGS[flag])
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are ConfigErrors, exit code 1; argparse's own 2 means a solver failure here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(f"{self.prog}: {message}")
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fracsob",
         description="Geodesics of reparametrization-invariant Sobolev metrics on closed curves",
     )
@@ -413,22 +422,19 @@ def build_parser():
     p_exp = sub.add_parser("exp", help="integrate a geodesic from a curve and velocity")
     p_exp.add_argument("--curve", required=True, help="initial curve JSON file")
     p_exp.add_argument("--velocity", required=True, help="initial velocity JSON file")
-    _add_common(p_exp)
-    p_exp.set_defaults(func=cmd_exp)
+    _add_overrides(p_exp, "exp", cmd_exp)
 
     p_match = sub.add_parser("match", help="shoot for the geodesic between two curves")
     p_match.add_argument("--source", required=True, help="source curve JSON file")
     p_match.add_argument("--target", required=True, help="target curve JSON file")
-    _add_common(p_match)
-    p_match.set_defaults(func=cmd_match)
+    _add_overrides(p_match, "match", cmd_match)
 
     p_check = sub.add_parser("check", help="run the invariant battery")
     p_check.add_argument("--dump-spray", action="store_true",
                          help="include the spray term breakdown in JSON output")
     p_check.add_argument("--json", dest="json_out", help="write the report JSON here")
     p_check.add_argument("--no-flow", action="store_true", help="skip the flow checks")
-    _add_common(p_check)
-    p_check.set_defaults(func=cmd_check)
+    _add_overrides(p_check, "check", cmd_check)
 
     p_sym = sub.add_parser("symbols", help="dump symbol tables and the class report")
     p_sym.add_argument("--lambda-range", dest="lambda_range", type=float, nargs=2,
@@ -437,15 +443,13 @@ def build_parser():
                        help="mode range for the class report")
     p_sym.add_argument("--modes", type=int, default=16, help="mode table half-width")
     p_sym.add_argument("--json", dest="json_out", help="write the dump here instead of stdout")
-    _add_common(p_sym)
-    p_sym.set_defaults(func=cmd_symbols)
+    _add_overrides(p_sym, "symbols", cmd_symbols)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -67,9 +67,9 @@ class Diffeo:
 
     displacement holds p on the grid, (N,) or a batch (B, N). The inverse
     psi^{-1}(theta) - theta on the same grid is solved only when first asked
-    for (single diffeomorphisms only). Construct through make_diffeo (or
-    identity) so the orientation check is done for you; make_curve checks
-    its psi from the speed instead.
+    for, and only for a single diffeomorphism (a batch raises GridError).
+    Construct through make_diffeo (or identity) so the orientation check is
+    done for you; make_curve checks its psi from the speed instead.
     """
 
     displacement: np.ndarray
@@ -89,6 +89,8 @@ class Diffeo:
     @functools.cached_property
     def inverse_displacement(self):
         """psi^{-1}(theta_k) - theta_k, solved by _invert_monotone on first use."""
+        if self.displacement.ndim != 1:
+            raise GridError("psi^{-1} is solved for a single diffeomorphism, not a batch")
         return _freeze(_invert_monotone(self.displacement) - grid(self.n))
 
     @functools.cached_property
@@ -378,8 +380,9 @@ def reparametrize(u, psi):
     band-limited u.
     """
     u = np.asarray(u, dtype=float)
-    if u.shape[0] != psi.n:
-        raise GridError(f"field of length {u.shape[0]} does not match the diffeomorphism grid {psi.n}")
+    if psi.displacement.shape != u.shape[:1]:
+        raise GridError(f"a field of shape {u.shape} needs a single diffeomorphism on its grid, "
+                        f"got displacements of shape {psi.displacement.shape}")
     if psi.is_identity:
         return u.copy()
     return trig_interp(u, psi.forward_points)

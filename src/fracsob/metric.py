@@ -274,7 +274,7 @@ def path_energy(cfg, path):
 
     Velocities stored on the frames are used when present; otherwise c_t is
     recovered by second-order differences of the frame samples (one-sided at
-    the ends).
+    the ends), or by the first-order difference when there are 2 frames.
     """
     frames = path.frames
     if len(frames) < 2:
@@ -282,7 +282,7 @@ def path_energy(cfg, path):
     times = np.array([f.t for f in frames])
     if any(f.velocity is None for f in frames):
         stack = np.stack([f.curve.samples for f in frames])
-        vels = np.gradient(stack, times, axis=0, edge_order=2)
+        vels = np.gradient(stack, times, axis=0, edge_order=2 if len(frames) > 2 else 1)
         velocities = [vels[i] for i in range(len(frames))]
     else:
         velocities = [f.velocity for f in frames]

@@ -147,7 +147,7 @@ def apply_conjugated(curve, symbol, variant, u):
     return out if vector else out[..., 0]
 
 
-def solve_conjugated(curve, symbol, u, refine=2, x0=None):
+def solve_conjugated(curve, symbol, u, refine=2):
     """Solve A_c h = u for h; the production inverse of the conjugated operator.
 
     The quadrature is not an exact roundtrip on the band (its Gram matrix
@@ -158,12 +158,11 @@ def solve_conjugated(curve, symbol, u, refine=2, x0=None):
     fast on low modes and slows near the two-thirds cutoff, so the loop
     also stops as soon as the residual stagnates or reaches rounding. A
     member whose last correction raised its residual gets its previous
-    iterate back, the better of the two. x0 seeds the iteration when a
-    previous solve for a nearby right-hand side is available. On a batch,
-    every member stops on its own residual.
+    iterate back, the better of the two. On a batch, every member stops on
+    its own residual.
     """
     u = np.asarray(u, dtype=float)
-    h = apply_conjugated(curve, symbol, "inverse", u) if x0 is None else np.asarray(x0, dtype=float)
+    h = apply_conjugated(curve, symbol, "inverse", u)
     if refine <= 0:
         return h
     axes = tuple(range(curve.samples.ndim - 2, u.ndim))

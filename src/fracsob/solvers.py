@@ -149,11 +149,9 @@ class _Form:
 
 
 def _momentum_velocity(cfg, c, mu, final=False):
-    h = solve_conjugated(c, cfg.symbol, mu)
-    if final:
-        # time reversal from the endpoint needs this deeper solve
-        h = solve_conjugated(c, cfg.symbol, mu, refine=16, x0=h)
-    return h
+    """c_t = A_c^{-1} mu: 2 refinement passes in a stage; with final=True one
+    solve of 18 passes, the depth time reversal from t = T needs."""
+    return solve_conjugated(c, cfg.symbol, mu, refine=18 if final else 2)
 
 
 def _momentum_rate(cfg, c, h, mu):
@@ -471,23 +469,23 @@ def geodesic_bvp(
     def fd_deltas(x):
         return fd_step * np.maximum(1.0, np.abs(x))
 
-    def shoot_with_columns(x):
-        """The shot at x and the forward-difference columns at x, in one batch."""
-        (r, *cols), _ = shoot(np.vstack([x, x + np.diag(fd_deltas(x))]))
-        return r, cols
+    def evaluate(x, columns):
+        """(r, cols, frames) at x: with columns, the shot at x and its
+        forward-difference columns in one batch, frames None; without,
+        the shot at x alone with its frames, cols None."""
+        if columns:
+            (r, *cols), _ = shoot(np.vstack([x, x + np.diag(fd_deltas(x))]))
+            return r, cols, None
+        [r], [frames] = shoot(x[None], out_stride)
+        return r, None, frames
 
     coef0, *_ = np.linalg.lstsq(basis, (c1.samples - c0.samples) / T, rcond=None)
     x = coef0.ravel()
     iterations = 0
     # the initial shot carries the first iteration's columns, unless no
     # iteration may run or the target is within tolerance of c0, where
-    # that shot is the answer; a shot alone keeps its frames
-    if max_iter > 0 and _l2_norm(c1.samples - c0.samples, n) > tol_abs:
-        r, cols = shoot_with_columns(x)
-        frames = None
-    else:
-        [r], [frames] = shoot(x[None], out_stride)
-        cols = None
+    # that shot is the answer
+    r, cols, frames = evaluate(x, max_iter > 0 and _l2_norm(c1.samples - c0.samples, n) > tol_abs)
     if r is None:
         raise ImmersionError("the initial shot already leaves the immersion set")
     # frames are kept for the current x and the best x only
@@ -518,7 +516,7 @@ def geodesic_bvp(
         accepted = False
         # the first trial shot carries the next iteration's columns, unless
         # there is no next iteration or the linear model expects it to
-        # converge; a trial shot alone keeps its frames
+        # converge
         speculate = iterations < max_iter
         for _ in range(12):
             try:
@@ -527,12 +525,7 @@ def geodesic_bvp(
                 lam *= 10.0
                 continue
             x_t = x + dx
-            if speculate and np.linalg.norm(r + jac @ dx) > tol_abs:
-                r_new, cols_t = shoot_with_columns(x_t)
-                frames_t = None
-            else:
-                [r_new], [frames_t] = shoot(x_t[None], out_stride)
-                cols_t = None
+            r_new, cols_t, frames_t = evaluate(x_t, speculate and np.linalg.norm(r + jac @ dx) > tol_abs)
             speculate = False
             if r_new is not None and np.linalg.norm(r_new) < np.linalg.norm(r):
                 x, r, frames, cols = x_t, r_new, frames_t, cols_t

@@ -1,12 +1,14 @@
 """End-to-end tests for the fracsob command line interface."""
 
+import argparse
 import json
 import os
 
 import numpy as np
 import pytest
 
-from fracsob.cli import load_config, main
+from fracsob import cli
+from fracsob.cli import build_parser, load_config, main
 from fracsob.curves import write_samples
 from fracsob.errors import ConfigError
 from fracsob.spectral import grid
@@ -263,3 +265,64 @@ def test_match_result_records_shots_and_integrations(tmp_path, capsys):
     assert payload["iterations"] == 1
     assert payload["shots"] == (1 + 10) + 1
     assert payload["integrations"] == 2
+
+
+COMMON_FLAGS = {"-h", "--help", "--config", "--family", "--r", "--alphas", "--seed"}
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    [action] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {name: {s for a in p._actions for s in a.option_strings} - COMMON_FLAGS
+             for name, p in action.choices.items()}
+    assert flags == {
+        "exp": {"--curve", "--velocity", "--T", "--steps", "--stride", "--out"},
+        "match": {"--source", "--target", "--T", "--steps", "--K", "--max-iter", "--tol-rel", "--out"},
+        "check": {"--dump-spray", "--json", "--no-flow", "--N"},
+        "symbols": {"--lambda-range", "--m-max", "--modes", "--json"},
+    }
+
+
+def test_override_flags_land_on_their_config_keys(tmp_path):
+    args = build_parser().parse_args(
+        ["match", "--source", "s", "--target", "t", "--family", "two_term_fractional", "--r", "1.25",
+         "--alphas", "1", "2", "--seed", "7", "--T", "0.5", "--steps", "32", "--K", "3",
+         "--max-iter", "4", "--tol-rel", "1e-3", "--out", str(tmp_path)]
+    )
+    cfg = load_config(None, cli._overrides(args))
+    assert (cfg.symbol.family, cfg.symbol.order, cfg.seed) == ("two_term_fractional", 1.25, 7)
+    assert {k: cfg.solver[k] for k in ("T", "steps", "K", "max_iter", "tol_rel")} == {
+        "T": 0.5, "steps": 32, "K": 3, "max_iter": 4, "tol_rel": 1e-3}
+    assert cfg.io["out_dir"] == str(tmp_path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--steps", "10"],
+    ["match", "--source", "s.json", "--target", "t.json", "--stride", "4"],
+    ["exp", "--curve", "c.json", "--velocity", "v.json", "--N", "64"],
+    ["symbols", "--out", "d"],
+    ["check", "--bogus"],
+])
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_missing_required_flag_exits_1_and_help_exits_0(capsys):
+    assert main(["exp", "--curve", "x.json"]) == 1
+    assert "--velocity" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--help"])
+    assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("config", [{"solver": 5}, {"io": ["csv"]}, {"metric": "bessel"}])
+def test_a_block_that_is_not_an_object_is_a_config_error(tmp_path, capsys, config):
+    [key] = config
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    with pytest.raises(ConfigError, match=f"key {key} must be a JSON object"):
+        load_config(str(path), {"solver.steps": 10})
+    assert main(["check", "--no-flow", "--config", str(path)]) == 1
+    assert f"key {key}" in capsys.readouterr().err

@@ -171,6 +171,16 @@ def test_diffeo_solves_its_inverse_once_and_the_inverse_shares_it(monkeypatch):
         psi.inverse_displacement[0] = 0.0
 
 
+@pytest.mark.parametrize("b, n", [(3, 64), (8, 8)])
+def test_a_batch_of_diffeomorphisms_refuses_the_inverse_and_reparametrize(b, n):
+    theta = grid(n)
+    psi = make_diffeo(np.stack([0.1 * (i + 1) / b * np.sin(theta) for i in range(b)]))
+    for ask in (lambda: psi.inverse_displacement, lambda: psi.inverse_points, psi.inverse,
+                lambda: reparametrize(np.cos(theta), psi)):
+        with pytest.raises(GridError, match="single diffeomorphism"):
+            ask()
+
+
 def long_double_band_basis(displacement):
     """[Re E, -Im E] of E_km = e^(i m psi(theta_k)) in long double, from the exact integer grid phase."""
     n = displacement.shape[-1]

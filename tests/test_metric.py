@@ -295,6 +295,15 @@ def test_path_energy_differentiates_when_velocities_are_missing(circle64):
     assert path_energy(cfg, path) == pytest.approx(expected, rel=1e-8)
 
 
+def test_path_energy_of_two_frames_without_velocities(circle64):
+    # the first-order difference of a straight translation is exact
+    cfg = MetricConfig(bessel_fractional(1.5, alpha0=2.0))
+    u = np.array([0.25, -0.1])
+    frames = tuple(Frame(t, make_curve(circle64 + t * u), None, None) for t in (0.0, 0.5))
+    expected = 0.5 * 0.5 * 2.0 * float(u @ u) * make_curve(circle64).length
+    assert path_energy(cfg, GeodesicPath(frames, cfg)) == pytest.approx(expected, rel=1e-10)
+
+
 def test_mean_residual_warning_fires_on_coarse_grids(rng):
     cfg = MetricConfig(bessel_fractional(1.5))
     c = make_curve(random_curve_samples(rng, n=16, modes=5, amplitude=0.25))

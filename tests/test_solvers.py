@@ -73,19 +73,19 @@ def test_exp_map_evaluates_momentum_rhs_only_in_rk4_stages(monkeypatch):
 
 
 def test_exp_map_deep_solves_only_the_final_frame(monkeypatch):
-    # four stage solves per step, then the final frame's solve and its
-    # deep refinement; the stored interior frames add none at any stride
+    # four stage solves per step, then the final frame's one deep solve;
+    # the stored interior frames add none at any stride
     c0, h0 = flow_setup(np.random.default_rng(3))
     for stride in (1, 4, MIN_STEPS):
         calls = []
 
         def counting(*args, **kwargs):
-            calls.append(1)
+            calls.append(kwargs.get("refine"))
             return solve_conjugated(*args, **kwargs)
 
         monkeypatch.setattr(solvers, "solve_conjugated", counting)
         path = exp_map(BESSEL, c0, h0, T=0.5, steps=MIN_STEPS, stride=stride)
-        assert len(calls) == 4 * MIN_STEPS + 2
+        assert calls == [2] * (4 * MIN_STEPS) + [18]
         assert len(path.frames) == MIN_STEPS // stride + 1
 
 
