@@ -20,6 +20,7 @@ Exit codes: 0 success, 1 configuration or usage errors, 2 solver failures,
 """
 
 import argparse
+import contextlib
 import copy
 import json
 import os
@@ -32,14 +33,7 @@ from . import checks
 from .curves import make_curve, read_samples
 from .errors import ConfigError, FracsobError, NoConvergenceError
 from .metric import MetricConfig
-from .solvers import (
-    conservation_report,
-    exp_map,
-    geodesic_bvp,
-    path_to_csv,
-    path_to_json,
-    path_to_svg,
-)
+from .solvers import _csv_chunks, _json_chunks, _svg_chunks, conservation_report, exp_map, geodesic_bvp
 from .symbols import (
     FAMILIES,
     bessel_fractional,
@@ -246,15 +240,40 @@ def _curve_from_file(path, expected=None, label="curve"):
         raise ConfigError(f"{label} file {path}: {exc}") from exc
 
 
-def _write_path_artifacts(path_obj, cfg, stem):
+def _make_out_dir(cfg):
+    """Create io.out_dir before any numerical work; ConfigError when it cannot be written."""
     out_dir = cfg.io["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except (OSError, TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot create output directory {out_dir!r}: {exc}") from exc
+    if not os.access(out_dir, os.W_OK | os.X_OK):
+        raise ConfigError(f"output directory {out_dir!r} is not writable")
+
+
+@contextlib.contextmanager
+def _json_target(name):
+    """The --json file opened for writing before any numerical work; None without --json."""
+    if name is None:
+        yield None
+        return
+    try:
+        fh = open(name, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {name}: {exc}") from exc
+    with fh:
+        yield fh
+
+
+def _write_path_artifacts(path_obj, cfg, stem):
+    """The path's files in io.out_dir (made by _make_out_dir), written one frame at a time."""
+    out_dir = cfg.io["out_dir"]
     written = []
-    for fmt, writer in (("csv", path_to_csv), ("json", path_to_json), ("svg", path_to_svg)):
+    for fmt, chunks in (("csv", _csv_chunks), ("json", _json_chunks), ("svg", _svg_chunks)):
         if fmt in cfg.io["formats"]:
             name = os.path.join(out_dir, f"{stem}.{fmt}")
             with open(name, "w", encoding="utf-8") as fh:
-                fh.write(writer(path_obj))
+                fh.writelines(chunks(path_obj))
             written.append(name)
     report = conservation_report(path_obj)
     name = os.path.join(out_dir, f"{stem}_conservation.json")
@@ -268,6 +287,7 @@ def _write_path_artifacts(path_obj, cfg, stem):
 
 def cmd_exp(args):
     cfg = load_config(args.config, _overrides(args))
+    _make_out_dir(cfg)
     c0 = _curve_from_file(args.curve)
     h0 = _load_curve_file(args.velocity, expected=c0.samples.shape, label="velocity")
     path = exp_map(
@@ -284,6 +304,7 @@ def cmd_exp(args):
 
 def cmd_match(args):
     cfg = load_config(args.config, _overrides(args))
+    _make_out_dir(cfg)
     c0 = _curve_from_file(args.source, label="source")
     c1 = _curve_from_file(args.target, expected=c0.samples.shape, label="target")
     try:
@@ -327,43 +348,43 @@ def cmd_check(args):
     # an explicit --N (or config grid.N) overrides; otherwise the battery
     # runs on the fine grid its tightest operator tolerances need
     n = 256 if cfg.n is None else cfg.n
-    results, extras = checks.run_all(cfg.symbol, n=n, seed=cfg.seed, with_flow=not args.no_flow)
-    print(checks.summarize(results))
-    if not args.dump_spray:
-        extras.pop("spray_breakdown", None)
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
+    with _json_target(args.json_out) as fh:
+        results, extras = checks.run_all(cfg.symbol, n=n, seed=cfg.seed, with_flow=not args.no_flow)
+        print(checks.summarize(results))
+        if not args.dump_spray:
+            extras.pop("spray_breakdown", None)
+        if fh:
             fh.write(checks.results_to_json(results, extras))
-        print(f"wrote {args.json_out}")
+            print(f"wrote {args.json_out}")
     return 0 if all(r.passed is not False for r in results) else 3
 
 
 def cmd_symbols(args):
     cfg = load_config(args.config, _overrides(args), require_admissible=False)
-    lo, hi = args.lambda_range
-    report = class_report(cfg.symbol, (lo, hi), m_max=args.m_max)
-    lambdas = np.linspace(lo, hi, 5)
-    ms = np.arange(-args.modes, args.modes + 1)
-    table = {
-        f"{lam:.6g}": {
-            "values": scalar_values(cfg.symbol, lam, ms).tolist(),
-            "derivative": scalar_derivative_values(cfg.symbol, lam, ms).tolist(),
+    with _json_target(args.json_out) as fh:
+        lo, hi = args.lambda_range
+        report = class_report(cfg.symbol, (lo, hi), m_max=args.m_max)
+        lambdas = np.linspace(lo, hi, 5)
+        ms = np.arange(-args.modes, args.modes + 1)
+        table = {
+            f"{lam:.6g}": {
+                "values": scalar_values(cfg.symbol, lam, ms).tolist(),
+                "derivative": scalar_derivative_values(cfg.symbol, lam, ms).tolist(),
+            }
+            for lam in lambdas
         }
-        for lam in lambdas
-    }
-    payload = {
-        "class_report": report.to_dict(),
-        "modes": ms.tolist(),
-        "table": table,
-        "seed": cfg.seed,
-    }
-    text = json.dumps(payload, indent=2)
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
+        payload = {
+            "class_report": report.to_dict(),
+            "modes": ms.tolist(),
+            "table": table,
+            "seed": cfg.seed,
+        }
+        text = json.dumps(payload, indent=2)
+        if fh:
             fh.write(text)
-        print(f"wrote {args.json_out}")
-    else:
-        print(text)
+            print(f"wrote {args.json_out}")
+        else:
+            print(text)
     return 0
 
 

@@ -231,11 +231,24 @@ class DiscreteCurve:
         return self.samples.ndim == 3
 
     def member(self, i):
-        """Curve i of a batch, sharing its arrays and any band basis already built."""
+        """Curve i of a batch, sharing its geometry arrays and none of its caches.
+
+        The member's band basis is built on first use, bitwise the batch's
+        row i. So a stored frame (solvers._rk4 keeps members) holds its
+        geometry only, not the (N, 2(N//3 + 1)) basis of the stage it came from.
+        """
         psi = Diffeo(self.psi.displacement[i])
-        if "band_basis" in vars(self.psi):
-            vars(psi)["band_basis"] = self.psi.band_basis[i]
         return DiscreteCurve(self.samples[i], self.speed[i], float(self.length[i]), self.unit_tangent[i], psi)
+
+    def uncached(self):
+        """This curve's geometry on a fresh psi, with no band basis or multipliers cached.
+
+        What an operator builds on the copy goes with it, so a reader of
+        stored frames (conservation_report, path_energy) leaves the frames
+        as it found them. The copy's basis is bitwise this curve's.
+        """
+        psi = Diffeo(self.psi.displacement)
+        return DiscreteCurve(self.samples, self.speed, self.length, self.unit_tangent, psi)
 
     @functools.cached_property
     def theta(self):

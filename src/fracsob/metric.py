@@ -286,8 +286,9 @@ def path_energy(cfg, path):
         velocities = [vels[i] for i in range(len(frames))]
     else:
         velocities = [f.velocity for f in frames]
+    # a copy of each frame's curve takes the band basis, which goes with it
     dens = np.array(
-        [0.5 * metric(cfg, f.curve, velocities[i], velocities[i]) for i, f in enumerate(frames)]
+        [0.5 * metric(cfg, f.curve.uncached(), v, v) for f, v in zip(frames, velocities)]
     )
     dt = np.diff(times)
     return float(np.sum(0.5 * (dens[1:] + dens[:-1]) * dt))

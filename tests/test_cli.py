@@ -326,3 +326,31 @@ def test_a_block_that_is_not_an_object_is_a_config_error(tmp_path, capsys, confi
         load_config(str(path), {"solver.steps": 10})
     assert main(["check", "--no-flow", "--config", str(path)]) == 1
     assert f"key {key}" in capsys.readouterr().err
+
+
+def test_an_unwritable_output_fails_before_any_numerical_work(workdir, monkeypatch, capsys):
+    tmp, curve, velocity = workdir
+    blocker = tmp / "blocker"
+    blocker.write_text("a regular file\n")
+
+    def never(*args, **kwargs):
+        raise AssertionError("numerical work started before the outputs were checked")
+
+    for name in ("exp_map", "geodesic_bvp", "class_report"):
+        monkeypatch.setattr(cli, name, never)
+    monkeypatch.setattr(cli.checks, "run_all", never)
+    under_a_file = str(blocker / "out")
+    for argv in (
+        ["exp", "--curve", str(curve), "--velocity", str(velocity), "--out", under_a_file],
+        ["exp", "--curve", str(curve), "--velocity", str(velocity), "--out", str(blocker)],
+        ["match", "--source", str(curve), "--target", str(curve), "--out", under_a_file],
+        ["check", "--json", under_a_file],
+        ["symbols", "--json", under_a_file],
+    ):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ") and str(blocker) in line, line
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+    assert blocker.read_text() == "a regular file\n"

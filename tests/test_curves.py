@@ -233,10 +233,15 @@ def test_band_basis_takes_o_n_to_the_1_5_cos_and_sin(monkeypatch):
 @pytest.mark.parametrize("n", [64, 512])
 def test_band_basis_of_a_batch_member_is_bitwise_its_own(n):
     batch = make_curve(bent_samples(n))
+    batch.psi.band_basis
     for i in range(batch.samples.shape[0]):
         alone = Diffeo(batch.psi.displacement[i]).band_basis
+        member = batch.member(i)
+        # the member takes none of the batch's caches: it builds its own basis
+        assert "band_basis" not in vars(member.psi)
         assert np.array_equal(batch.psi.band_basis[i], alone)
-        assert np.array_equal(batch.member(i).psi.band_basis, alone)
+        assert np.array_equal(member.psi.band_basis, alone)
+        assert not np.shares_memory(member.psi.band_basis, batch.psi.band_basis)
     assert not batch.psi.band_basis.flags.writeable
     assert not batch.member(0).psi.band_basis.flags.writeable
 
