@@ -26,10 +26,7 @@ from .metric import (
 from .operators import apply_conjugated
 from .solvers import _geodesics, conservation_report, exp_map, exp_map_spray, geodesic_bvp
 from .spectral import grid
-from .symbols import class_report, constant_coefficient, scale_invariant
-
-#: default sampling range for lambda in admissibility reports
-LAMBDA_RANGE = (0.5, 20.0)
+from .symbols import LAMBDA_RANGE, class_report, constant_coefficient, scale_invariant
 
 
 @dataclass(frozen=True)

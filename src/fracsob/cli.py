@@ -33,7 +33,7 @@ from . import checks
 from .curves import make_curve, read_samples
 from .errors import ConfigError, FracsobError, NoConvergenceError
 from .metric import MetricConfig
-from .solvers import _csv_chunks, _json_chunks, _svg_chunks, conservation_report, exp_map, geodesic_bvp
+from .solvers import MIN_STEPS, _csv_chunks, _json_chunks, _svg_chunks, conservation_report, exp_map, geodesic_bvp
 from .symbols import (
     FAMILIES,
     bessel_fractional,
@@ -193,8 +193,10 @@ def load_config(path=None, overrides=None, require_admissible=True):
             raise ConfigError(f"key solver.{key} must be positive, got {solver[key]}")
     for key in ("steps", "stride", "K", "max_iter"):
         solver[key] = _expect(solver, key, int, "solver", required=True)
-        if solver[key] < 0 or (key in ("steps", "stride") and solver[key] < 1):
+        if solver[key] < 0 or (key == "stride" and solver[key] < 1):
             raise ConfigError(f"key solver.{key} must be positive, got {solver[key]}")
+    if solver["steps"] < MIN_STEPS:
+        raise ConfigError(f"key solver.steps must be at least {MIN_STEPS}, got {solver['steps']}")
 
     io_block = data["io"]
     formats = io_block.get("formats")

@@ -37,6 +37,9 @@ IMMERSION_RTOL = 1e-8
 #: tolerance of the Newton iteration for psi^{-1}
 INVERSE_TOL = 1e-12
 
+#: Newton steps for psi^{-1} before it gives up
+INVERSE_MAX_ITER = 60
+
 
 def _freeze(a):
     a = np.ascontiguousarray(a)
@@ -144,7 +147,7 @@ class Diffeo:
         return Diffeo(np.zeros(n))
 
 
-def _invert_monotone(displacement, tol=INVERSE_TOL, max_iter=60):
+def _invert_monotone(displacement):
     """Solve x + p(x) = theta_k on the grid, p given by periodic samples.
 
     Newton from the first-order inverse x = theta - p(theta), with a
@@ -152,7 +155,8 @@ def _invert_monotone(displacement, tol=INVERSE_TOL, max_iter=60):
     contain the solution because x + p(x) is strictly increasing. Each
     iterate evaluates p and p' together by one trig_interp call, which
     builds one interpolation matrix. The stopping test is the roundtrip
-    psi(x) = theta_k to tol, so a returned x is a checked inverse.
+    psi(x) = theta_k to INVERSE_TOL, so a returned x is a checked inverse;
+    DomainError after INVERSE_MAX_ITER steps.
     """
     disp = np.asarray(displacement, dtype=float)
     n = disp.shape[0]
@@ -165,10 +169,10 @@ def _invert_monotone(displacement, tol=INVERSE_TOL, max_iter=60):
     hi = t - disp.min() + pad
     # the interpolant of p at the nodes is p itself
     x = np.clip(t - disp, lo, hi)
-    for _ in range(max_iter + 1):
+    for _ in range(INVERSE_MAX_ITER + 1):
         vals = trig_interp(p_dp, x)
         f = x + vals[:, 0] - t
-        if np.max(np.abs(f)) < tol:
+        if np.max(np.abs(f)) < INVERSE_TOL:
             return x
         hi = np.where(f > 0, np.minimum(hi, x), hi)
         lo = np.where(f < 0, np.maximum(lo, x), lo)
@@ -375,15 +379,13 @@ def ds_integral(c, f):
     """Integral of a field against the arc-length measure ds = |c'| dtheta.
 
     Scalar fields integrate to a float, (N, d) fields componentwise; on a
-    batch, one value per member.
+    batch, one value per member. Every field reduces through the same
+    einsum, so a single curve gets bitwise what it gets as a batch of one.
     """
     f = _check_field(c, f, name="integrand")
     w = TWO_PI / c.n * c.speed
-    if f.ndim == 1:
-        return float(w @ f)
-    if f.ndim == w.ndim:
-        return np.einsum("...k,...k->...", w, f)
-    return np.einsum("...k,...kj->...j", w, f)
+    out = np.einsum("...k,...k->...", w, f) if f.ndim == w.ndim else np.einsum("...k,...kj->...j", w, f)
+    return float(out) if out.ndim == 0 else out
 
 
 def reparametrize(u, psi):

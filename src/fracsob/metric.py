@@ -39,7 +39,7 @@ derivative of the discrete A_c (operator_directional_derivative):
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from .curves import _check_field, _per_member, arc_derivative, ds_integral
 from .errors import DomainError, GridError, MeanResidualWarning, NotSupportedError
 from .operators import apply_conjugated, operator_directional_derivative, solve_conjugated
 from .spectral import TWO_PI, spectral_derivative, theta_antiderivative
-from .symbols import class_report
+from .symbols import LAMBDA_RANGE, class_report
 
 #: warn when the ds-mean removed from the w integrand exceeds this relative size
 MEAN_RTOL = 1e-6
@@ -57,14 +57,13 @@ MEAN_RTOL = 1e-6
 class MetricConfig:
     """A symbol admitted as a metric.
 
-    Construction runs a small class report over validation_range and rejects
+    Construction runs a small class report over LAMBDA_RANGE and rejects
     symbols that fail the positivity or ellipticity verdicts there. Dynamics
     (exp_map, shooting) additionally require operator order 2r >= 2, which
     is checked by the solvers, not here.
     """
 
     symbol: object
-    validation_range: tuple = (0.5, 20.0)
 
     def __post_init__(self):
         if not self.symbol.has_derivative:
@@ -72,7 +71,7 @@ class MetricConfig:
                 "symbol has no lambda-derivative; metric evaluation works, the spray will not",
                 stacklevel=2,
             )
-        report = class_report(self.symbol, self.validation_range, m_max=64, alpha_max=2)
+        report = class_report(self.symbol, LAMBDA_RANGE, m_max=64, alpha_max=2)
         if not (report.hermitian_ok and report.positive_ok and report.elliptic):
             raise DomainError(
                 "symbol fails the metric admissibility verdicts: "
@@ -218,35 +217,28 @@ class SprayBreakdown:
         )
 
     def to_dict(self):
-        return {
-            "term_operator_derivative": self.term_operator_derivative.tolist(),
-            "term_dsh_v": self.term_dsh_v.tolist(),
-            "term_transport": self.term_transport.tolist(),
-            "term_w_w0": self.term_w_w0.tolist(),
-            "w_field": self.w_field.tolist(),
-            "w0": self.w0,
-        }
+        return {k: np.asarray(v).tolist() for k, v in asdict(self).items()}
 
     def to_json(self, **kwargs):
         return json.dumps(self.to_dict(), **kwargs)
 
 
 def spray(cfg, c, h):
-    """The geodesic spray S_c(h) and its term-by-term breakdown, on a single curve.
+    """The geodesic spray S_c(h) and its term-by-term breakdown.
 
     The operator-derivative term is the exact derivative of the discrete
     A_c, but it costs about three operator applications; the momentum form
-    (momentum_rhs) needs none and is what the integrator uses.
+    (momentum_rhs) needs none and is what the integrator uses. A batch of
+    curves, as momentum_rhs takes it, gives each member bitwise what it gets
+    alone, and a breakdown whose fields (w0 too) lead with the batch axis.
     """
-    if c.batched:
-        raise GridError("spray evaluates a single curve, not a batch")
     h = np.asarray(h, dtype=float)
     ah, dsh, dsv, f, w, w0 = _w_w0(cfg, c, h)
     v = c.unit_tangent
     t_op = operator_directional_derivative(c, h, cfg.symbol, h)
-    t_dsh = _dot(dsh, v)[:, None] * ah
-    t_transport = f[:, None] * v
-    t_w = (w + w0)[:, None] * dsv
+    t_dsh = _dot(dsh, v)[..., None] * ah
+    t_transport = f[..., None] * v
+    t_w = (w + _per_member(w0))[..., None] * dsv
     breakdown = SprayBreakdown(t_op, t_dsh, t_transport, t_w, w, w0)
     value = -solve_conjugated(c, cfg.symbol, breakdown.total())
     return value, breakdown

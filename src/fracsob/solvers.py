@@ -14,9 +14,9 @@ One RK4 loop (_rk4) serves exp_map, exp_map_spray and every shot. It
 takes the form it integrates as data: the state at t = 0, the velocity
 read off the state, and the rate of the state. So the spray form has the
 same frames, failure isolation and errors as exp_map. The loop
-integrates a batch of geodesics stacked along a leading axis, and
+integrates only a batch of geodesics stacked along a leading axis, and
 _geodesics turns one run into a path per member; exp_map and
-exp_map_spray are its single-member case. The boundary-value problem is
+exp_map_spray hand it a batch of one. The boundary-value problem is
 solved by shooting: Levenberg-Marquardt on the endpoint mismatch over a
 Fourier-truncated initial velocity, Jacobian by forward differences, all
 columns of one iteration integrated as one batch. The initial shot and
@@ -29,7 +29,7 @@ and raise the damping instead of aborting.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -49,6 +49,13 @@ from .spectral import TWO_PI, dealias, grid
 
 #: smallest admissible RK4 step count
 MIN_STEPS = 16
+
+#: relative step of geodesic_bvp's forward-difference Jacobian columns
+FD_STEP = 1e-6
+
+#: conservation_report's verdict bounds on energy drift and momentum mismatch
+DRIFT_TOL = 1e-6
+CONSISTENCY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -163,12 +170,12 @@ def _momentum_rate(cfg, c, h, mu):
 
 
 def _spray_rate(cfg, c, h, _):
-    return np.stack([spray(cfg, c.member(i), h[i])[0] for i in range(len(h))])
+    return spray(cfg, c, h)[0]
 
 
 #: y = mu = A_c c_t, evolved by momentum_rhs; no operator derivative
 _MOMENTUM = _Form("rk4", lambda h0, mu0: mu0, _momentum_velocity, _momentum_rate)
-#: y = c_t, evolved by the spray S_c(c_t) of each member
+#: y = c_t, evolved by the spray S_c(c_t)
 _SPRAY = _Form("rk4-spray", lambda h0, mu0: h0, lambda cfg, c, h, final=False: h, _spray_rate)
 
 
@@ -177,18 +184,19 @@ def _rk4(cfg, c0, h0, T, steps, stride=None, form=_MOMENTUM):
 
     y is the momentum mu = A_c c_t by default, or c_t itself with _SPRAY.
     c0 is a batch of curves (make_curve on (B, N, d) samples) and h0 holds
-    their (B, N, d) initial velocities; a single curve with an (N, d)
-    velocity is a batch of one. The members share array operations
-    only: each goes through the stages it would go through alone. A member
-    that leaves the immersion set or goes nonfinite stops at that stage
-    with its own error, and the others run on. With stride=None only the
-    endpoints are kept. Otherwise every `stride` steps and at t = T each
-    member stores a frame (velocity h, momentum A_c h). At t = 0 that is
-    the exact pair (h0, mu0). An interior frame takes h from its step's
-    first stage, so storing it costs one application. Only the t = T
-    frame reads h with final=True (a deep solve in the momentum form).
-    Frames never feed back into the state. A frame keeps the member's
-    geometry (c.member(i)), not the band basis of the stage it came from.
+    their (B, N, d) initial velocities. c0 is the first stage's curve, so
+    the band basis that mu0 = A_c0 h0 builds on it serves that stage too.
+    The members share array operations only: each goes through the stages
+    it would go through alone. A member that leaves the immersion set or
+    goes nonfinite stops at that stage with its own error, and the others
+    run on. With stride=None only the endpoints are kept. Otherwise every
+    `stride` steps and at t = T each member stores a frame (velocity h,
+    momentum A_c h). At t = 0 that is the exact pair (h0, mu0). An interior
+    frame takes h from its step's first stage, so storing it costs one
+    application. Only the t = T frame reads h with final=True (a deep solve
+    in the momentum form). Frames never feed back into the state. A frame
+    keeps the member's geometry (c.member(i)), not the band basis of the
+    stage it came from.
 
     Returns (ends, frames, errors): ends[b] is member b's (N, d) samples at
     T, or None when it stopped with errors[b]; frames[b] lists its frames.
@@ -197,8 +205,6 @@ def _rk4(cfg, c0, h0, T, steps, stride=None, form=_MOMENTUM):
     dt = T / steps
     x = np.array(c0.samples, dtype=float)
     mu0 = apply_conjugated(c0, symbol, "identity", h0)
-    if not c0.batched:
-        x, mu0, h0 = x[None], mu0[None], h0[None]
     y = form.start(h0, mu0)
     ids = np.arange(len(x))
     errors = {}
@@ -207,6 +213,10 @@ def _rk4(cfg, c0, h0, T, steps, stride=None, form=_MOMENTUM):
 
     def curves_at(xs, t):
         """(curve, None) for the live rows, or (None, keep) after recording the rows that fail."""
+        nonlocal c0
+        if c0 is not None:  # c0 serves the first stage, which then drops it
+            c, c0 = c0, None
+            return c, None
         try:
             return make_curve(xs), None
         except FracsobError as exc:
@@ -316,8 +326,8 @@ def _check_schedule(T, steps, stride):
 
 
 def _geodesics(cfg, c0, h0, T, steps, stride, form=_MOMENTUM):
-    """One path per member of c0 from one _rk4 run, or the error of the
-    lowest-numbered member that stopped. A single curve is a batch of one."""
+    """One path per member of the batch c0 from one _rk4 run, or the error
+    of the lowest-numbered member that stopped."""
     _check_schedule(T, steps, stride)
     _require_dynamics(cfg)
     h0 = _check_field(c0, h0, "h0")
@@ -328,10 +338,13 @@ def _geodesics(cfg, c0, h0, T, steps, stride, form=_MOMENTUM):
 
 
 def _geodesic(name, cfg, c0, h0, T, steps, stride, form=_MOMENTUM):
-    """The path of one curve: _geodesics on a batch of one."""
+    """The path of one curve: _geodesics on a batch of one, built once the
+    schedule and h0 pass. The caller's c0 is only read, so it caches nothing."""
     if c0.batched:
         raise GridError(f"{name} integrates a single curve, not a batch")
-    [path] = _geodesics(cfg, c0, h0, T, steps, stride, form)
+    _check_schedule(T, steps, stride)
+    h0 = _check_field(c0, h0, "h0")
+    [path] = _geodesics(cfg, make_curve(c0.samples[None]), h0[None], T, steps, stride, form)
     return path
 
 
@@ -350,7 +363,8 @@ def exp_map(cfg, c0, h0, T=1.0, steps=200, stride=1):
     leaves the immersion set (ResolutionError if the grid stops resolving
     the curve's speed first), StepError on nonfinite values. This is the
     batch of one of the RK4 loop that geodesic_bvp runs on whole batches of
-    shots.
+    shots, made from c0's samples once T, steps, stride and h0 pass: c0
+    itself caches no band basis.
 
     Frames keep geometry only, about 9 kB each at N = 64 and 43 kB at
     N = 512 (d = 2): a reader that applies an operator to a frame
@@ -396,8 +410,6 @@ def geodesic_bvp(
     max_iter=50,
     tol_rel=1e-6,
     damping=1e-3,
-    fd_step=1e-6,
-    stride=None,
 ):
     """Shoot for the initial velocity whose time-T geodesic endpoint is c1.
 
@@ -415,17 +427,21 @@ def geodesic_bvp(
     step hands them on, a rejected one drops them. That speculation is
     skipped in the last allowed iteration and when the linear model
     predicts convergence, |r + J dx| <= tol_rel * |c1|. Later trials of an
-    iteration run alone. A shot alone keeps frames at `stride` (default
-    steps // 16), which never feed back into the state. Trial shots that
+    iteration run alone. A shot alone keeps a frame every max(1, steps // 16)
+    steps, and frames never feed back into the state. The columns step
+    each coefficient x by FD_STEP max(1, |x|). Trial shots that
     lose immersion raise the damping. The returned path is the frames of
     the shot at the returned velocity; only a velocity shot in a batch is
     integrated once more by exp_map. Frames are kept for the current and
     the best velocity only. The result counts the shots and the RK4 runs.
     Raises NoConvergenceError carrying the best ShootingResult when the
-    cap is hit.
+    cap is hit, and DomainError before any work on a schedule exp_map
+    refuses.
     """
     if c0.batched or c1.batched:
         raise GridError("geodesic_bvp matches two single curves, not batches")
+    out_stride = max(1, steps // 16)
+    _check_schedule(T, steps, out_stride)
     if c0.n != c1.n or c0.dim != c1.dim:
         raise GridError(
             f"curves must share the grid: got ({c0.n},{c0.dim}) and ({c1.n},{c1.dim})"
@@ -438,7 +454,6 @@ def geodesic_bvp(
     n_coef = basis.shape[1]
     scale = max(_l2_norm(c1.samples, n), 1e-300)
     tol_abs = tol_rel * scale
-    out_stride = max(1, steps // 16) if stride is None else stride
 
     shots = integrations = 0
 
@@ -474,7 +489,7 @@ def geodesic_bvp(
         return ShootingResult(h0, residual, iterations, path, converged, shots, integrations)
 
     def fd_deltas(x):
-        return fd_step * np.maximum(1.0, np.abs(x))
+        return FD_STEP * np.maximum(1.0, np.abs(x))
 
     def evaluate(x, columns):
         """(r, cols, frames) at x: with columns, the shot at x and its
@@ -574,39 +589,32 @@ class ConservationReport:
         return all(self.flags.values())
 
     def to_dict(self):
-        return {
-            "times": self.times.tolist(),
-            "energies": self.energies.tolist(),
-            "lengths": self.lengths.tolist(),
-            "min_speeds": self.min_speeds.tolist(),
-            "energy_drift": self.energy_drift,
-            "momentum_consistency": self.momentum_consistency,
-            "drift_tol": self.drift_tol,
-            "consistency_tol": self.consistency_tol,
-            "flags": dict(self.flags),
-            "ok": self.ok,
-        }
+        out = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in asdict(self).items()}
+        return {**out, "ok": self.ok}
 
     def to_json(self, **kwargs):
         return json.dumps(self.to_dict(), **kwargs)
 
 
-def conservation_report(path, drift_tol=1e-6, consistency_tol=1e-8):
+def conservation_report(path):
     """Energy, length and speed series along a path, with drift verdicts.
 
     energy_drift is the largest relative deviation of G_c(c_t, c_t) from its
-    initial value; momentum_consistency is the largest relative mismatch
-    between stored momenta and A_c applied to stored velocities. exp_map
-    stores A_c h as each frame's momentum, so on its paths this reads zero.
-    It catches a path whose frames were altered, not the defect left by
-    the solve for h. The energies come from the stored velocities: exact at
-    t = 0, from the stage solve inside, from the deep solve at t = T. One
-    application of A_c per frame serves both series. Frames keep their
-    geometry only, so each frame's band basis is rebuilt (bitwise) for its
-    application and dropped after it; the frames carry none afterwards.
+    initial value, judged against DRIFT_TOL; momentum_consistency is the
+    largest relative mismatch between stored momenta and A_c applied to
+    stored velocities, judged against CONSISTENCY_TOL. exp_map stores A_c h
+    as each frame's momentum, so on its paths this reads zero. It catches
+    a path whose frames were altered, not the defect left by the solve for
+    h. The energies come from the stored velocities: exact at t = 0, from
+    the stage solve inside, from the deep solve at t = T; a frame without
+    one is a GridError. One application of A_c per frame serves both
+    series, on the frame's band basis rebuilt (bitwise) and dropped after.
     """
     if len(path.frames) < 2:
         raise GridError("a conservation report needs at least 2 frames")
+    for f in path.frames:
+        if f.velocity is None:
+            raise GridError(f"a conservation report needs stored velocities; the frame at t = {f.t:.6g} has none")
     cfg = path.config
     energies, lengths, speeds, mismatch = [], [], [], []
     for f in path.frames:
@@ -625,8 +633,8 @@ def conservation_report(path, drift_tol=1e-6, consistency_tol=1e-8):
     drift = float(np.max(np.abs(energies - energies[0])) / e0)
     consistency = float(np.max(mismatch)) if mismatch else 0.0
     flags = {
-        "energy_drift_ok": drift <= drift_tol,
-        "momentum_consistent": consistency <= consistency_tol,
+        "energy_drift_ok": drift <= DRIFT_TOL,
+        "momentum_consistent": consistency <= CONSISTENCY_TOL,
         "immersed": all(s > 0 for s in speeds),
     }
     return ConservationReport(
@@ -636,8 +644,8 @@ def conservation_report(path, drift_tol=1e-6, consistency_tol=1e-8):
         min_speeds=np.array(speeds),
         energy_drift=drift,
         momentum_consistency=consistency,
-        drift_tol=drift_tol,
-        consistency_tol=consistency_tol,
+        drift_tol=DRIFT_TOL,
+        consistency_tol=CONSISTENCY_TOL,
         flags=flags,
     )
 
@@ -678,13 +686,11 @@ def _json_chunks(path):
     yield header[-2:]
 
 
-def _svg_chunks(path, size=480, margin=24.0, stride=1):
-    """path_to_svg's text: the svg tag, one polyline per drawn frame, the closing tag."""
-    frames = path.frames[::stride]
-    if frames[-1] is not path.frames[-1]:
-        frames = list(frames) + [path.frames[-1]]
-    lo = np.min([f.curve.samples[:, :2].min(axis=0) for f in frames], axis=0)
-    hi = np.max([f.curve.samples[:, :2].max(axis=0) for f in frames], axis=0)
+def _svg_chunks(path):
+    """path_to_svg's text: the svg tag, one polyline per frame, the closing tag."""
+    size, margin = 480, 24.0  # pixels
+    lo = np.min([f.curve.samples[:, :2].min(axis=0) for f in path.frames], axis=0)
+    hi = np.max([f.curve.samples[:, :2].max(axis=0) for f in path.frames], axis=0)
     span = float(max(hi[0] - lo[0], hi[1] - lo[1], 1e-12))
     inner = size - 2.0 * margin
 
@@ -697,8 +703,8 @@ def _svg_chunks(path, size=480, margin=24.0, stride=1):
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">\n'
     )
-    last = max(len(frames) - 1, 1)
-    for i, f in enumerate(frames):
+    last = max(len(path.frames) - 1, 1)
+    for i, f in enumerate(path.frames):
         frac = i / last
         color = f"rgb({int(round(220 * frac))},40,{int(round(220 * (1 - frac)))})"
         xy = np.concatenate([f.curve.samples[:, :2], f.curve.samples[:1, :2]])
@@ -718,15 +724,19 @@ def path_to_json(path):
     return "".join(_json_chunks(path))
 
 
-def path_to_svg(path, size=480, margin=24.0, stride=1):
+def path_to_svg(path):
     """Closed polylines of the first two coordinates, one per stored frame.
 
-    Early frames are drawn blue, late frames red; plot data only, no axes.
+    A 480-pixel square with a 24-pixel margin. Early frames are drawn
+    blue, late frames red; plot data only, no axes.
     """
-    return "".join(_svg_chunks(path, size, margin, stride))
+    return "".join(_svg_chunks(path))
 
 
 __all__ = [
+    "CONSISTENCY_TOL",
+    "DRIFT_TOL",
+    "FD_STEP",
     "MIN_STEPS",
     "ConservationReport",
     "Frame",

@@ -20,7 +20,7 @@ holds the one positivity check. operators applies the result.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -38,6 +38,12 @@ FAMILIES = (
 _SCALAR_FAMILIES = FAMILIES[:4]
 
 VARIANTS = ("identity", "inverse", "sqrt", "sqrt_inverse", "lambda_derivative")
+
+#: the lengths lambda over which MetricConfig admits a symbol and fracsob check reports its class
+LAMBDA_RANGE = (0.5, 20.0)
+
+#: points of its lambda range at which class_report samples a symbol
+LAMBDA_SAMPLES = 5
 
 
 @dataclass(frozen=True)
@@ -302,36 +308,25 @@ class ClassReport:
     elliptic: bool
 
     def to_dict(self):
-        return {
-            "family": self.family,
-            "order": self.order,
-            "m_max": self.m_max,
-            "alpha_max": self.alpha_max,
-            "lambdas": list(self.lambdas),
-            "seminorms": list(self.seminorms),
-            "margin": self.margin,
-            "hermitian_ok": self.hermitian_ok,
-            "positive_ok": self.positive_ok,
-            "elliptic": self.elliptic,
-        }
+        return {**asdict(self), "lambdas": list(self.lambdas), "seminorms": list(self.seminorms)}
 
     def to_json(self, **kwargs):
         return json.dumps(self.to_dict(), **kwargs)
 
 
-def class_report(sym, lambda_range, m_max=256, alpha_max=3, lambda_samples=5):
+def class_report(sym, lambda_range, m_max=256, alpha_max=3):
     """Numerical class and ellipticity diagnostics over a compact range.
 
-    lambda_range is a positive interval (lo, hi) sampled at lambda_samples
+    lambda_range is a positive interval (lo, hi) sampled at LAMBDA_SAMPLES
     points. Differences in m are anchored so that Delta^alpha a(m) uses
     a(m), ..., a(m + alpha); anchors run over |m| <= m_max.
     """
     lo, hi = float(lambda_range[0]), float(lambda_range[1])
     if lo <= 0 or hi < lo:
         raise DomainError(f"lambda range must be a positive interval, got ({lo}, {hi})")
-    if m_max < 8 or alpha_max < 2 or lambda_samples < 2:
-        raise DomainError("class_report needs m_max >= 8, alpha_max >= 2 and at least 2 lambda samples")
-    lambdas = np.linspace(lo, hi, lambda_samples)
+    if m_max < 8 or alpha_max < 2:
+        raise DomainError("class_report needs m_max >= 8 and alpha_max >= 2")
+    lambdas = np.linspace(lo, hi, LAMBDA_SAMPLES)
     ms = np.arange(-m_max - alpha_max, m_max + alpha_max + 1)
     two_r = 2.0 * sym.order
     bracket = np.sqrt(1.0 + ms.astype(float) ** 2)
@@ -385,6 +380,7 @@ def class_report(sym, lambda_range, m_max=256, alpha_max=3, lambda_samples=5):
 
 __all__ = [
     "FAMILIES",
+    "LAMBDA_RANGE",
     "ClassReport",
     "LambdaSymbol",
     "bessel_fractional",

@@ -54,6 +54,16 @@ def test_exp_writes_all_artifacts(workdir, capsys):
     assert rows[0] == "t,k,x1,x2,v1,v2"
 
 
+def test_exp_with_fewer_than_min_steps_exits_1_and_writes_nothing(workdir, capsys):
+    tmp, curve, velocity = workdir
+    out = tmp / "out"
+    assert main(["exp", "--curve", str(curve), "--velocity", str(velocity), "--steps", "8", "--out", str(out)]) == 1
+    assert "key solver.steps must be at least 16, got 8" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ConfigError, match="solver.steps"):
+        load_config(None, {"solver.steps": 15})
+
+
 def test_exp_rejects_mismatched_velocity(workdir, capsys):
     tmp, curve, _ = workdir
     bad = tmp / "bad_velocity.json"

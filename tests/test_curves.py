@@ -431,3 +431,16 @@ if HAVE_HYPOTHESIS:
         u = np.sin(theta) + 0.5 * np.cos(2 * theta)
         back = reparametrize(reparametrize(u, dif), dif.inverse())
         assert np.max(np.abs(back - u)) < 1e-8
+
+
+def test_ds_integral_of_a_single_field_is_bitwise_its_batch_of_one_value():
+    # one einsum reduces every field, so a batched spray member gets its own value
+    rng = np.random.default_rng(3)
+    c = make_curve(random_curve_samples(rng, n=512, amplitude=0.10))
+    one = make_curve(c.samples[None])
+    for _ in range(5):
+        f = rng.standard_normal(512)
+        value = ds_integral(c, f)
+        assert isinstance(value, float) and value == ds_integral(one, f[None])[0]
+    g = rng.standard_normal((512, 2))
+    assert np.array_equal(ds_integral(c, g), ds_integral(one, g[None])[0])

@@ -7,7 +7,7 @@ import pytest
 
 from fracsob.checks import random_curve_samples, random_field
 from fracsob.curves import arc_derivative, ds_integral, make_curve, make_diffeo, reparametrize
-from fracsob.errors import DomainError, GridError, MeanResidualWarning, NotSupportedError
+from fracsob.errors import DomainError, MeanResidualWarning, NotSupportedError
 from fracsob.metric import (
     MetricConfig,
     metric,
@@ -238,11 +238,19 @@ def test_spray_is_quadratically_homogeneous(rng):
     assert np.max(np.abs(sm - s1)) < 1e-6 * scale
 
 
-def test_spray_refuses_a_batch_of_curves():
+def test_spray_on_a_batch_gives_each_member_its_own_value_and_breakdown():
     rng = np.random.default_rng(0)
-    pair = make_curve(np.stack([random_curve_samples(rng, n=64) for _ in range(2)]))
-    with pytest.raises(GridError, match="single curve, not a batch"):
-        spray(MetricConfig(bessel_fractional(1.5)), pair, np.zeros((2, 64, 2)))
+    cfg = MetricConfig(bessel_fractional(1.5))
+    samples = np.stack([random_curve_samples(rng, n=64, amplitude=0.10) for _ in range(3)])
+    hs = np.stack([0.5 * random_field(rng, 64) for _ in range(3)])
+    value, breakdown = spray(cfg, make_curve(samples), hs)
+    assert value.shape == (3, 64, 2) and breakdown.w0.shape == (3,)
+    for i in range(3):
+        alone, parts = spray(cfg, make_curve(samples[i]), hs[i])
+        assert np.array_equal(value[i], alone)
+        assert isinstance(parts.w0, float) and breakdown.w0[i] == parts.w0
+        for name in ("term_operator_derivative", "term_dsh_v", "term_transport", "term_w_w0", "w_field"):
+            assert np.array_equal(getattr(breakdown, name)[i], getattr(parts, name)), name
 
 
 def test_spray_breakdown_total_matches_value(circle64):

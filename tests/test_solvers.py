@@ -36,6 +36,7 @@ from fracsob.solvers import (
 from fracsob.spectral import grid
 from fracsob.symbols import (
     bessel_fractional,
+    class_report,
     constant_coefficient,
     custom_table,
     scalar_values,
@@ -498,8 +499,6 @@ def test_path_to_svg_draws_each_frame(circle64):
     assert text.lstrip().startswith("<svg")
     assert text.count("<polyline") == 5
     assert "viewBox" in text
-    thinned = path_to_svg(path, stride=2)
-    assert thinned.count("<polyline") == 3
 
 
 def test_each_rk4_stage_makes_no_fft_call_at_64_points_and_22_real_ones_at_256(count_calls):
@@ -527,7 +526,7 @@ def test_each_rk4_stage_makes_no_fft_call_at_64_points_and_22_real_ones_at_256(c
         real, round_trips = {}, {}
         for steps in (16, 32):
             calls.update(dict.fromkeys(calls, 0))
-            solvers._rk4(cfg, c0, h0, 1.0, steps)
+            solvers._rk4(cfg, make_curve(c0.samples[None]), h0[None], 1.0, steps)
             assert calls["fft"] == calls["ifft"] == 0
             assert calls["rfft"] == calls["irfft"]
             real[steps] = calls["rfft"] + calls["irfft"]
@@ -539,3 +538,65 @@ def test_each_rk4_stage_makes_no_fft_call_at_64_points_and_22_real_ones_at_256(c
             assert multiplies == 64 * 9
         else:
             assert real[32] - real[16] == 64 * 22
+
+
+@pytest.mark.parametrize("bad", [{"steps": 8}, {"T": 0.0}, {"T": -1.0}])
+def test_geodesic_bvp_refuses_a_bad_schedule_before_any_work(bad, monkeypatch):
+    # exp_map's schedule rule, checked before the first curve is built
+    built = []
+    monkeypatch.setattr(solvers, "make_curve", lambda s: built.append(s) or make_curve(s))
+    c0 = circle(32)
+    with pytest.raises(DomainError):
+        geodesic_bvp(BESSEL, c0, make_curve(1.05 * c0.samples), K=2, **{"steps": 32, **bad})
+    assert built == []
+
+
+def test_conservation_report_names_the_first_frame_without_a_velocity(monkeypatch):
+    path = exp_map(BESSEL, circle(), 0.1 * circle().samples, T=0.5, steps=MIN_STEPS, stride=4)
+    frames = [Frame(f.t, f.curve, None, f.momentum) if i in (2, 3) else f for i, f in enumerate(path.frames)]
+
+    def never(*args, **kwargs):
+        raise AssertionError("the report applied an operator before checking its frames")
+
+    monkeypatch.setattr(solvers, "apply_conjugated", never)
+    with pytest.raises(GridError, match=r"needs stored velocities; the frame at t = 0\.25 has none"):
+        conservation_report(GeodesicPath(tuple(frames), BESSEL))
+
+
+def test_every_rk4_run_of_a_match_builds_4_steps_plus_1_curves(count_calls):
+    # a shot batch's t = 0 curve serves its first stage, as exp_map's batch
+    # of one does, so no run builds that curve twice
+    c0 = circle(32)
+    theta = grid(32)
+    h_true = 0.1 * np.column_stack([np.cos(theta) + 0.3 * np.sin(2 * theta), np.sin(theta)])
+    target = exp_map(BESSEL, c0, h_true, T=1.0, steps=32, stride=32).endpoint
+    calls = count_calls(solvers, "make_curve")
+    res = geodesic_bvp(BESSEL, c0, target, K=3, steps=32, T=1.0)
+    assert res.converged and res.integrations >= 2 and res.shots > res.integrations
+    assert calls["make_curve"] == res.integrations * (4 * 32 + 1)
+
+
+REMOVED_KEYWORDS = {
+    "geodesic_bvp": {"fd_step": 1e-6, "stride": 2},
+    "conservation_report": {"drift_tol": 1e-6, "consistency_tol": 1e-8},
+    "path_to_svg": {"size": 480, "margin": 24.0, "stride": 1},
+    "MetricConfig": {"validation_range": (0.5, 20.0)},
+    "class_report": {"lambda_samples": 5},
+    "_invert_monotone": {"tol": 1e-12, "max_iter": 60},
+}
+
+
+@pytest.mark.parametrize("name, keyword", [(n, k) for n, kws in REMOVED_KEYWORDS.items() for k in kws])
+def test_each_setting_that_became_a_constant_is_no_keyword(name, keyword):
+    c = circle(32)
+    path = translation_path(circle().samples, steps=2)
+    calls = {
+        "geodesic_bvp": lambda **kw: geodesic_bvp(BESSEL, c, c, K=1, steps=MIN_STEPS, **kw),
+        "conservation_report": lambda **kw: conservation_report(path, **kw),
+        "path_to_svg": lambda **kw: path_to_svg(path, **kw),
+        "MetricConfig": lambda **kw: MetricConfig(bessel_fractional(1.5), **kw),
+        "class_report": lambda **kw: class_report(bessel_fractional(1.5), (0.5, 20.0), **kw),
+        "_invert_monotone": lambda **kw: curves._invert_monotone(c.psi.displacement, **kw),
+    }
+    with pytest.raises(TypeError, match=keyword):
+        calls[name](**{keyword: REMOVED_KEYWORDS[name][keyword]})
