@@ -36,6 +36,7 @@ from .metric import MetricConfig
 from .solvers import MIN_STEPS, _csv_chunks, _json_chunks, _svg_chunks, conservation_report, exp_map, geodesic_bvp
 from .symbols import (
     FAMILIES,
+    LAMBDA_RANGE,
     bessel_fractional,
     class_report,
     constant_coefficient,
@@ -81,6 +82,9 @@ def _expect(block, key, kind, path, default=None, required=False):
             raise ConfigError(f"missing required key {name}")
         return default
     value = block[key]
+    # int() would truncate a fraction and read a boolean as 0 or 1
+    if kind is int and (isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())):
+        raise ConfigError(f"key {name} must be an integer, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError) as exc:
@@ -191,12 +195,10 @@ def load_config(path=None, overrides=None, require_admissible=True):
         solver[key] = _expect(solver, key, float, "solver", required=True)
         if solver[key] <= 0:
             raise ConfigError(f"key solver.{key} must be positive, got {solver[key]}")
-    for key in ("steps", "stride", "K", "max_iter"):
+    for key, least in (("steps", MIN_STEPS), ("stride", 1), ("K", 0), ("max_iter", 0)):
         solver[key] = _expect(solver, key, int, "solver", required=True)
-        if solver[key] < 0 or (key == "stride" and solver[key] < 1):
-            raise ConfigError(f"key solver.{key} must be positive, got {solver[key]}")
-    if solver["steps"] < MIN_STEPS:
-        raise ConfigError(f"key solver.steps must be at least {MIN_STEPS}, got {solver['steps']}")
+        if solver[key] < least:
+            raise ConfigError(f"key solver.{key} must be at least {least}, got {solver[key]}")
 
     io_block = data["io"]
     formats = io_block.get("formats")
@@ -363,17 +365,23 @@ def cmd_check(args):
 
 def cmd_symbols(args):
     cfg = load_config(args.config, _overrides(args), require_admissible=False)
+    lo, hi = args.lambda_range
+    if not 0.0 < lo <= hi < np.inf:
+        raise ConfigError(f"--lambda-range must be a finite positive interval LO <= HI, got {lo} {hi}")
+    # class_report's floor on the mode range
+    if args.m_max < 8:
+        raise ConfigError(f"--m-max must be at least 8, got {args.m_max}")
+    if args.modes < 0:
+        raise ConfigError(f"--modes must be at least 0, got {args.modes}")
     with _json_target(args.json_out) as fh:
-        lo, hi = args.lambda_range
         report = class_report(cfg.symbol, (lo, hi), m_max=args.m_max)
-        lambdas = np.linspace(lo, hi, 5)
         ms = np.arange(-args.modes, args.modes + 1)
         table = {
             f"{lam:.6g}": {
                 "values": scalar_values(cfg.symbol, lam, ms).tolist(),
                 "derivative": scalar_derivative_values(cfg.symbol, lam, ms).tolist(),
             }
-            for lam in lambdas
+            for lam in report.lambdas
         }
         payload = {
             "class_report": report.to_dict(),
@@ -461,7 +469,7 @@ def build_parser():
 
     p_sym = sub.add_parser("symbols", help="dump symbol tables and the class report")
     p_sym.add_argument("--lambda-range", dest="lambda_range", type=float, nargs=2,
-                       default=(0.5, 20.0), help="lambda interval to sample")
+                       default=LAMBDA_RANGE, help="lambda interval to sample")
     p_sym.add_argument("--m-max", dest="m_max", type=int, default=256,
                        help="mode range for the class report")
     p_sym.add_argument("--modes", type=int, default=16, help="mode table half-width")

@@ -66,18 +66,18 @@ def _band_multipliers(curve, symbol, variant, top):
     """Folded multipliers of modes 0..top-1: a(0) at m = 0, a(m) + conj(a(-m)) above.
 
     A curve's length is fixed, so the symbol is evaluated once per curve
-    and kept on it, one row per member of a batch: its raw values on the
-    band serve identity, inverse, sqrt and sqrt_inverse, and the
-    lambda-derivative has its own. The folded multipliers of each
-    (symbol, variant) are kept too. A scalar symbol is even in m, bitwise
-    (it reads m through m**2), so it is evaluated on modes 0..top-1 only
-    and its fold is 2 a(m) for m >= 1, real rows. A custom table gives
-    (top, d, d) blocks on modes -(top-1)..top-1, one eigh per block for a
-    variant other than identity; it holds arrays and is not hashable, so
-    its entries are keyed by its id and hold the table, which keeps the id
-    from being reused.
+    and kept on it, one row per member of a batch, in one dict keyed by
+    (id(symbol), variant): its raw values on the band, under variant None,
+    serve identity, inverse, sqrt and sqrt_inverse, and the
+    lambda-derivative has its own. The folded multipliers of each variant
+    are kept too. Every entry holds its symbol, which keeps the id from
+    being reused, so the cache is per symbol object and never hashes one.
+    A scalar symbol is even in m, bitwise (it reads m through m**2), so it
+    is evaluated on modes 0..top-1 only and its fold is 2 a(m) for m >= 1,
+    real rows. A custom table gives (top, d, d) blocks on modes
+    -(top-1)..top-1, one eigh per block for a variant other than identity.
     """
-    key = symbol if symbol.is_scalar else id(symbol)
+    key = id(symbol)
     cache = vars(curve).setdefault("_band_multipliers", {})
     entry = cache.get((key, variant))
     if entry is None:
@@ -86,10 +86,10 @@ def _band_multipliers(curve, symbol, variant, top):
         if variant == "lambda_derivative":
             vals = _values(symbol, lam, band, derivative=True)
         else:
-            raw = vars(curve).setdefault("_band_values", {})
-            if key not in raw:
-                raw[key] = (symbol, _values(symbol, lam, band))
-            vals = _variant(raw[key][1], variant)
+            raw = cache.get((key, None))
+            if raw is None:
+                raw = cache[(key, None)] = (symbol, _values(symbol, lam, band))
+            vals = _variant(raw[1], variant)
         if symbol.is_scalar:
             mult = 2.0 * vals
             mult[..., 0] = vals[..., 0]

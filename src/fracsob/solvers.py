@@ -113,10 +113,11 @@ class ShootingResult:
 
     shots counts the geodesics integrated, every member of a batch
     included, speculative Jacobian columns that were dropped too;
-    integrations counts the RK4 runs they took. The path is a shot the
-    solver already made, unless the returned velocity was only ever shot
-    in a batch (the initial velocity of a match that needed iterations
-    included); then it is one more shot and run, counted here.
+    integrations counts the RK4 runs they took. Both are counted in one
+    place, the shot. The path is a shot the solver already made, unless
+    the returned velocity was only ever shot in a batch (the initial
+    velocity of a match that needed iterations included); then it is shot
+    once more alone, one more shot and run, counted like every shot.
     """
 
     initial_velocity: np.ndarray
@@ -179,6 +180,20 @@ _MOMENTUM = _Form("rk4", lambda h0, mu0: mu0, _momentum_velocity, _momentum_rate
 _SPRAY = _Form("rk4-spray", lambda h0, mu0: h0, lambda cfg, c, h, final=False: h, _spray_rate)
 
 
+def _member_error(samples, t):
+    """The error that stops one member whose curve make_curve refuses near
+    t, or None when the member's curve is fine alone."""
+    try:
+        make_curve(samples)
+    except ImmersionError as exc:
+        err = type(exc)(f"immersion lost near t = {t:.6g}: {exc}")
+        err.__cause__ = exc
+        return err
+    except GridError:
+        return StepError(f"nonfinite state near t = {t:.6g}")
+    return None
+
+
 def _rk4(cfg, c0, h0, T, steps, stride=None, form=_MOMENTUM):
     """Classical RK4 on (c, y) for a batch of geodesics in the given form.
 
@@ -187,12 +202,14 @@ def _rk4(cfg, c0, h0, T, steps, stride=None, form=_MOMENTUM):
     their (B, N, d) initial velocities. c0 is the first stage's curve, so
     the band basis that mu0 = A_c0 h0 builds on it serves that stage too.
     The members share array operations only: each goes through the stages
-    it would go through alone. A member that leaves the immersion set or
-    goes nonfinite stops at that stage with its own error, and the others
-    run on. With stride=None only the endpoints are kept. Otherwise every
-    `stride` steps and at t = T each member stores a frame (velocity h,
-    momentum A_c h). At t = 0 that is the exact pair (h0, mu0). An interior
-    frame takes h from its step's first stage, so storing it costs one
+    it would go through alone. A member stops in one place, stop: when its
+    curve fails alone (ImmersionError, ResolutionError included, with the
+    failure time), when its velocity goes nonfinite in a rate, or when its
+    state goes nonfinite in a step (StepError). The others run on. With
+    stride=None only the endpoints are kept. Otherwise every `stride`
+    steps and at t = T each member stores a frame (velocity h, momentum
+    A_c h). At t = 0 that is the exact pair (h0, mu0). An interior frame
+    takes h from its step's first stage, so storing it costs one
     application. Only the t = T frame reads h with final=True (a deep solve
     in the momentum form). Frames never feed back into the state. A frame
     keeps the member's geometry (c.member(i)), not the band basis of the
@@ -211,66 +228,46 @@ def _rk4(cfg, c0, h0, T, steps, stride=None, form=_MOMENTUM):
     frames = [[] for _ in ids]
     ks = []
 
-    def curves_at(xs, t):
-        """(curve, None) for the live rows, or (None, keep) after recording the rows that fail."""
-        nonlocal c0
-        if c0 is not None:  # c0 serves the first stage, which then drops it
-            c, c0 = c0, None
-            return c, None
-        try:
-            return make_curve(xs), None
-        except FracsobError as exc:
-            batch_error = exc
-        keep = np.ones(len(xs), dtype=bool)
-        for i, samples in enumerate(xs):
-            try:
-                make_curve(samples)
-                continue
-            except ImmersionError as exc:
-                err = type(exc)(f"immersion lost near t = {t:.6g}: {exc}")
-                err.__cause__ = exc
-            except GridError:
-                err = StepError(f"nonfinite state near t = {t:.6g}")
-            except FracsobError as exc:
-                err = exc
-            errors[int(ids[i])] = err
-            keep[i] = False
-        if keep.all():
-            raise batch_error
-        return None, keep
-
-    def stage(frac, t):
-        """((c, h, g), None) at (x, y) + frac dt k for the live rows, or
-        (None, keep) after recording the rows that fail."""
-        xs, ys = (x + frac * dt * ks[-1][0], y + frac * dt * ks[-1][1]) if ks else (x, y)
-        c, keep = curves_at(xs, t)
-        if c is None:
-            return None, keep
-        h = form.velocity(cfg, c, ys)
-        try:
-            g = form.rate(cfg, c, h, ys)
-        except GridError:
-            # the rates refuse nonfinite velocities
-            finite = np.isfinite(h).all(axis=(1, 2))
-            if finite.all():
-                raise
-            for i in np.flatnonzero(~finite):
-                errors[int(ids[i])] = StepError(f"nonfinite state near t = {t:.6g}")
-            return None, finite
-        return (c, h, g), None
-
-    def drop(keep):
+    def stop(failed, error):
+        """Record error(i) for each failed row i and drop those rows."""
         nonlocal x, y, ids, ks
+        for i in np.flatnonzero(failed):
+            errors[int(ids[i])] = error(i)
+        keep = ~failed
         x, y, ids = x[keep], y[keep], ids[keep]
         ks = [(kx[keep], ky[keep]) for kx, ky in ks]
 
-    def settle(evaluate):
-        """evaluate() once no live row fails in it; None when no row is left."""
+    def curve(xs, t):
+        """The curve of the live rows at samples xs; None after stopping the rows that fail alone."""
+        try:
+            return make_curve(xs)
+        except FracsobError:
+            errs = [_member_error(samples, t) for samples in xs]
+            if all(err is None for err in errs):
+                raise
+        stop(np.array([err is not None for err in errs]), errs.__getitem__)
+        return None
+
+    def stage(frac, t):
+        """(c, h, g) at (x, y) + frac dt k once no live row fails in it; None when no row is left."""
+        nonlocal c0
         while len(ids):
-            out, keep = evaluate()
-            if out is not None:
-                return out
-            drop(keep)
+            xs, ys = (x + frac * dt * ks[-1][0], y + frac * dt * ks[-1][1]) if ks else (x, y)
+            if c0 is None:
+                c = curve(xs, t)
+                if c is None:
+                    continue
+            else:  # c0 serves the first stage, which then drops it
+                c, c0 = c0, None
+            h = form.velocity(cfg, c, ys)
+            try:
+                return c, h, form.rate(cfg, c, h, ys)
+            except GridError:
+                # the rates refuse nonfinite velocities
+                finite = np.isfinite(h).all(axis=(1, 2))
+                if finite.all():
+                    raise
+                stop(~finite, lambda i: StepError(f"nonfinite state near t = {t:.6g}"))
         return None
 
     def store(t, c, h, m):
@@ -287,7 +284,7 @@ def _rk4(cfg, c0, h0, T, steps, stride=None, form=_MOMENTUM):
         t = n * dt
         ks = []
         for frac, t_stage in ((0.0, t), (0.5, t + 0.5 * dt), (0.5, t + 0.5 * dt), (1.0, t + dt)):
-            out = settle(lambda: stage(frac, t_stage))
+            out = stage(frac, t_stage)
             if out is None:
                 return result()
             c, h, g = out
@@ -305,10 +302,10 @@ def _rk4(cfg, c0, h0, T, steps, stride=None, form=_MOMENTUM):
         y = y + dt / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
             finite = np.isfinite(x).all(axis=(1, 2)) & np.isfinite(y).all(axis=(1, 2))
-            for i in np.flatnonzero(~finite):
-                errors[int(ids[i])] = StepError(f"nonfinite state after step {n + 1} (t = {(n + 1) * dt:.6g})")
-            drop(finite)
-    c = settle(lambda: curves_at(x, T))
+            stop(~finite, lambda i: StepError(f"nonfinite state after step {n + 1} (t = {(n + 1) * dt:.6g})"))
+    c = None
+    while c is None and len(ids):
+        c = curve(x, T)
     if c is not None and stride:
         h = form.velocity(cfg, c, y, final=True)
         store(T, c, h, apply_conjugated(c, symbol, "identity", h))
@@ -432,11 +429,11 @@ def geodesic_bvp(
     each coefficient x by FD_STEP max(1, |x|). Trial shots that
     lose immersion raise the damping. The returned path is the frames of
     the shot at the returned velocity; only a velocity shot in a batch is
-    integrated once more by exp_map. Frames are kept for the current and
-    the best velocity only. The result counts the shots and the RK4 runs.
-    Raises NoConvergenceError carrying the best ShootingResult when the
-    cap is hit, and DomainError before any work on a schedule exp_map
-    refuses.
+    shot once more alone, counted like every shot (an ImmersionError if
+    that lone shot fails). Frames are kept for the current and the best
+    velocity only. The result counts the shots and the RK4 runs. Raises
+    NoConvergenceError carrying the best ShootingResult when the cap is
+    hit, and DomainError before any work on a schedule exp_map refuses.
     """
     if c0.batched or c1.batched:
         raise GridError("geodesic_bvp matches two single curves, not batches")
@@ -468,25 +465,18 @@ def geodesic_bvp(
         shots += len(xs)
         integrations += 1
         starts = make_curve(np.broadcast_to(c0.samples, (len(xs), n, d)))
-        ends, frames, errors = _rk4(cfg, starts, velocity(xs), T, steps, stride)
-        out = []
-        for b, end in enumerate(ends):
-            if end is None and not isinstance(errors[b], (ImmersionError, StepError)):
-                raise errors[b]
-            out.append(None if end is None else (end - c1.samples).ravel() * np.sqrt(TWO_PI / n))
-        return out, frames
+        ends, frames, _ = _rk4(cfg, starts, velocity(xs), T, steps, stride)
+        residuals = [None if end is None else (end - c1.samples).ravel() * np.sqrt(TWO_PI / n) for end in ends]
+        return residuals, frames
 
     def finish(x, residual, converged, frames):
-        nonlocal shots, integrations
-        h0 = velocity(x)
         if frames is None:
             # x was shot in a batch, which stores no frames
-            shots += 1
-            integrations += 1
-            path = exp_map(cfg, c0, h0, T=T, steps=steps, stride=out_stride)
-        else:
-            path = GeodesicPath(tuple(frames), cfg, scheme=_MOMENTUM.scheme, steps=steps)
-        return ShootingResult(h0, residual, iterations, path, converged, shots, integrations)
+            [r], [frames] = shoot(x[None], out_stride)
+            if r is None:
+                raise ImmersionError("the shot at the returned velocity leaves the immersion set when run alone")
+        path = GeodesicPath(tuple(frames), cfg, scheme=_MOMENTUM.scheme, steps=steps)
+        return ShootingResult(velocity(x), residual, iterations, path, converged, shots, integrations)
 
     def fd_deltas(x):
         return FD_STEP * np.maximum(1.0, np.abs(x))

@@ -54,7 +54,9 @@ class LambdaSymbol:
     accepted so that degenerate symbols can be constructed for diagnostics,
     positivity is enforced where an inverse or square root is requested.
     For custom_table, table holds (m_max, values, derivative) with values of
-    shape (2*m_max + 1, dim, dim) indexed by m + m_max.
+    shape (2*m_max + 1, dim, dim) indexed by m + m_max. The hash is the
+    dataclass's field hash, so a custom table, which holds arrays, refuses
+    it; the operators key their caches by the symbol object, not its hash.
     """
 
     family: str
@@ -73,20 +75,6 @@ class LambdaSymbol:
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         if any(a < 0 for a in self.alphas):
             raise DomainError(f"coefficients must be nonnegative, got {self.alphas}")
-
-    def __hash__(self):
-        # hashed once, as the operator caches look a symbol up on every
-        # application; a custom table holds arrays and raises TypeError
-        try:
-            return self._hash
-        except AttributeError:
-            value = hash((self.family, self.order, self.alphas, self.dim, self.table))
-            object.__setattr__(self, "_hash", value)
-            return value
-
-    def __getstate__(self):
-        # str hashes differ between processes, so a copy hashes itself anew
-        return {k: v for k, v in vars(self).items() if k != "_hash"}
 
     @property
     def is_scalar(self):

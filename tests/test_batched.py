@@ -524,6 +524,80 @@ def test_a_speculative_trial_that_converges_takes_its_path_from_exp_map():
     assert_same_path(res.path, alone)
 
 
+def refuse_exp_map(*args, **kwargs):
+    raise AssertionError("geodesic_bvp called exp_map")
+
+
+def test_a_converging_speculative_trial_is_shot_again_alone_not_by_exp_map(monkeypatch):
+    # the input of the test above: the accepted trial carried columns, so
+    # its velocity was only shot in a batch; the path is one more lone shot,
+    # counted by the shot itself
+    c0, c1 = seeded_match(seed=(0, 4))
+    tol_rel = 1.19e-7 / (np.linalg.norm(c1.samples) * np.sqrt(TWO_PI / c0.n))
+    calls = recording_rk4(monkeypatch)
+    monkeypatch.setattr(solvers, "exp_map", refuse_exp_map)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = geodesic_bvp(BESSEL, c0, c1, K=2, steps=32, tol_rel=tol_rel)
+        monkeypatch.undo()
+        alone = exp_map(BESSEL, c0, res.initial_velocity, T=1.0, steps=32, stride=2)
+    assert res.converged and res.iterations == 2
+    assert [len(h) for h in calls] == [11, 11, 11, 1]
+    assert np.array_equal(calls[-1][0], res.initial_velocity)
+    assert res.shots == 3 * (1 + 10) + 1
+    assert res.integrations == 4
+    assert_same_path(res.path, alone)
+
+
+def rejecting_trials(monkeypatch, runs):
+    """Record the sizes of every RK4 run; the runs numbered in `runs` lose
+    their first member, as rejected trial shots."""
+    real = solvers._rk4
+    sizes = []
+
+    def rejecting(cfg, starts, h0s, *args, **kwargs):
+        sizes.append(len(h0s))
+        ends, frames, errors = real(cfg, starts, h0s, *args, **kwargs)
+        if len(sizes) in runs:
+            ends[0] = None
+            errors[0] = ImmersionError("injected")
+        return ends, frames, errors
+
+    monkeypatch.setattr(solvers, "_rk4", rejecting)
+    return sizes
+
+
+def test_a_stalled_match_whose_best_velocity_was_shot_in_a_batch_shoots_it_again_alone(monkeypatch):
+    # with max_iter=1 the initial shot carries the columns and the 12 trials
+    # run alone; when all are rejected the best velocity is the initial one
+    c0, c1 = seeded_match()
+    sizes = rejecting_trials(monkeypatch, range(2, 14))
+    monkeypatch.setattr(solvers, "exp_map", refuse_exp_map)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(NoConvergenceError) as err:
+            geodesic_bvp(BESSEL, c0, c1, K=2, steps=32, max_iter=1)
+        monkeypatch.undo()
+        result = err.value.result
+        alone = exp_map(BESSEL, c0, result.initial_velocity, T=1.0, steps=32, stride=2)
+    assert result.iterations == 1 and not result.converged
+    assert sizes == [11] + [1] * 12 + [1]
+    assert result.shots == 11 + 12 + 1
+    assert result.integrations == 14
+    assert_same_path(result.path, alone)
+
+
+def test_a_best_velocity_whose_lone_shot_fails_raises_an_immersion_error(monkeypatch):
+    # the lone shot of a velocity first shot in a batch never stops a path
+    # short silently
+    c0, c1 = seeded_match()
+    rejecting_trials(monkeypatch, range(2, 15))
+    with pytest.raises(ImmersionError, match="returned velocity"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            geodesic_bvp(BESSEL, c0, c1, K=2, steps=32, max_iter=1)
+
+
 def test_an_identical_target_takes_one_shot_whose_frames_are_the_path():
     c0 = make_curve(random_curve_samples(np.random.default_rng(7), n=64, amplitude=0.10))
     res = geodesic_bvp(BESSEL, c0, c0, K=2, steps=32)

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from fracsob import cli
+from fracsob import cli, symbols
 from fracsob.cli import build_parser, load_config, main
 from fracsob.curves import write_samples
 from fracsob.errors import ConfigError
@@ -219,6 +219,65 @@ def test_symbols_dumps_a_table(tmp_path, capsys):
     assert payload["class_report"]["elliptic"] is True
     lam0 = next(iter(payload["table"]))
     assert len(payload["table"][lam0]["values"]) == 9
+
+
+@pytest.mark.parametrize("argv", [
+    ["--lambda-range", "0", "1"],
+    ["--lambda-range", "5", "1"],
+    ["--m-max", "4"],
+    ["--modes", "-1"],
+])
+def test_a_symbols_range_out_of_bounds_is_a_usage_error_that_writes_nothing(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(["symbols", *argv, "--json", "symbols.json"]) == 1
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"error: {argv[0]} must be"), line
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_symbols_takes_its_default_range_and_table_lambdas_from_the_class_report(monkeypatch, capsys):
+    assert build_parser().parse_args(["symbols"]).lambda_range is symbols.LAMBDA_RANGE
+    monkeypatch.setattr(symbols, "LAMBDA_SAMPLES", 3)
+    assert main(["symbols", "--m-max", "16", "--modes", "1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["class_report"]["lambdas"] == [0.5, 10.25, 20.0]
+    assert list(payload["table"]) == ["0.5", "10.25", "20"]
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"grid": {"N": 64.5}}, "grid.N"),
+    ({"solver": {"steps": 40.9}}, "solver.steps"),
+    ({"solver": {"stride": 1.5}}, "solver.stride"),
+    ({"solver": {"K": 2.5}}, "solver.K"),
+    ({"solver": {"K": True}}, "solver.K"),
+    ({"solver": {"max_iter": 3.5}}, "solver.max_iter"),
+    ({"metric": {"family": "bessel_fractional", "r": 1.5, "d": 2.5}}, "metric.d"),
+    ({"seed": 1.7}, "seed"),
+    ({"seed": False}, "seed"),
+])
+def test_an_integer_key_refuses_a_fraction_or_a_boolean(tmp_path, capsys, config, key):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    with pytest.raises(ConfigError, match=f"key {key} must be an integer"):
+        load_config(str(path), {})
+    assert main(["check", "--no-flow", "--config", str(path)]) == 1
+    assert f"key {key} must be an integer" in capsys.readouterr().err
+
+
+def test_an_integral_number_loads_as_an_integer(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"grid": {"N": 64.0}, "solver": {"steps": 1e3, "K": 2}, "seed": 3.0}))
+    cfg = load_config(str(path), {})
+    assert (cfg.n, cfg.solver["steps"], cfg.solver["K"], cfg.seed) == (64, 1000, 2, 3)
+    assert all(type(v) is int for v in (cfg.n, cfg.solver["steps"], cfg.solver["K"], cfg.seed))
+
+
+@pytest.mark.parametrize("key, value, least", [("K", -1, 0), ("max_iter", -1, 0), ("stride", 0, 1)])
+def test_a_count_below_its_floor_names_the_floor(key, value, least):
+    with pytest.raises(ConfigError, match=f"key solver.{key} must be at least {least}, got {value}"):
+        load_config(None, {f"solver.{key}": value})
 
 
 def test_config_file_drives_the_run(tmp_path):

@@ -1,6 +1,7 @@
 """Tests for flat and curve-conjugated multiplier operators."""
 
 import inspect
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from fracsob import curves, operators, spectral, symbols
 from fracsob.checks import random_curve_samples, random_field
 from fracsob.curves import ds_integral, make_curve
 from fracsob.errors import DomainError, GridError, NotPositiveDefiniteError
-from fracsob.metric import momentum_spray_residual, spray
+from fracsob.metric import MetricConfig, momentum_rhs, momentum_spray_residual, spray
 from fracsob.operators import (
     VARIANTS,
     apply_conjugated,
@@ -21,6 +22,7 @@ from fracsob.operators import (
 from fracsob.solvers import exp_map_spray
 from fracsob.spectral import TWO_PI, dealias, grid, trig_interp
 from fracsob.symbols import (
+    LambdaSymbol,
     bessel_fractional,
     constant_coefficient,
     custom_table,
@@ -313,14 +315,46 @@ def test_band_multipliers_are_evaluated_once_per_curve_and_variant(monkeypatch):
     assert np.array_equal(first, again)
     # the other variants derive from the values kept on the curve, and the
     # lambda-derivative evaluates only its own table
-    apply_conjugated(c, sym, "inverse", u)
-    apply_conjugated(c, bessel_fractional(1.5), "inverse", u)  # an equal symbol shares the entry
+    inverse = apply_conjugated(c, sym, "inverse", u)
     apply_conjugated(c, sym, "sqrt", u)
     apply_conjugated(c, sym, "lambda_derivative", u)
     assert len(calls) == 1
+    # an equal symbol is another object with its own entries, and the same numbers
+    twin = bessel_fractional(1.5)
+    assert np.array_equal(apply_conjugated(c, twin, "inverse", u), inverse)
+    assert len(calls) == 2
+    top = c.n // 3 + 1
+    for variant in VARIANTS:
+        assert np.array_equal(operators._band_multipliers(c, twin, variant, top),
+                              operators._band_multipliers(c, sym, variant, top))
+    assert len(calls) == 2
     fresh = bent_curve()
     assert np.array_equal(apply_conjugated(fresh, sym, "identity", u), first)
-    assert len(calls) == 2
+    assert len(calls) == 3
+
+
+def test_the_operator_path_never_hashes_a_symbol(monkeypatch):
+    # the multiplier cache is keyed by the symbol object, so an application
+    # never hashes the symbol, on a single curve or on a batch
+    rng = np.random.default_rng(11)
+    single = make_curve(random_curve_samples(rng, n=64, amplitude=0.10))
+    batch = make_curve(np.stack([random_curve_samples(rng, n=64, amplitude=0.10) for _ in range(3)]))
+    cfg = MetricConfig(bessel_fractional(1.5))
+
+    def refuse(self):
+        raise AssertionError("a symbol was hashed")
+
+    monkeypatch.setattr(LambdaSymbol, "__hash__", refuse)
+    for c in (single, batch):
+        h = 0.1 * random_field(rng, 64, modes=3)
+        if c.batched:
+            h = np.stack([h, 2.0 * h, -h])
+        mu = apply_conjugated(c, cfg.symbol, "identity", h)
+        assert solve_conjugated(c, cfg.symbol, mu).shape == h.shape
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert momentum_rhs(cfg, c, h, ah=mu).shape == h.shape
+            assert spray(cfg, c, h)[0].shape == h.shape
 
 
 def folded_band_multipliers(curve, symbol, variant, top):
