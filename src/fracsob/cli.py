@@ -23,6 +23,7 @@ import argparse
 import contextlib
 import copy
 import json
+import numbers
 import os
 import sys
 from dataclasses import dataclass
@@ -33,7 +34,7 @@ from . import checks
 from .curves import make_curve, read_samples
 from .errors import ConfigError, FracsobError, NoConvergenceError
 from .metric import MetricConfig
-from .solvers import MIN_STEPS, _csv_chunks, _json_chunks, _svg_chunks, conservation_report, exp_map, geodesic_bvp
+from .solvers import MIN_STEPS, _svg_chunks, _text_chunks, conservation_report, exp_map, geodesic_bvp
 from .symbols import (
     FAMILIES,
     LAMBDA_RANGE,
@@ -75,6 +76,11 @@ class RunConfig:
     seed: int
 
 
+def _is_number(value):
+    """A number as JSON or a flag gives it: a boolean or a string is none."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _expect(block, key, kind, path, default=None, required=False):
     name = f"{path}.{key}" if path else key
     if key not in block:
@@ -82,9 +88,12 @@ def _expect(block, key, kind, path, default=None, required=False):
             raise ConfigError(f"missing required key {name}")
         return default
     value = block[key]
-    # int() would truncate a fraction and read a boolean as 0 or 1
-    if kind is int and (isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())):
+    # int() and float() would read a string of digits and a boolean as 0 or
+    # 1, and int() would truncate a fraction
+    if kind is int and not (_is_number(value) and (isinstance(value, numbers.Integral) or float(value).is_integer())):
         raise ConfigError(f"key {name} must be an integer, got {value!r}")
+    if kind is float and not _is_number(value):
+        raise ConfigError(f"key {name} must be a number, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError) as exc:
@@ -101,6 +110,11 @@ def build_symbol(metric_block):
     d = _expect(metric_block, "d", int, "metric", default=2)
     alphas = metric_block.get("alphas")
     r = metric_block.get("r")
+    # a string would be read one character at a time, a boolean as 0 or 1
+    if alphas is not None and not (isinstance(alphas, (list, tuple)) and all(map(_is_number, alphas))):
+        raise ConfigError(f"key metric.alphas must be a list of numbers, got {alphas!r}")
+    if r is not None and not _is_number(r):
+        raise ConfigError(f"key metric.r must be a number, got {r!r}")
     try:
         if family == "constant_coefficient" or family == "scale_invariant":
             if alphas is None:
@@ -270,15 +284,24 @@ def _json_target(name):
 
 
 def _write_path_artifacts(path_obj, cfg, stem):
-    """The path's files in io.out_dir (made by _make_out_dir), written one frame at a time."""
+    """The path's files in io.out_dir (made by _make_out_dir), written one frame at a time.
+
+    path.csv and path.json are written together, from one formatting of
+    each frame's floats.
+    """
     out_dir = cfg.io["out_dir"]
-    written = []
-    for fmt, chunks in (("csv", _csv_chunks), ("json", _json_chunks), ("svg", _svg_chunks)):
-        if fmt in cfg.io["formats"]:
-            name = os.path.join(out_dir, f"{stem}.{fmt}")
-            with open(name, "w", encoding="utf-8") as fh:
-                fh.writelines(chunks(path_obj))
-            written.append(name)
+    names = {fmt: os.path.join(out_dir, f"{stem}.{fmt}") for fmt in ("csv", "json", "svg") if fmt in cfg.io["formats"]}
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open(names[fmt], "w", encoding="utf-8")) if fmt in names else None
+                 for fmt in ("csv", "json")]
+        for chunks in _text_chunks(path_obj) if any(files) else ():
+            for fh, chunk in zip(files, chunks):
+                if fh:
+                    fh.write(chunk)
+    if "svg" in names:
+        with open(names["svg"], "w", encoding="utf-8") as fh:
+            fh.writelines(_svg_chunks(path_obj))
+    written = list(names.values())
     report = conservation_report(path_obj)
     name = os.path.join(out_dir, f"{stem}_conservation.json")
     payload = report.to_dict()

@@ -47,13 +47,31 @@ def _freeze(a):
     return a
 
 
+def _frozen(cls, **fields):
+    """An instance of a frozen dataclass on fields that are already frozen float arrays.
+
+    It skips __post_init__, so arrays just made (make_curve) or views of
+    frozen ones (DiscreteCurve.member) are not converted and frozen twice.
+    """
+    obj = object.__new__(cls)
+    vars(obj).update(fields)
+    return obj
+
+
 @functools.lru_cache(maxsize=16)
-def _exact_grid_phase(n):
-    """e^(i m theta_k) for m = 0..n//3, one row per mode, from the exact integer phase k*m mod n."""
+def _band_tables(n):
+    """(grid phase, L, i, L i) of the band basis on an n-point grid.
+
+    The grid phase e^(i m theta_k) for m = 0..n//3, one row per mode, comes
+    from the exact integer phase k*m mod n; L = ceil(sqrt(n//3 + 1)) and
+    i = 0..L-1 as a column.
+    """
     angle = (TWO_PI / n) * (np.outer(np.arange(n // 3 + 1), np.arange(n)) % n)
     table = np.cos(angle) + 1j * np.sin(angle)
     table.setflags(write=False)
-    return table
+    L = math.isqrt(n // 3) + 1
+    i = np.arange(L)[:, None]
+    return table, L, i, L * i
 
 
 def _unit_phases(phase):
@@ -120,12 +138,10 @@ class Diffeo:
         product of two (L, N) tables. The grid phase comes from an exact
         table, so E stays accurate at high m.
         """
-        grid_phase = _exact_grid_phase(self.n)
+        grid_phase, L, i, Li = _band_tables(self.n)
         top = grid_phase.shape[0]
-        L = math.isqrt(top - 1) + 1
         p = self.displacement[..., None, :]
-        i = np.arange(L)[:, None]
-        coarse = _unit_phases(p * (L * i))
+        coarse = _unit_phases(p * Li)
         fine = _unit_phases(p * i)
         e = (coarse[..., :, None, :] * fine[..., None, :, :]).reshape(p.shape[:-2] + (L * L, self.n))
         e = e[..., :top, :]
@@ -241,8 +257,9 @@ class DiscreteCurve:
         row i. So a stored frame (solvers._rk4 keeps members) holds its
         geometry only, not the (N, 2(N//3 + 1)) basis of the stage it came from.
         """
-        psi = Diffeo(self.psi.displacement[i])
-        return DiscreteCurve(self.samples[i], self.speed[i], float(self.length[i]), self.unit_tangent[i], psi)
+        psi = _frozen(Diffeo, displacement=self.psi.displacement[i])
+        return _frozen(DiscreteCurve, samples=self.samples[i], speed=self.speed[i], length=float(self.length[i]),
+                       unit_tangent=self.unit_tangent[i], psi=psi)
 
     def uncached(self):
         """This curve's geometry on a fresh psi, with no band basis or multipliers cached.
@@ -251,8 +268,9 @@ class DiscreteCurve:
         stored frames (conservation_report, path_energy) leaves the frames
         as it found them. The copy's basis is bitwise this curve's.
         """
-        psi = Diffeo(self.psi.displacement)
-        return DiscreteCurve(self.samples, self.speed, self.length, self.unit_tangent, psi)
+        psi = _frozen(Diffeo, displacement=self.psi.displacement)
+        return _frozen(DiscreteCurve, samples=self.samples, speed=self.speed, length=self.length,
+                       unit_tangent=self.unit_tangent, psi=psi)
 
     @functools.cached_property
     def theta(self):
@@ -304,14 +322,15 @@ def make_curve(samples):
         raise GridError(f"need an even number of samples, at least 8, got N = {n}")
     if d < 2:
         raise GridError(f"curves must live in dimension at least 2, got d = {d}")
-    if not np.all(np.isfinite(c)):
+    if not np.isfinite(c).all():
         raise GridError("curve samples contain nonfinite values")
     deriv = _dealiased_derivative(c, axis=-2)
-    speed = np.linalg.norm(deriv, axis=-1)
+    # |c'| summed as np.linalg.norm sums it
+    speed = np.sqrt((deriv * deriv).sum(axis=-1))
     top = speed.max(axis=-1)
     low = speed.min(axis=-1)
     bad = (top == 0.0) | (low <= IMMERSION_RTOL * top)
-    if np.any(bad):
+    if bad.any():
         i = np.flatnonzero(bad)[0]
         which = f" (batch member {i})" if c.ndim == 3 else ""
         raise ImmersionError(
@@ -329,8 +348,14 @@ def make_curve(samples):
             f"the grid does not resolve the speed: diffeomorphism is not orientation preserving: "
             f"min psi' = {slope.min():.3e}"
         )
-    psi = Diffeo(osc / _per_member(mean))
-    return DiscreteCurve(c, speed, length if c.ndim == 3 else float(length), tangent, psi)
+    disp = osc / _per_member(mean)
+    # every array here is new or the caller's c, frozen as the constructor
+    # freezes it; each is frozen once, here
+    batched = c.ndim == 3
+    for a in (c, speed, tangent, disp) + ((length,) if batched else ()):
+        a.setflags(write=False)
+    return _frozen(DiscreteCurve, samples=c, speed=speed, length=length if batched else float(length),
+                   unit_tangent=tangent, psi=_frozen(Diffeo, displacement=disp))
 
 
 @functools.lru_cache(maxsize=16)
@@ -382,7 +407,11 @@ def ds_integral(c, f):
     batch, one value per member. Every field reduces through the same
     einsum, so a single curve gets bitwise what it gets as a batch of one.
     """
-    f = _check_field(c, f, name="integrand")
+    return _ds_integral(c, _check_field(c, f, name="integrand"))
+
+
+def _ds_integral(c, f):
+    """ds_integral of a field already checked."""
     w = TWO_PI / c.n * c.speed
     out = np.einsum("...k,...k->...", w, f) if f.ndim == w.ndim else np.einsum("...k,...kj->...j", w, f)
     return float(out) if out.ndim == 0 else out
@@ -414,24 +443,29 @@ def antiderivative(c, f):
     f = _check_field(c, f, name="integrand")
     if f.ndim != c.speed.ndim:
         raise GridError("antiderivative expects a scalar field")
-    mean_ds = ds_integral(c, f) / c.length
+    mean_ds = _ds_integral(c, f) / c.length
     osc, _ = theta_antiderivative((f - _per_member(mean_ds)) * c.speed)
     return osc + _per_member(mean_ds) * c.arclength, mean_ds
 
 
+def _check_vector(c, u, name="field"):
+    """A vector field of the curve's own shape, (N, d) or (B, N, d)."""
+    u = _check_field(c, u, name)
+    if u.shape != c.samples.shape:
+        raise GridError(f"{name} shape {u.shape} does not match curve samples {c.samples.shape}")
+    return u
+
+
 def _variations(c, h):
-    """(dlen, dpsi, dw) of make_curve along h, from one filtered derivative of h.
+    """(dlen, dpsi, dw) of make_curve along a checked direction h, from one filtered derivative of h.
 
     With g = <D_s h, v> (make_curve's filtered D_s h), dlen = int g ds,
     dw = g - dlen/len is dW/W for the quadrature weights W, and
     dpsi = (2*pi/len) int_0^theta dw ds, one periodic antiderivative.
     """
-    h = _check_field(c, h, name="direction")
-    if h.shape != c.samples.shape:
-        raise GridError(f"direction shape {h.shape} does not match curve samples {c.samples.shape}")
     dh = _dealiased_derivative(h, axis=c.samples.ndim - 2)
     integrand = np.einsum("...j,...j->...", dh, c.unit_tangent) / c.speed
-    dlen = ds_integral(c, integrand)
+    dlen = _ds_integral(c, integrand)
     dw = integrand - _per_member(dlen / c.length)
     osc, _ = theta_antiderivative(dw * c.speed)
     return dlen, (TWO_PI / _per_member(c.length)) * osc, dw
@@ -444,7 +478,7 @@ def first_variations(c, h):
     dpsi(theta) = (2*pi/len) int_0^theta <D_s h, v> ds - (dlen/len) psi(theta),
     with make_curve's filtered D_s h: the exact variations of make_curve(c + eps h).
     """
-    return _variations(c, h)[:2]
+    return _variations(c, _check_vector(c, h, "direction"))[:2]
 
 
 def curve_to_dict(samples):

@@ -30,6 +30,15 @@ momentum_rhs and the w/w0 plumbing under it also take a batch of curves
 (make_curve on (B, N, d) samples) with (B, N, d) fields, and give each
 member what it would get alone; w0 is then a (B,) array.
 
+The public functions (metric, momentum_rhs, spray, w_field, w0_scalar)
+check their fields once, at the boundary; momentum_rhs's check is what
+stops an RK4 member whose velocity went nonfinite. Below it, _w_w0 and
+the spray apply the operators through their core (operators._apply,
+_derivative, _solve) and integrate with the unchecked ds-integral. The
+MeanResidualWarning floor, two max-abs reductions, is taken only for the
+members whose ds-mean already exceeds MEAN_RTOL times the scale, which
+warns the same members.
+
 The explicit spray adds the operator derivative term, the exact
 derivative of the discrete A_c (operator_directional_derivative):
 
@@ -43,9 +52,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .curves import _check_field, _per_member, arc_derivative, ds_integral
+from .curves import _check_vector, _ds_integral, _per_member, arc_derivative, ds_integral
 from .errors import DomainError, GridError, MeanResidualWarning, NotSupportedError
-from .operators import apply_conjugated, operator_directional_derivative, solve_conjugated
+from .operators import _apply, _core, _derivative, _solve, apply_conjugated
 from .spectral import TWO_PI, spectral_derivative, theta_antiderivative
 from .symbols import LAMBDA_RANGE, class_report
 
@@ -86,8 +95,8 @@ def _dot(a, b):
 
 def metric(cfg, c, h, k):
     """G_c(h, k) = int <A_c h, k> ds."""
-    ah = apply_conjugated(c, cfg.symbol, "identity", h)
-    return float(ds_integral(c, _dot(ah, np.asarray(k, dtype=float))))
+    h, k = _check_vector(c, h), _check_vector(c, k)
+    return float(_ds_integral(c, _dot(_apply(_core(c), cfg.symbol, "identity", h), k)))
 
 
 def metric_symmetric(cfg, c, h, k):
@@ -122,19 +131,20 @@ def wj_fields(c, h, n):
 def _w_w0(cfg, c, h, ah=None, want_w0=True):
     """The nonlocal coefficients at (c, h) from one antiderivative of their density.
 
-    Returns (ah, dsh, dsv, f, w, w0): ah = A_c h (computed unless given),
-    dsh = D_s h and dsv = D_s v from one derivative of the stacked [h, v],
-    the w integrand f = <ah, dsh>, w, and w0 (None unless want_w0). Both
-    coefficients integrate g = f |c'|: with (P, gbar) its theta_antiderivative,
-    w = P + gbar theta, and the sawtooth part of w0 reads the mean of P and
-    gbar. Warns once per member whose removed ds-mean 2 pi gbar / length
-    is above MEAN_RTOL relative to the size of f.
+    h is a checked vector field (the public callers check it). Returns
+    (ah, dsh, dsv, f, w, w0): ah = A_c h (computed unless given), dsh = D_s h
+    and dsv = D_s v from one derivative of the stacked [h, v], the w
+    integrand f = <ah, dsh>, w, and w0 (None unless want_w0). Both
+    coefficients integrate g = f |c'|: with (P, gbar) its
+    theta_antiderivative, w = P + gbar theta, and the sawtooth part of w0
+    reads the mean of P and gbar. Warns once per member whose removed
+    ds-mean 2 pi gbar / length is above MEAN_RTOL relative to the size of f.
     """
-    h = _check_field(c, h)
     if want_w0 and not cfg.symbol.has_derivative:
         raise NotSupportedError("w0 needs the symbol's lambda-derivative; supply a derivative table")
+    core = _core(c)
     if ah is None:
-        ah = apply_conjugated(c, cfg.symbol, "identity", h)
+        ah = _apply(core, cfg.symbol, "identity", h)
     v = c.unit_tangent
     d = spectral_derivative(np.concatenate([h, v], axis=-1), axis=c.samples.ndim - 2)
     d /= c.speed[..., None]
@@ -144,31 +154,34 @@ def _w_w0(cfg, c, h, ah=None, want_w0=True):
     periodic, gbar = theta_antiderivative(g)
     w = periodic + _per_member(gbar) * c.theta
     mean = TWO_PI * gbar / c.length
-    scale = np.maximum(np.max(np.abs(f), axis=-1), 1e-300)
-    # the pairing can cancel to rounding pointwise (e.g. scaling
-    # velocities on a circle), so the threshold also floors at the
-    # roundoff level of the product's factors
-    size = np.max(np.abs(ah), axis=(-2, -1)) * np.max(np.abs(dsh), axis=(-2, -1))
-    floor = 100.0 * np.finfo(float).eps * size
-    # one warning per offending member, as if each ran alone
-    for i in np.flatnonzero(np.abs(mean) > np.maximum(MEAN_RTOL * scale, floor)):
-        warnings.warn(
-            MeanResidualWarning(
-                f"w integrand has ds-mean {np.ravel(mean)[i]:.3e} against scale "
-                f"{np.ravel(scale)[i]:.3e}; the grid is too coarse for this symbol and field"
-            ),
-            stacklevel=3,
-        )
+    scale = np.maximum(np.abs(f).max(axis=-1), 1e-300)
+    over = np.abs(mean) > MEAN_RTOL * scale
+    if over.any():
+        # the pairing can cancel to rounding pointwise (e.g. scaling
+        # velocities on a circle), so the threshold also floors at the
+        # roundoff level of the product's factors; only a member already
+        # over MEAN_RTOL can be over both
+        size = np.abs(ah).max(axis=(-2, -1)) * np.abs(dsh).max(axis=(-2, -1))
+        # one warning per offending member, as if each ran alone
+        for i in np.flatnonzero(over & (np.abs(mean) > 100.0 * np.finfo(float).eps * size)):
+            warnings.warn(
+                MeanResidualWarning(
+                    f"w integrand has ds-mean {np.ravel(mean)[i]:.3e} against scale "
+                    f"{np.ravel(scale)[i]:.3e}; the grid is too coarse for this symbol and field"
+                ),
+                stacklevel=3,
+            )
     if not want_w0:
         return ah, dsh, dsv, f, w, None
     # int_0^2pi psi g dtheta with psi = theta + p: the sawtooth part is
     # int theta (g - gbar) dtheta + gbar 2 pi^2 = -int P dtheta + gbar 2 pi^2,
-    # the periodic part a trapezoid sum (spectral here)
-    theta_term = -TWO_PI * np.mean(periodic, axis=-1) + gbar * 2.0 * np.pi ** 2
+    # the periodic part a trapezoid sum (spectral here); the mean of P is
+    # summed and divided as np.mean does it
+    theta_term = -TWO_PI * (periodic.sum(axis=-1) / c.n) + gbar * 2.0 * np.pi ** 2
     p_term = TWO_PI / c.n * _dot(c.psi.displacement, g)
     term1 = (theta_term + p_term) / TWO_PI
-    aph = apply_conjugated(c, cfg.symbol, "lambda_derivative", h)
-    term2 = 0.5 * ds_integral(c, _dot(ah / _per_member(c.length)[..., None] + aph, h))
+    aph = _apply(core, cfg.symbol, "lambda_derivative", h)
+    term2 = 0.5 * _ds_integral(c, _dot(ah / _per_member(c.length)[..., None] + aph, h))
     total = term1 + term2
     return ah, dsh, dsv, f, w, (total if c.batched else float(total))
 
@@ -179,7 +192,7 @@ def w_field(cfg, c, h):
     Warns with MeanResidualWarning when the removed ds-mean of the integrand
     is above MEAN_RTOL relative to the integrand size.
     """
-    return _w_w0(cfg, c, h, want_w0=False)[4]
+    return _w_w0(cfg, c, _check_vector(c, h), want_w0=False)[4]
 
 
 def w0_scalar(cfg, c, h, ah=None):
@@ -190,7 +203,7 @@ def w0_scalar(cfg, c, h, ah=None):
     symbol's lambda-derivative. A precomputed A_c h may be passed as ah.
     Warns as w_field does: w0 integrates the same density.
     """
-    return _w_w0(cfg, c, h, ah=ah)[5]
+    return _w_w0(cfg, c, _check_vector(c, h), ah=ah)[5]
 
 
 @dataclass(frozen=True)
@@ -232,15 +245,15 @@ def spray(cfg, c, h):
     curves, as momentum_rhs takes it, gives each member bitwise what it gets
     alone, and a breakdown whose fields (w0 too) lead with the batch axis.
     """
-    h = np.asarray(h, dtype=float)
+    h = _check_vector(c, h)
     ah, dsh, dsv, f, w, w0 = _w_w0(cfg, c, h)
     v = c.unit_tangent
-    t_op = operator_directional_derivative(c, h, cfg.symbol, h)
+    t_op = _derivative(c, h, cfg.symbol, h)
     t_dsh = _dot(dsh, v)[..., None] * ah
     t_transport = f[..., None] * v
     t_w = (w + _per_member(w0))[..., None] * dsv
     breakdown = SprayBreakdown(t_op, t_dsh, t_transport, t_w, w, w0)
-    value = -solve_conjugated(c, cfg.symbol, breakdown.total())
+    value = -_solve(_core(c), cfg.symbol, breakdown.total(), 2)
     return value, breakdown
 
 
@@ -252,7 +265,7 @@ def momentum_rhs(cfg, c, h, ah=None):
     be passed as ah to save one operator application. On a batch of curves,
     every member is evaluated on its own.
     """
-    ah, dsh, dsv, f, w, w0 = _w_w0(cfg, c, h, ah=ah)
+    ah, dsh, dsv, f, w, w0 = _w_w0(cfg, c, _check_vector(c, h), ah=ah)
     v = c.unit_tangent
     return -(
         _dot(dsh, v)[..., None] * ah

@@ -44,8 +44,8 @@ from .errors import (
     StepError,
 )
 from .metric import _dot, momentum_rhs, spray
-from .operators import apply_conjugated, solve_conjugated
-from .spectral import TWO_PI, dealias, grid
+from .operators import _apply, _core, _filter, _solve, apply_conjugated
+from .spectral import TWO_PI, grid
 
 #: smallest admissible RK4 step count
 MIN_STEPS = 16
@@ -157,17 +157,18 @@ class _Form:
 
 
 def _momentum_velocity(cfg, c, mu, final=False):
-    """c_t = A_c^{-1} mu: 2 refinement passes in a stage; with final=True one
-    solve of 18 passes, the depth time reversal from t = T needs."""
-    return solve_conjugated(c, cfg.symbol, mu, refine=18 if final else 2)
+    """c_t = A_c^{-1} mu (solve_conjugated on the loop's own state): 2
+    refinement passes in a stage; with final=True one solve of 18 passes,
+    the depth time reversal from t = T needs."""
+    return _solve(_core(c), cfg.symbol, mu, 18 if final else 2)
 
 
 def _momentum_rate(cfg, c, h, mu):
     # keep the evolved momentum on the resolved band: the quadratic
     # products in the right hand side regenerate the top-third modes the
     # operators drop, and letting them accumulate in mu breaks time
-    # reversal
-    return dealias(momentum_rhs(cfg, c, h, ah=mu), axis=1)
+    # reversal. momentum_rhs checks h, so a nonfinite velocity stops here.
+    return _filter(_core(c), momentum_rhs(cfg, c, h, ah=mu))
 
 
 def _spray_rate(cfg, c, h, _):
@@ -221,7 +222,7 @@ def _rk4(cfg, c0, h0, T, steps, stride=None, form=_MOMENTUM):
     symbol = cfg.symbol
     dt = T / steps
     x = np.array(c0.samples, dtype=float)
-    mu0 = apply_conjugated(c0, symbol, "identity", h0)
+    mu0 = _apply(_core(c0), symbol, "identity", h0)
     y = form.start(h0, mu0)
     ids = np.arange(len(x))
     errors = {}
@@ -293,7 +294,7 @@ def _rk4(cfg, c0, h0, T, steps, stride=None, form=_MOMENTUM):
                     # h0 and mu0 = A_c h0 are the exact initial pair
                     store(t, c, h0[ids], mu0[ids])
                 else:
-                    store(t, c, h, apply_conjugated(c, symbol, "identity", h))
+                    store(t, c, h, _apply(_core(c), symbol, "identity", h))
             ks.append((h, g))
             # the next stage builds its own curve; let this one go first
             del c, out
@@ -308,7 +309,7 @@ def _rk4(cfg, c0, h0, T, steps, stride=None, form=_MOMENTUM):
         c = curve(x, T)
     if c is not None and stride:
         h = form.velocity(cfg, c, y, final=True)
-        store(T, c, h, apply_conjugated(c, symbol, "identity", h))
+        store(T, c, h, _apply(_core(c), symbol, "identity", h))
     return result()
 
 
@@ -640,40 +641,48 @@ def conservation_report(path):
     )
 
 
-def _csv_chunks(path):
-    """path_to_csv's text: the header line, then one chunk per frame."""
-    d = path.frames[0].curve.dim
+def _list_text(a):
+    """repr of a 2-D float array's nested list: each float formatted once, by float.__repr__."""
+    return repr(np.asarray(a).tolist())
+
+
+def _json_text(text):
+    """List text as json.dumps writes the list: its float text is float.__repr__
+    too, but nan and inf take JSON's names."""
+    return text.replace("nan", "NaN").replace("inf", "Infinity")
+
+
+def _csv_rows(text):
+    """The rows of _list_text's text, each as comma-separated floats."""
+    return text[2:-2].replace(", ", ",").split("],[")
+
+
+def _text_chunks(path):
+    """path_to_csv's and path_to_json's text as (csv, json) pairs of chunks.
+
+    The headers come first, then one pair per frame, then the end of the
+    JSON object. Each float of a frame is formatted once, for both texts:
+    JSON writes a float as float.__repr__ does, as the CSV does.
+    """
+    first = path.frames[0].curve
+    d = first.dim
     header = ["t", "k"] + [f"x{i + 1}" for i in range(d)] + [f"v{i + 1}" for i in range(d)]
-    yield ",".join(header) + "\n"
-    for f in path.frames:
-        vel = f.velocity if f.velocity is not None else np.zeros_like(f.curve.samples)
-        t = repr(float(f.t))
-        rows = np.concatenate([f.curve.samples, vel], axis=1).tolist()
-        yield "".join(f"{t},{k}," + ",".join(map(repr, row)) + "\n" for k, row in enumerate(rows))
-
-
-def _json_chunks(path):
-    """path_to_json's text: the header object up to its frame list, then one chunk per frame."""
-    header = json.dumps(
-        {
-            "scheme": path.scheme,
-            "steps": path.steps,
-            "n": path.frames[0].curve.n,
-            "dim": path.frames[0].curve.dim,
-            "frames": [],
-        }
-    )
-    # the header ends in the empty list "[]}"; the frames go between its brackets
-    yield header[:-2]
+    head = json.dumps({"scheme": path.scheme, "steps": path.steps, "n": first.n, "dim": d, "frames": []})
+    # the JSON header ends in the empty list "[]}"; the frames go between its brackets
+    yield ",".join(header) + "\n", head[:-2]
     for i, f in enumerate(path.frames):
-        frame = {
-            "t": float(f.t),
-            "samples": f.curve.samples.tolist(),
-            "velocity": None if f.velocity is None else np.asarray(f.velocity).tolist(),
-            "momentum": None if f.momentum is None else np.asarray(f.momentum).tolist(),
-        }
-        yield (", " if i else "") + json.dumps(frame)
-    yield header[-2:]
+        t = repr(float(f.t))
+        samples = _list_text(f.curve.samples)
+        vel = None if f.velocity is None else _list_text(f.velocity)
+        mom = "null" if f.momentum is None else _json_text(_list_text(f.momentum))
+        rows = zip(_csv_rows(samples), [",".join(["0.0"] * d)] * first.n if vel is None else _csv_rows(vel))
+        csv = "".join([f"{t},{k},{x},{v}\n" for k, (x, v) in enumerate(rows)])
+        frame = (
+            f'{", " if i else ""}{{"t": {_json_text(t)}, "samples": {_json_text(samples)}, '
+            f'"velocity": {"null" if vel is None else _json_text(vel)}, "momentum": {mom}}}'
+        )
+        yield csv, frame
+    yield "", head[-2:]
 
 
 def _svg_chunks(path):
@@ -699,19 +708,19 @@ def _svg_chunks(path):
         color = f"rgb({int(round(220 * frac))},40,{int(round(220 * (1 - frac)))})"
         xy = np.concatenate([f.curve.samples[:, :2], f.curve.samples[:1, :2]])
         u, v = project(xy)
-        coords = " ".join(f"{a:.3f},{b:.3f}" for a, b in zip(u, v))
+        coords = " ".join([f"{a:.3f},{b:.3f}" for a, b in zip(u.tolist(), v.tolist())])
         yield f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.2"/>\n'
     yield "</svg>\n"
 
 
 def path_to_csv(path):
     """One row per frame per sample: t, k, x1..xd, v1..vd."""
-    return "".join(_csv_chunks(path))
+    return "".join(csv for csv, _ in _text_chunks(path))
 
 
 def path_to_json(path):
     """Frame list with times, samples, velocities, momenta."""
-    return "".join(_json_chunks(path))
+    return "".join(text for _, text in _text_chunks(path))
 
 
 def path_to_svg(path):

@@ -266,6 +266,27 @@ def test_an_integer_key_refuses_a_fraction_or_a_boolean(tmp_path, capsys, config
     assert f"key {key} must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config, key, kind", [
+    ({"grid": {"N": "64"}}, "grid.N", "an integer"),
+    ({"solver": {"T": True}}, "solver.T", "a number"),
+    ({"solver": {"tol_rel": "1e-3"}}, "solver.tol_rel", "a number"),
+    ({"seed": "5"}, "seed", "an integer"),
+    ({"metric": {"family": "constant_coefficient", "alphas": "12"}}, "metric.alphas", "a list of numbers"),
+    ({"metric": {"family": "bessel_fractional", "r": True}}, "metric.r", "a number"),
+])
+def test_a_number_key_refuses_a_string_or_a_boolean(tmp_path, capsys, config, key, kind):
+    # float() and int() would read "64" and "1e-3", True as 1, and the
+    # alphas "12" one character at a time
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    with pytest.raises(ConfigError, match=f"key {key} must be {kind}"):
+        load_config(str(path), {})
+    assert main(["check", "--no-flow", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"key {key} must be {kind}" in err
+
+
 def test_an_integral_number_loads_as_an_integer(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"grid": {"N": 64.0}, "solver": {"steps": 1e3, "K": 2}, "seed": 3.0}))

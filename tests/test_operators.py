@@ -211,18 +211,19 @@ def test_solve_conjugated_keeps_the_better_iterate_when_a_correction_overshoots(
     mu = apply_conjugated(batch, sym, "identity", np.stack([random_field(rng, 64) for _ in range(2)]))
     alone = solve_conjugated(batch.member(0), sym, mu[0])
     first = apply_conjugated(batch, sym, "inverse", mu)
-    real_apply = operators.apply_conjugated
+    # every pass of the solve is one application through the operators' core
+    real_apply = operators._apply
     inverses = []
 
-    def overshooting(curve, symbol, variant, u):
-        out = real_apply(curve, symbol, variant, u)
+    def overshooting(core, symbol, variant, u):
+        out = real_apply(core, symbol, variant, u)
         if variant == "inverse":
             inverses.append(1)
             if len(inverses) > 1:  # a correction, not the first iterate
                 out[1] *= 50.0
         return out
 
-    monkeypatch.setattr(operators, "apply_conjugated", overshooting)
+    monkeypatch.setattr(operators, "_apply", overshooting)
     h = solve_conjugated(batch, sym, mu)
     monkeypatch.undo()
     assert len(inverses) == 3
@@ -298,14 +299,23 @@ def test_custom_table_matches_closed_form_on_a_curve():
     assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want))
 
 
+def folded(curve, symbol, variant):
+    """The folded band multipliers the operators' core keeps for a variant on the curve."""
+    return operators._multipliers(operators._core(curve), symbol, variant)[2]
+
+
 def test_band_multipliers_are_evaluated_once_per_curve_and_variant(monkeypatch):
     calls = []
 
+    # the operators take lambda from the curve's length, checked by
+    # make_curve, so they evaluate the symbol through the unchecked core
+    real_values = symbols._scalar_values
+
     def counting(*args):
         calls.append(1)
-        return scalar_values(*args)
+        return real_values(*args)
 
-    monkeypatch.setattr(symbols, "scalar_values", counting)
+    monkeypatch.setattr(symbols, "_scalar_values", counting)
     c = bent_curve()
     sym = bessel_fractional(1.5)
     u = np.column_stack([np.cos(2 * c.theta), np.sin(c.theta)])
@@ -323,10 +333,9 @@ def test_band_multipliers_are_evaluated_once_per_curve_and_variant(monkeypatch):
     twin = bessel_fractional(1.5)
     assert np.array_equal(apply_conjugated(c, twin, "inverse", u), inverse)
     assert len(calls) == 2
-    top = c.n // 3 + 1
     for variant in VARIANTS:
-        assert np.array_equal(operators._band_multipliers(c, twin, variant, top),
-                              operators._band_multipliers(c, sym, variant, top))
+        assert np.array_equal(folded(c, twin, variant),
+                              folded(c, sym, variant))
     assert len(calls) == 2
     fresh = bent_curve()
     assert np.array_equal(apply_conjugated(fresh, sym, "identity", u), first)
@@ -387,7 +396,7 @@ def test_scalar_band_multipliers_equal_the_fold_over_plus_and_minus_m(sym):
     top = single.n // 3 + 1
     for c in (single, batch):
         for variant in VARIANTS:
-            got = operators._band_multipliers(c, sym, variant, top)
+            got = folded(c, sym, variant)
             want = folded_band_multipliers(c, sym, variant, top)
             assert got.shape == want.shape
             assert np.array_equal(got, want), (variant, c.batched)
@@ -566,20 +575,22 @@ def test_directional_derivative_makes_three_real_transforms(count_calls):
     # one filtered derivative of h and one antiderivative give every
     # variation, and the output takes one dealias. At N = 256 each is one
     # rfft; at N = 64 all three are cached dense products, the derivative
-    # and the dealias in spectral._multiply_modes and the antiderivative in
-    # spectral.theta_antiderivative, and none calls rfft.
+    # in spectral._multiply_modes, the antiderivative in
+    # spectral.theta_antiderivative and the dealias in the operators' core
+    # filter (operators._filter), and none calls rfft.
     count_calls(np.fft, "rfft")
     calls = count_calls(spectral, "_multiply_modes")
     count_calls(curves, "theta_antiderivative")
+    count_calls(operators, "_filter")
     for n in (64, 256):
         c = bent_curve(n)
         h = np.column_stack([np.sin(2 * c.theta), 0.5 * np.cos(c.theta)])
         operator_directional_derivative(c, h, bessel_fractional(1.5), h)  # build the band basis and caches
         calls.update(dict.fromkeys(calls, 0))
         operator_directional_derivative(c, h, bessel_fractional(1.5), h)
-        assert calls["theta_antiderivative"] == 1
+        assert calls["theta_antiderivative"] == calls["_filter"] == 1
         if n == 64:
-            assert calls["_multiply_modes"] + calls["theta_antiderivative"] == 3
+            assert calls["_multiply_modes"] + calls["theta_antiderivative"] + calls["_filter"] == 3
             assert calls["rfft"] == 0
         else:
             assert calls["rfft"] == 3

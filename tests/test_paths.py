@@ -153,7 +153,7 @@ def test_the_callers_curves_cache_no_band_basis():
     assert geodesic_bvp(BESSEL, circle, target, K=3, steps=32, T=1.0).converged
     for c in (c0, circle, target):
         assert "band_basis" not in vars(c.psi)
-        assert "_band_multipliers" not in vars(c)
+        assert "_operator_core" not in vars(c)
 
 
 def test_the_report_reads_the_same_energies_as_frames_that_kept_their_bases(monkeypatch):

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fracsob import curves, solvers, spectral
+from fracsob import curves, operators, solvers, spectral
 from fracsob.checks import random_curve_samples, random_field
 from fracsob.curves import make_curve
 from fracsob.errors import (
@@ -20,7 +20,7 @@ from fracsob.errors import (
     ResolutionError,
 )
 from fracsob.metric import MetricConfig, metric, momentum_rhs, spray
-from fracsob.operators import apply_conjugated, solve_conjugated
+from fracsob.operators import apply_conjugated
 from fracsob.solvers import (
     Frame,
     GeodesicPath,
@@ -77,14 +77,16 @@ def test_exp_map_deep_solves_only_the_final_frame(monkeypatch):
     # four stage solves per step, then the final frame's one deep solve;
     # the stored interior frames add none at any stride
     c0, h0 = flow_setup(np.random.default_rng(3))
+    real_solve = solvers._solve
     for stride in (1, 4, MIN_STEPS):
         calls = []
 
-        def counting(*args, **kwargs):
-            calls.append(kwargs.get("refine"))
-            return solve_conjugated(*args, **kwargs)
+        # the loop solves through the operators' core: _solve(core, symbol, mu, refine)
+        def counting(core, symbol, mu, refine):
+            calls.append(refine)
+            return real_solve(core, symbol, mu, refine)
 
-        monkeypatch.setattr(solvers, "solve_conjugated", counting)
+        monkeypatch.setattr(solvers, "_solve", counting)
         path = exp_map(BESSEL, c0, h0, T=0.5, steps=MIN_STEPS, stride=stride)
         assert calls == [2] * (4 * MIN_STEPS) + [18]
         assert len(path.frames) == MIN_STEPS // stride + 1
@@ -378,14 +380,14 @@ def test_conservation_report_applies_the_operator_once_per_frame(rng, monkeypatc
     expected = [metric(BESSEL, f.curve, f.velocity, f.velocity) for f in path.frames]
     bare = GeodesicPath(tuple(Frame(f.t, f.curve, f.velocity, None) for f in path.frames), BESSEL)
     calls = []
+    real_apply = operators._apply
 
-    def counting(*args, **kwargs):
+    # every application runs through the operators' core, whoever calls it
+    def counting(*args):
         calls.append(1)
-        return apply_conjugated(*args, **kwargs)
+        return real_apply(*args)
 
-    monkeypatch.setattr(solvers, "apply_conjugated", counting)
-    # fracsob.metric is the function metric(); import the module by name
-    monkeypatch.setattr(importlib.import_module("fracsob.metric"), "apply_conjugated", counting)
+    monkeypatch.setattr(operators, "_apply", counting)
     for p in (path, bare):
         calls.clear()
         report = conservation_report(p)
@@ -507,13 +509,17 @@ def test_each_rk4_stage_makes_no_fft_call_at_64_points_and_22_real_ones_at_256(c
     # speed), one filter per operator application (3 + 2 from the refined
     # solve, 1 for the lambda-derivative), 2 in momentum_rhs and 1 for the
     # momentum filter. At N = 256 each is an rfft/irfft pair, 22 calls. At
-    # N = 64 all are cached dense products: the 9 derivatives and filters in
-    # spectral._multiply_modes and the 2 antiderivatives in
+    # N = 64 all are cached dense products: the 2 derivatives in
+    # spectral._multiply_modes, the 7 filters in the operators' core filter
+    # (operators._filter) and the 2 antiderivatives in
     # spectral.theta_antiderivative, so no numpy.fft call is made. The runs
     # store no frames, so the final frame's deep solve, whose stagnation
     # stop moves with rounding, does not enter the difference.
     count_calls(np.fft, "fft", "ifft", "rfft", "irfft")
     calls = count_calls(spectral, "_multiply_modes")
+    # the operators and the momentum filter in _rk4 hold _filter by name
+    count_calls(operators, "_filter")
+    count_calls(solvers, "_filter")
     # make_curve and momentum_rhs hold theta_antiderivative by name
     count_calls(curves, "theta_antiderivative")
     count_calls(importlib.import_module("fracsob.metric"), "theta_antiderivative")
@@ -530,12 +536,13 @@ def test_each_rk4_stage_makes_no_fft_call_at_64_points_and_22_real_ones_at_256(c
             assert calls["fft"] == calls["ifft"] == 0
             assert calls["rfft"] == calls["irfft"]
             real[steps] = calls["rfft"] + calls["irfft"]
-            round_trips[steps] = (calls["_multiply_modes"], calls["theta_antiderivative"])
-        multiplies, antiderivatives = np.subtract(round_trips[32], round_trips[16])
+            round_trips[steps] = (calls["_multiply_modes"], calls["_filter"], calls["theta_antiderivative"])
+        multiplies, filters, antiderivatives = np.subtract(round_trips[32], round_trips[16])
         assert antiderivatives == 64 * 2
+        assert filters == 64 * 7
         if n == 64:
             assert real[16] == real[32] == 0
-            assert multiplies == 64 * 9
+            assert multiplies + filters == 64 * 9
         else:
             assert real[32] - real[16] == 64 * 22
 
