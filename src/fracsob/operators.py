@@ -222,12 +222,13 @@ def _derivative(curve, h, symbol, field):
 
 
 def _checked(curve, u):
-    """u as a float array on the curve's grid, and whether it is a vector field."""
+    """u on the curve's grid as an (..., N, k) float field, and whether u was a vector field."""
     u = np.asarray(u, dtype=float)
     lead = curve.samples.ndim - 2
     if u.shape[: lead + 1] != curve.samples.shape[: lead + 1]:
         raise GridError(f"field of shape {u.shape} does not match the curve grid N = {curve.n}")
-    return u, u.ndim == lead + 2
+    vector = u.ndim == lead + 2
+    return (u if vector else u[..., None]), vector
 
 
 def apply_conjugated(curve, symbol, variant, u):
@@ -241,8 +242,8 @@ def apply_conjugated(curve, symbol, variant, u):
     back as B @ ., and low-pass filtered with the two-thirds rule. On a
     batch of curves each member is treated on its own.
     """
-    u, vector = _checked(curve, u)
-    out = _apply(_core(curve), symbol, variant, u if vector else u[..., None])
+    field, vector = _checked(curve, u)
+    out = _apply(_core(curve), symbol, variant, field)
     return out if vector else out[..., 0]
 
 
@@ -260,8 +261,8 @@ def solve_conjugated(curve, symbol, u, refine=2):
     iterate back, the better of the two. On a batch, every member stops on
     its own residual.
     """
-    u, vector = _checked(curve, u)
-    h = _solve(_core(curve), symbol, u if vector else u[..., None], refine)
+    field, vector = _checked(curve, u)
+    h = _solve(_core(curve), symbol, field, refine)
     return h if vector else h[..., 0]
 
 
