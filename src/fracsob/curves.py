@@ -47,17 +47,6 @@ def _freeze(a):
     return a
 
 
-def _frozen(cls, **fields):
-    """An instance of a frozen dataclass on fields that are already frozen float arrays.
-
-    It skips __post_init__, so arrays just made (make_curve) or views of
-    frozen ones (DiscreteCurve.member) are not converted and frozen twice.
-    """
-    obj = object.__new__(cls)
-    vars(obj).update(fields)
-    return obj
-
-
 @functools.lru_cache(maxsize=16)
 def _band_tables(n):
     """(grid phase, L, i, L i) of the band basis on an n-point grid.
@@ -257,9 +246,8 @@ class DiscreteCurve:
         row i. So a stored frame (solvers._rk4 keeps members) holds its
         geometry only, not the (N, 2(N//3 + 1)) basis of the stage it came from.
         """
-        psi = _frozen(Diffeo, displacement=self.psi.displacement[i])
-        return _frozen(DiscreteCurve, samples=self.samples[i], speed=self.speed[i], length=float(self.length[i]),
-                       unit_tangent=self.unit_tangent[i], psi=psi)
+        psi = Diffeo(self.psi.displacement[i])
+        return DiscreteCurve(self.samples[i], self.speed[i], float(self.length[i]), self.unit_tangent[i], psi)
 
     def uncached(self):
         """This curve's geometry on a fresh psi, with no band basis or multipliers cached.
@@ -268,9 +256,8 @@ class DiscreteCurve:
         stored frames (conservation_report, path_energy) leaves the frames
         as it found them. The copy's basis is bitwise this curve's.
         """
-        psi = _frozen(Diffeo, displacement=self.psi.displacement)
-        return _frozen(DiscreteCurve, samples=self.samples, speed=self.speed, length=self.length,
-                       unit_tangent=self.unit_tangent, psi=psi)
+        psi = Diffeo(self.psi.displacement)
+        return DiscreteCurve(self.samples, self.speed, self.length, self.unit_tangent, psi)
 
     @functools.cached_property
     def theta(self):
@@ -348,14 +335,8 @@ def make_curve(samples):
             f"the grid does not resolve the speed: diffeomorphism is not orientation preserving: "
             f"min psi' = {slope.min():.3e}"
         )
-    disp = osc / _per_member(mean)
-    # every array here is new or the caller's c, frozen as the constructor
-    # freezes it; each is frozen once, here
-    batched = c.ndim == 3
-    for a in (c, speed, tangent, disp) + ((length,) if batched else ()):
-        a.setflags(write=False)
-    return _frozen(DiscreteCurve, samples=c, speed=speed, length=length if batched else float(length),
-                   unit_tangent=tangent, psi=_frozen(Diffeo, displacement=disp))
+    psi = Diffeo(osc / _per_member(mean))
+    return DiscreteCurve(c, speed, length if c.ndim == 3 else float(length), tangent, psi)
 
 
 @functools.lru_cache(maxsize=16)

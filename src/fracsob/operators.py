@@ -44,7 +44,7 @@ import numpy as np
 from .curves import _check_field, _check_vector, _variations
 from .errors import GridError
 from .spectral import _DENSE_MAX_N, _mode_matrix, dealias, modes
-from .symbols import VARIANTS, _require_lambda, _values, _variant
+from .symbols import VARIANTS, _values, _variant
 
 
 def _multiply(symbol, mult, coef):
@@ -62,7 +62,6 @@ def apply_flat(symbol, lam, variant, u):
     n = u.shape[0]
     if n < 2:
         raise GridError(f"field too short for an FFT, N = {n}")
-    _require_lambda(lam)
     mult = _variant(_values(symbol, lam, modes(n), variant == "lambda_derivative"), variant)
     if symbol.is_scalar:
         mult = mult.reshape(mult.shape + (1,) * (u.ndim - 1))

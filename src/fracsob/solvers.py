@@ -673,9 +673,12 @@ def _text_chunks(path):
     for i, f in enumerate(path.frames):
         t = repr(float(f.t))
         samples = _list_text(f.curve.samples)
-        vel = None if f.velocity is None else _list_text(f.velocity)
+        v = None if f.velocity is None else np.asarray(f.velocity)
+        vel = None if v is None else _list_text(v)
+        # the CSV writes a velocity as floats, like the samples; JSON keeps its own numbers
+        csv_vel = vel if v is None or v.dtype.kind == "f" else _list_text(v.astype(float))
         mom = "null" if f.momentum is None else _json_text(_list_text(f.momentum))
-        rows = zip(_csv_rows(samples), [",".join(["0.0"] * d)] * first.n if vel is None else _csv_rows(vel))
+        rows = zip(_csv_rows(samples), [",".join(["0.0"] * d)] * first.n if vel is None else _csv_rows(csv_vel))
         csv = "".join([f"{t},{k},{x},{v}\n" for k, (x, v) in enumerate(rows)])
         frame = (
             f'{", " if i else ""}{{"t": {_json_text(t)}, "samples": {_json_text(samples)}, '

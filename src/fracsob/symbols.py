@@ -162,11 +162,6 @@ def _require_lambda(lam):
 def scalar_values(sym, lam, m):
     """Scalar multiplier values a(lambda, m) for the built-in families."""
     _require_lambda(lam)
-    return _scalar_values(sym, lam, m)
-
-
-def _scalar_values(sym, lam, m):
-    """scalar_values at a parameter lam already checked."""
     m = np.asarray(m, dtype=float)
     if sym.family == "constant_coefficient":
         y = (TWO_PI * m / lam) ** 2
@@ -185,18 +180,13 @@ def _scalar_values(sym, lam, m):
 def scalar_derivative_values(sym, lam, m):
     """Analytic d/dlambda of the scalar multiplier for built-in families."""
     _require_lambda(lam)
-    return _scalar_derivative_values(sym, lam, m)
-
-
-def _scalar_derivative_values(sym, lam, m):
-    """scalar_derivative_values at a parameter lam already checked."""
     m = np.asarray(m, dtype=float)
     if sym.family == "constant_coefficient":
         y = (TWO_PI * m / lam) ** 2
         coeffs = np.asarray(sym.alphas) * np.arange(len(sym.alphas))
         return -2.0 / lam * np.polynomial.polynomial.polyval(y, coeffs)
     if sym.family == "scale_invariant":
-        return -3.0 / lam * _scalar_values(sym, lam, m)
+        return -3.0 / lam * scalar_values(sym, lam, m)
     if sym.family == "bessel_fractional":
         x2 = (TWO_PI * m / lam) ** 2
         return sym.alphas[0] * sym.order * (1.0 + x2) ** (sym.order - 1.0) * (-2.0 * x2 / lam)
@@ -220,15 +210,14 @@ def _table_lookup(sym, m, which):
 
 
 def _values(sym, lam, m, derivative=False):
-    """a(lambda, m), or its lambda-derivative, on modes m, at a parameter lam already checked.
+    """a(lambda, m), or its lambda-derivative, on modes m.
 
-    The callers check lam at their boundary (_require_lambda), or take it
-    from a curve's length, which make_curve has checked. Scalar families
-    give real rows broadcast against lam; a custom table gives
-    (len(m), d, d) blocks, which do not depend on lam.
+    Scalar families give real rows broadcast against lam; a custom table
+    gives (len(m), d, d) blocks, which do not depend on lam.
     """
     if sym.is_scalar:
-        return (_scalar_derivative_values if derivative else _scalar_values)(sym, lam, m)
+        return (scalar_derivative_values if derivative else scalar_values)(sym, lam, m)
+    _require_lambda(lam)
     return _table_lookup(sym, m, "derivative" if derivative else "value")
 
 
@@ -256,7 +245,6 @@ def _variant(vals, variant):
 
 def _matrices(sym, lam, m, variant):
     """(len(m), d, d) blocks of a variant; scalar families expand to multiples of I."""
-    _require_lambda(lam)
     vals = _variant(_values(sym, lam, np.atleast_1d(m), variant == "lambda_derivative"), variant)
     return vals[:, None, None] * np.eye(sym.dim) if sym.is_scalar else vals
 

@@ -307,15 +307,11 @@ def folded(curve, symbol, variant):
 def test_band_multipliers_are_evaluated_once_per_curve_and_variant(monkeypatch):
     calls = []
 
-    # the operators take lambda from the curve's length, checked by
-    # make_curve, so they evaluate the symbol through the unchecked core
-    real_values = symbols._scalar_values
-
     def counting(*args):
         calls.append(1)
-        return real_values(*args)
+        return scalar_values(*args)
 
-    monkeypatch.setattr(symbols, "_scalar_values", counting)
+    monkeypatch.setattr(symbols, "scalar_values", counting)
     c = bent_curve()
     sym = bessel_fractional(1.5)
     u = np.column_stack([np.cos(2 * c.theta), np.sin(c.theta)])

@@ -191,7 +191,8 @@ def test_an_uncached_copy_shares_the_geometry_and_rebuilds_the_basis_bitwise():
 
 
 def hand_built_paths():
-    """d = 3 frames with and without velocity and momentum, and a single frame."""
+    """d = 3 frames with and without velocity and momentum, a single frame, an
+    exp_map path, and frames whose velocity and momentum are integer arrays."""
     theta = grid(16)
     frames = []
     for i, t in enumerate((0.0, 0.5, 1.25)):
@@ -201,14 +202,17 @@ def hand_built_paths():
         frames.append(Frame(t, make_curve(samples), vel, mom))
     single = Frame(0.0, make_curve(np.column_stack([np.cos(theta), np.sin(theta)])), None, None)
     c0, h0 = start(4)
+    ints = np.arange(32).reshape(16, 2) - 5
+    integer = (Frame(0.0, single.curve, ints, -ints), Frame(1.0, single.curve, np.zeros((16, 2), dtype=int), None))
     return [
         GeodesicPath(tuple(frames), BESSEL, scheme="hand", steps=3),
         GeodesicPath((single,), BESSEL),
         exp_map(BESSEL, make_curve(c0), h0, T=0.25, steps=16, stride=3),
+        GeodesicPath(integer, BESSEL, scheme="hand", steps=1),
     ]
 
 
-@pytest.mark.parametrize("index", range(3))
+@pytest.mark.parametrize("index", range(4))
 def test_the_writers_give_the_bytes_of_the_one_string_writers(index):
     path = hand_built_paths()[index]
     assert path_to_csv(path) == reference_csv(path)

@@ -382,12 +382,16 @@ def test_conservation_report_applies_the_operator_once_per_frame(rng, monkeypatc
     calls = []
     real_apply = operators._apply
 
-    # every application runs through the operators' core, whoever calls it
+    # every application runs through the operators' core, _apply; metric and
+    # solvers hold it by name, so it is counted in each module that does
     def counting(*args):
         calls.append(1)
         return real_apply(*args)
 
     monkeypatch.setattr(operators, "_apply", counting)
+    monkeypatch.setattr(solvers, "_apply", counting)
+    # fracsob.metric is the function metric(); import the module by name
+    monkeypatch.setattr(importlib.import_module("fracsob.metric"), "_apply", counting)
     for p in (path, bare):
         calls.clear()
         report = conservation_report(p)
