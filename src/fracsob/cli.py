@@ -356,6 +356,8 @@ def cmd_match(args):
                 "iterations": result.iterations,
                 "shots": result.shots,
                 "integrations": result.integrations,
+                "jacobians": result.jacobians,
+                "damping": list(result.damping),
                 "converged": result.converged,
                 "seed": cfg.seed,
             },

@@ -10,8 +10,9 @@ make_curve also takes a batch of curves stacked along a leading axis,
 and the flags of psi hold one value per member, and fields on such a curve
 are (B, N) or (B, N, d). The calculus below acts member by member.
 
-All arrays stored on the types below are frozen (writeable=False); the
-operations are pure functions.
+All arrays stored on the types below are frozen (writeable=False);
+make_curve and make_diffeo never freeze the caller's writeable array, but
+a copy of it. The operations are pure functions.
 """
 
 import functools
@@ -195,7 +196,8 @@ def make_diffeo(displacement):
     Raises DomainError unless 1 + p' > 0 everywhere (orientation preserving).
     A (B, N) batch of displacements gives a batch of diffeomorphisms.
     """
-    p = np.asarray(displacement, dtype=float)
+    # a copy: the Diffeo freezes its displacement, never the caller's array
+    p = np.array(displacement, dtype=float)
     if p.ndim not in (1, 2) or p.shape[-1] < 8:
         raise GridError(f"displacement must be an (N,) or (B, N) array with N >= 8, got shape {p.shape}")
     if not np.all(np.isfinite(p)):
@@ -297,11 +299,17 @@ def make_curve(samples):
     orientation preserving, GridError on a bad grid. The orientation check
     reads psi' from the speed (_psi_slope), so it takes no transform;
     make_diffeo keeps its spectral check for displacements from outside.
+    The curve never aliases memory the caller can write: it holds a copy
+    of a writeable samples array or of a view, and a read-only array that
+    owns its data as it is.
     """
     # C order keeps every reduction over the grid axis in the order a
     # single curve gets, whatever the layout of a batch (a broadcast view
     # would make the batch axis the fast one)
     c = np.ascontiguousarray(samples, dtype=float)
+    may_change = c.flags.writeable or c.base is not None
+    if may_change and isinstance(samples, np.ndarray) and np.may_share_memory(c, samples):
+        c = c.copy()
     if c.ndim not in (2, 3):
         raise GridError(f"curve samples must be an (N, d) array, got shape {c.shape}")
     n, d = c.shape[-2:]

@@ -18,14 +18,15 @@ integrates only a batch of geodesics stacked along a leading axis, and
 _geodesics turns one run into a path per member; exp_map and
 exp_map_spray hand it a batch of one. The boundary-value problem is
 solved by shooting: Levenberg-Marquardt on the endpoint mismatch over a
-Fourier-truncated initial velocity, Jacobian by forward differences, all
-columns of one iteration integrated as one batch. The initial shot and
-the first trial shot of an iteration are integrated together with the
-columns at their own point, which the next iteration takes if the point
-is kept, so a typical iteration is one RK4 run. A shot that runs alone
-keeps its frames, and the shot at the returned velocity is the returned
-path. Trial shots that leave the immersion set count as rejected steps
-and raise the damping instead of aborting.
+Fourier-truncated initial velocity. The Jacobian is differenced forward,
+all its columns integrated as one batch, together with the initial shot;
+after each accepted step Broyden's rank-one secant update keeps it
+current without a shot. Only a step rejected under an updated Jacobian
+makes the solver difference again, at the current point. So a typical
+match is one batch and then one lone run per trial. A lone shot keeps
+its frames, and the shot at the returned velocity is the returned path.
+Trial shots that leave the immersion set count as rejected steps and
+raise the damping instead of aborting.
 """
 
 import json
@@ -112,12 +113,13 @@ class ShootingResult:
     """Outcome of geodesic_bvp: the velocity found, its mismatch, the path.
 
     shots counts the geodesics integrated, every member of a batch
-    included, speculative Jacobian columns that were dropped too;
-    integrations counts the RK4 runs they took. Both are counted in one
-    place, the shot. The path is a shot the solver already made, unless
-    the returned velocity was only ever shot in a batch (the initial
-    velocity of a match that needed iterations included); then it is shot
-    once more alone, one more shot and run, counted like every shot.
+    included; integrations counts the RK4 runs they took. Both are counted
+    in one place, the shot. jacobians counts the forward-difference
+    Jacobians built (one on a typical match), and damping holds the
+    Levenberg-Marquardt damping of each trial step in order. The path is
+    a shot the solver already made, unless the returned velocity is the
+    initial one and was shot in a batch; then it is shot once more alone,
+    one more shot and run, counted like every shot.
     """
 
     initial_velocity: np.ndarray
@@ -127,6 +129,8 @@ class ShootingResult:
     converged: bool = True
     shots: int = 0
     integrations: int = 0
+    jacobians: int = 0
+    damping: tuple = ()
 
 
 def _require_dynamics(cfg):
@@ -240,6 +244,9 @@ def _rk4(cfg, c0, h0, T, steps, stride=None, form=_MOMENTUM):
 
     def curve(xs, t):
         """The curve of the live rows at samples xs; None after stopping the rows that fail alone."""
+        # the loop never writes a state array in place, and make_curve holds
+        # a read-only one without a copy
+        xs.setflags(write=False)
         try:
             return make_curve(xs)
         except FracsobError:
@@ -398,6 +405,13 @@ def _l2_norm(c_like_samples, n):
     return float(np.linalg.norm(c_like_samples)) * np.sqrt(TWO_PI / n)
 
 
+def _broyden(jac, dx, dr):
+    """Broyden's rank-one secant update of the Jacobian jac after a step dx
+    changed the residual by dr: the least change to jac, in the Frobenius
+    norm, that maps dx to dr. Directions orthogonal to dx keep their image."""
+    return jac + np.outer(dr - jac @ dx, dx) / (dx @ dx)
+
+
 def geodesic_bvp(
     cfg,
     c0,
@@ -413,28 +427,28 @@ def geodesic_bvp(
 
     The unknown is the (2K+1) real Fourier coefficients per dimension of h0;
     the residual is the endpoint mismatch in the L2(dtheta) norm of samples.
-    Levenberg-Marquardt with a forward-difference Jacobian: the (2K+1)*d
-    column shots of one iteration are integrated as one batch, and columns
+    Levenberg-Marquardt with a forward-difference Jacobian J: the columns
+    step each coefficient x by FD_STEP max(1, |x|), and their (2K+1)*d shots
+    are integrated as one batch together with the initial shot; columns
     whose shot loses immersion (a ResolutionError included) are retried
-    with the step negated, as a second batch. The initial shot is
-    integrated in one batch with the first iteration's columns, so that
-    iteration shoots none of its own; it runs alone when max_iter is 0 or
-    |c1 - c0| <= tol_rel * |c1|, where it is the answer. The first trial
-    shot of an iteration is integrated in one batch with the columns at
-    the trial point, the rows the next iteration would build; an accepted
-    step hands them on, a rejected one drops them. That speculation is
-    skipped in the last allowed iteration and when the linear model
-    predicts convergence, |r + J dx| <= tol_rel * |c1|. Later trials of an
-    iteration run alone. A shot alone keeps a frame every max(1, steps // 16)
-    steps, and frames never feed back into the state. The columns step
-    each coefficient x by FD_STEP max(1, |x|). Trial shots that
-    lose immersion raise the damping. The returned path is the frames of
-    the shot at the returned velocity; only a velocity shot in a batch is
-    shot once more alone, counted like every shot (an ImmersionError if
-    that lone shot fails). Frames are kept for the current and the best
-    velocity only. The result counts the shots and the RK4 runs. Raises
-    NoConvergenceError carrying the best ShootingResult when the cap is
-    hit, and DomainError before any work on a schedule exp_map refuses.
+    with the step negated, as a second batch. The initial shot runs alone
+    when max_iter is 0 or |c1 - c0| <= tol_rel * |c1|, where it is the
+    answer. After each accepted step dx, Broyden's secant update
+    J += (r_new - r - J dx) dx^T / (dx^T dx) replaces a new difference. A
+    trial rejected under an updated J makes the solver difference J again
+    at the current point (one batch) and retry at the same damping; only a
+    rejection under a freshly differenced J multiplies the damping by 10.
+    Trial shots that lose immersion count as rejected. Every trial runs
+    alone and keeps a frame every max(1, steps // 16) steps; frames never
+    feed back into the state, and the returned path is the frames of the
+    shot at the returned velocity. Only the initial velocity, when it was
+    shot in a batch, is shot once more alone, counted like every shot (an
+    ImmersionError if that lone shot fails). Frames are kept for the
+    current and the best velocity only. The result counts the shots, the
+    RK4 runs and the Jacobians differenced, and lists the damping of every
+    trial. Raises NoConvergenceError carrying the best ShootingResult when
+    the cap is hit, and DomainError before any work on a schedule exp_map
+    refuses.
     """
     if c0.batched or c1.batched:
         raise GridError("geodesic_bvp matches two single curves, not batches")
@@ -453,7 +467,8 @@ def geodesic_bvp(
     scale = max(_l2_norm(c1.samples, n), 1e-300)
     tol_abs = tol_rel * scale
 
-    shots = integrations = 0
+    shots = integrations = jacobians = 0
+    lams = []
 
     def velocity(x):
         return basis @ x.reshape(x.shape[:-1] + (n_coef, d))
@@ -472,43 +487,25 @@ def geodesic_bvp(
 
     def finish(x, residual, converged, frames):
         if frames is None:
-            # x was shot in a batch, which stores no frames
+            # only the initial x is shot in a batch, which stores no frames
             [r], [frames] = shoot(x[None], out_stride)
             if r is None:
                 raise ImmersionError("the shot at the returned velocity leaves the immersion set when run alone")
         path = GeodesicPath(tuple(frames), cfg, scheme=_MOMENTUM.scheme, steps=steps)
-        return ShootingResult(velocity(x), residual, iterations, path, converged, shots, integrations)
+        return ShootingResult(
+            velocity(x), residual, iterations, path, converged, shots, integrations, jacobians, tuple(lams)
+        )
 
     def fd_deltas(x):
         return FD_STEP * np.maximum(1.0, np.abs(x))
 
-    def evaluate(x, columns):
-        """(r, cols, frames) at x: with columns, the shot at x and its
-        forward-difference columns in one batch, frames None; without,
-        the shot at x alone with its frames, cols None."""
-        if columns:
-            (r, *cols), _ = shoot(np.vstack([x, x + np.diag(fd_deltas(x))]))
-            return r, cols, None
-        [r], [frames] = shoot(x[None], out_stride)
-        return r, None, frames
-
-    coef0, *_ = np.linalg.lstsq(basis, (c1.samples - c0.samples) / T, rcond=None)
-    x = coef0.ravel()
-    iterations = 0
-    # the initial shot carries the first iteration's columns, unless no
-    # iteration may run or the target is within tolerance of c0, where
-    # that shot is the answer
-    r, cols, frames = evaluate(x, max_iter > 0 and _l2_norm(c1.samples - c0.samples, n) > tol_abs)
-    if r is None:
-        raise ImmersionError("the initial shot already leaves the immersion set")
-    # frames are kept for the current x and the best x only
-    best = (float(np.linalg.norm(r)), x.copy(), frames)
-    if best[0] <= tol_abs:
-        return finish(x, best[0], True, frames)
-
-    lam = damping
-    while iterations < max_iter:
-        iterations += 1
+    def differenced(x, r, cols=None):
+        """The forward-difference Jacobian at x, where the residual is r:
+        its columns shot as one batch unless cols already holds their
+        residuals, and the columns whose shot failed shot again with the
+        step negated, as a second batch."""
+        nonlocal jacobians
+        jacobians += 1
         deltas = fd_deltas(x)
         probes = np.diag(deltas)
         if cols is None:
@@ -522,30 +519,62 @@ def geodesic_bvp(
         jac = np.empty((r.size, x.size))
         for j, rp in enumerate(cols):
             jac[:, j] = 0.0 if rp is None else (rp - r) / deltas[j]
-        jtj = jac.T @ jac
-        jtr = jac.T @ r
-        diag = np.diag(jtj).copy()
-        diag[diag <= 0] = 1.0
+        return jac
+
+    coef0, *_ = np.linalg.lstsq(basis, (c1.samples - c0.samples) / T, rcond=None)
+    x = coef0.ravel()
+    iterations = 0
+    # the initial shot carries the forward-difference columns at x, unless
+    # no iteration may run or the target is within tolerance of c0, where
+    # that shot is the answer
+    if max_iter > 0 and _l2_norm(c1.samples - c0.samples, n) > tol_abs:
+        (r, *cols), _ = shoot(np.vstack([x, x + np.diag(fd_deltas(x))]))
+        frames = None
+    else:
+        [r], [frames] = shoot(x[None], out_stride)
+        cols = None
+    if r is None:
+        raise ImmersionError("the initial shot already leaves the immersion set")
+    # frames are kept for the current x and the best x only
+    best = (float(np.linalg.norm(r)), x.copy(), frames)
+    if best[0] <= tol_abs:
+        return finish(x, best[0], True, frames)
+
+    jac = None if cols is None else differenced(x, r, cols)
+    # whether jac carries secant updates since it was last differenced
+    updated = False
+    lam = damping
+    while iterations < max_iter:
+        iterations += 1
+        if jac is None:
+            jac = differenced(x, r)
         accepted = False
-        # the first trial shot carries the next iteration's columns, unless
-        # there is no next iteration or the linear model expects it to
-        # converge
-        speculate = iterations < max_iter
         for _ in range(12):
+            jtj = jac.T @ jac
+            diag = np.diag(jtj).copy()
+            diag[diag <= 0] = 1.0
             try:
-                dx = np.linalg.solve(jtj + lam * np.diag(diag), -jtr)
+                dx = np.linalg.solve(jtj + lam * np.diag(diag), -(jac.T @ r))
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
             x_t = x + dx
-            r_new, cols_t, frames_t = evaluate(x_t, speculate and np.linalg.norm(r + jac @ dx) > tol_abs)
-            speculate = False
+            lams.append(lam)
+            [r_new], [frames_t] = shoot(x_t[None], out_stride)
             if r_new is not None and np.linalg.norm(r_new) < np.linalg.norm(r):
-                x, r, frames, cols = x_t, r_new, frames_t, cols_t
+                jac = _broyden(jac, dx, r_new - r)
+                updated = True
+                x, r, frames = x_t, r_new, frames_t
                 lam = max(lam / 3.0, 1e-12)
                 accepted = True
                 break
-            lam *= 10.0
+            if updated:
+                # the secant model may be what failed: difference again at
+                # x and retry at the same damping
+                jac = differenced(x, r)
+                updated = False
+            else:
+                lam *= 10.0
         norm_r = float(np.linalg.norm(r))
         if norm_r < best[0]:
             best = (norm_r, x.copy(), frames)

@@ -4,7 +4,7 @@ The batch integrator behind exp_map and geodesic_bvp stacks curves along a
 leading axis. These tests hold every member to what it gets alone: the same
 layers, the same endpoint, the same failure, and the same shooting
 iterations as the one-column-at-a-time Jacobian loop and as the loop whose
-trial shots carry no speculative columns.
+initial shot runs apart from its Jacobian columns.
 """
 
 import warnings
@@ -22,7 +22,7 @@ from fracsob.errors import (
     ResolutionError,
     StepError,
 )
-from fracsob.metric import MetricConfig, momentum_rhs
+from fracsob.metric import MetricConfig, metric, momentum_rhs, path_energy
 from fracsob.operators import VARIANTS, apply_conjugated, solve_conjugated
 from fracsob.solvers import exp_map, geodesic_bvp
 from fracsob.spectral import TWO_PI, grid
@@ -277,7 +277,9 @@ def test_a_column_that_loses_resolution_is_retried_with_the_step_negated(monkeyp
 
 
 def sequential_bvp(cfg, c0, c1, K, steps, T=1.0, max_iter=50, tol_rel=1e-6, damping=1e-3, fd_step=1e-6):
-    """The shooting loop with one exp_map per Jacobian column, as reference."""
+    """The shooting loop with one exp_map per Jacobian column, as reference:
+    Broyden updates after accepted steps, a new difference after a step
+    rejected under an updated Jacobian."""
     n, d = c0.n, c0.dim
     basis = solvers._fourier_basis(n, K)
     n_coef = basis.shape[1]
@@ -290,14 +292,7 @@ def sequential_bvp(cfg, c0, c1, K, steps, T=1.0, max_iter=50, tol_rel=1e-6, damp
             return None
         return (path.endpoint.samples - c1.samples).ravel() * np.sqrt(TWO_PI / n)
 
-    coef0, *_ = np.linalg.lstsq(basis, (c1.samples - c0.samples) / T, rcond=None)
-    x = coef0.ravel()
-    r = shoot(x)
-    best = (float(np.linalg.norm(r)), x.copy())
-    lam = damping
-    iterations = 0
-    while iterations < max_iter:
-        iterations += 1
+    def jacobian(x, r):
         jac = np.empty((r.size, x.size))
         for j in range(x.size):
             delta = fd_step * max(1.0, abs(x[j]))
@@ -309,20 +304,34 @@ def sequential_bvp(cfg, c0, c1, K, steps, T=1.0, max_iter=50, tol_rel=1e-6, damp
                 rp = shoot(xp)
                 delta = -delta
             jac[:, j] = 0.0 if rp is None else (rp - r) / delta
-        jtj = jac.T @ jac
-        jtr = jac.T @ r
-        diag = np.diag(jtj).copy()
-        diag[diag <= 0] = 1.0
+        return jac
+
+    coef0, *_ = np.linalg.lstsq(basis, (c1.samples - c0.samples) / T, rcond=None)
+    x = coef0.ravel()
+    r = shoot(x)
+    best = (float(np.linalg.norm(r)), x.copy())
+    jac, updated = jacobian(x, r), False
+    lam = damping
+    iterations = 0
+    while iterations < max_iter:
+        iterations += 1
         accepted = False
         for _ in range(12):
-            dx = np.linalg.solve(jtj + lam * np.diag(diag), -jtr)
+            jtj = jac.T @ jac
+            diag = np.diag(jtj).copy()
+            diag[diag <= 0] = 1.0
+            dx = np.linalg.solve(jtj + lam * np.diag(diag), -(jac.T @ r))
             r_new = shoot(x + dx)
             if r_new is not None and np.linalg.norm(r_new) < np.linalg.norm(r):
+                jac, updated = jac + np.outer(r_new - r - jac @ dx, dx) / (dx @ dx), True
                 x, r = x + dx, r_new
                 lam = max(lam / 3.0, 1e-12)
                 accepted = True
                 break
-            lam *= 10.0
+            if updated:
+                jac, updated = jacobian(x, r), False
+            else:
+                lam *= 10.0
         norm_r = float(np.linalg.norm(r))
         if norm_r < best[0]:
             best = (norm_r, x.copy())
@@ -358,44 +367,35 @@ def test_shooting_counts_its_shots_and_integrations():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         res = geodesic_bvp(BESSEL, c0, c1, K=2, steps=32)
-    # the initial shot together with the first iteration's (2K+1)*d = 10
-    # columns, its trial step together with the 10 columns at the trial
-    # point, and the second trial step alone; the presented path is that
-    # last shot's frames
+    # the initial shot together with the (2K+1)*d = 10 Jacobian columns,
+    # then one lone trial step per iteration on the Broyden-updated
+    # Jacobian; the presented path is the last trial's frames
     assert res.iterations == 2
-    assert res.shots == (1 + 10) + (1 + 10) + 1
+    assert res.shots == (1 + 10) + 1 + 1
     assert res.integrations == 3
+    assert res.jacobians == 1
+    assert res.damping == (1e-3, 1e-3 / 3.0)
 
 
-def unspeculated_bvp(cfg, c0, c1, K, steps, T=1.0, max_iter=50, tol_rel=1e-6, damping=1e-3, fd_step=1e-6):
-    """The shooting loop whose trial shots run alone without frames, and whose
-    presented path is one more exp_map run, as reference."""
+def lone_shot_bvp(cfg, c0, c1, K, steps, T=1.0, max_iter=50, tol_rel=1e-6, damping=1e-3, fd_step=1e-6):
+    """The shooting loop whose initial shot and trial shots run alone without
+    frames, whose Jacobian columns run as their own batch, and whose
+    presented path is one more exp_map run, as reference: Broyden updates
+    after accepted steps, a new difference after a step rejected under an
+    updated Jacobian."""
     n, d = c0.n, c0.dim
     basis = solvers._fourier_basis(n, K)
     n_coef = basis.shape[1]
     tol_abs = tol_rel * max(float(np.linalg.norm(c1.samples)) * np.sqrt(TWO_PI / n), 1e-300)
     out_stride = max(1, steps // 16)
+    lams = []
 
     def shoot(xs):
         starts = make_curve(np.broadcast_to(c0.samples, (len(xs), n, d)))
         ends, _, _ = solvers._rk4(cfg, starts, basis @ xs.reshape(len(xs), n_coef, d), T, steps)
         return [None if end is None else (end - c1.samples).ravel() * np.sqrt(TWO_PI / n) for end in ends]
 
-    def finish(x, residual, converged):
-        h0 = basis @ x.reshape(n_coef, d)
-        path = exp_map(cfg, c0, h0, T=T, steps=steps, stride=out_stride)
-        return solvers.ShootingResult(h0, residual, iterations, path, converged)
-
-    coef0, *_ = np.linalg.lstsq(basis, (c1.samples - c0.samples) / T, rcond=None)
-    x = coef0.ravel()
-    iterations = 0
-    [r] = shoot(x[None])
-    best = (float(np.linalg.norm(r)), x.copy())
-    if best[0] <= tol_abs:
-        return finish(x, best[0], True)
-    lam = damping
-    while iterations < max_iter:
-        iterations += 1
+    def jacobian(x, r):
         deltas = fd_step * np.maximum(1.0, np.abs(x))
         probes = np.diag(deltas)
         cols = shoot(x + probes)
@@ -407,20 +407,42 @@ def unspeculated_bvp(cfg, c0, c1, K, steps, T=1.0, max_iter=50, tol_rel=1e-6, da
         jac = np.empty((r.size, x.size))
         for j, rp in enumerate(cols):
             jac[:, j] = 0.0 if rp is None else (rp - r) / deltas[j]
-        jtj = jac.T @ jac
-        jtr = jac.T @ r
-        diag = np.diag(jtj).copy()
-        diag[diag <= 0] = 1.0
+        return jac
+
+    def finish(x, residual, converged):
+        h0 = basis @ x.reshape(n_coef, d)
+        path = exp_map(cfg, c0, h0, T=T, steps=steps, stride=out_stride)
+        return solvers.ShootingResult(h0, residual, iterations, path, converged, damping=tuple(lams))
+
+    coef0, *_ = np.linalg.lstsq(basis, (c1.samples - c0.samples) / T, rcond=None)
+    x = coef0.ravel()
+    iterations = 0
+    [r] = shoot(x[None])
+    best = (float(np.linalg.norm(r)), x.copy())
+    if best[0] <= tol_abs:
+        return finish(x, best[0], True)
+    jac, updated = jacobian(x, r), False
+    lam = damping
+    while iterations < max_iter:
+        iterations += 1
         accepted = False
         for _ in range(12):
-            dx = np.linalg.solve(jtj + lam * np.diag(diag), -jtr)
+            jtj = jac.T @ jac
+            diag = np.diag(jtj).copy()
+            diag[diag <= 0] = 1.0
+            dx = np.linalg.solve(jtj + lam * np.diag(diag), -(jac.T @ r))
+            lams.append(lam)
             [r_new] = shoot((x + dx)[None])
             if r_new is not None and np.linalg.norm(r_new) < np.linalg.norm(r):
+                jac, updated = jac + np.outer(r_new - r - jac @ dx, dx) / (dx @ dx), True
                 x, r = x + dx, r_new
                 lam = max(lam / 3.0, 1e-12)
                 accepted = True
                 break
-            lam *= 10.0
+            if updated:
+                jac, updated = jacobian(x, r), False
+            else:
+                lam *= 10.0
         norm_r = float(np.linalg.norm(r))
         if norm_r < best[0]:
             best = (norm_r, x.copy())
@@ -458,38 +480,65 @@ def recording_rk4(monkeypatch, reject_call=None):
     return calls
 
 
-@pytest.mark.parametrize("reject_first_trial", [False, True])
-def test_speculative_columns_reproduce_the_unspeculated_loop(monkeypatch, reject_first_trial):
-    # the first trial shot is run 3 of the reference, alone, and run 2 of
-    # geodesic_bvp, with the 10 columns at the trial point; run 1 there is
-    # the initial shot with the first iteration's 10 columns
+@pytest.mark.parametrize("reject_second_trial", [False, True])
+def test_broyden_updates_reproduce_the_lone_shot_loop(monkeypatch, reject_second_trial):
+    # run 1 of geodesic_bvp is the initial shot with the 10 Jacobian
+    # columns, runs 1 and 2 of the reference; the second trial is run 3
+    # there and run 4 here
     c0, c1 = seeded_match()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        ref_calls = recording_rk4(monkeypatch, 3 if reject_first_trial else None)
-        ref = unspeculated_bvp(BESSEL, c0, c1, K=2, steps=32)
+        ref_calls = recording_rk4(monkeypatch, 4 if reject_second_trial else None)
+        ref = lone_shot_bvp(BESSEL, c0, c1, K=2, steps=32)
         monkeypatch.undo()
-        calls = recording_rk4(monkeypatch, 2 if reject_first_trial else None)
+        calls = recording_rk4(monkeypatch, 3 if reject_second_trial else None)
         res = geodesic_bvp(BESSEL, c0, c1, K=2, steps=32)
     assert ref.converged and res.converged
     assert res.iterations == ref.iterations == 2
     assert res.residual == ref.residual
     assert np.array_equal(res.initial_velocity, ref.initial_velocity)
     assert_same_path(res.path, ref.path)
-    # every shot of the reference, its closing exp_map run aside, is shot
-    # bitwise alike; the columns of a rejected first trial are the only extra
+    assert res.damping == ref.damping
     sizes = [len(h) for h in calls]
-    if reject_first_trial:
-        assert sizes == [11, 11, 1, 10, 1]
-        wasted = calls[1][1:]
-        calls[1] = calls[1][:1]
-        assert not any(np.array_equal(w, h) for w in wasted for h in np.concatenate(ref_calls))
+    if reject_second_trial:
+        # the trial rejected under the updated Jacobian makes the solver
+        # difference again at the same point and retry at the same damping
+        assert sizes[:5] == [11, 1, 1, 10, 1]
+        assert res.damping[:3] == (1e-3, 1e-3 / 3.0, 1e-3 / 3.0)
+        assert res.jacobians == 2
     else:
-        assert sizes == [11, 11, 1]
+        assert sizes == [11, 1, 1]
+        assert res.jacobians == 1
+    # every shot of the reference, its closing exp_map run aside, is shot
+    # bitwise alike
     assert [len(h) for h in ref_calls][-1] == 1
     assert np.array_equal(np.concatenate(calls), np.concatenate(ref_calls[:-1]))
     assert res.shots == sum(sizes)
     assert res.integrations == len(sizes)
+
+
+def test_each_broyden_update_maps_the_step_to_the_residual_change(monkeypatch):
+    c0, c1 = seeded_match()
+    real, updates = solvers._broyden, []
+
+    def recording(jac, dx, dr):
+        new = real(jac, dx, dr)
+        updates.append((jac, dx, dr, new))
+        return new
+
+    monkeypatch.setattr(solvers, "_broyden", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = geodesic_bvp(BESSEL, c0, c1, K=2, steps=32)
+    assert res.converged and len(updates) == res.iterations == 2
+    rng = np.random.default_rng(1)
+    for jac, dx, dr, new in updates:
+        # the secant condition, to rounding
+        assert np.max(np.abs(new @ dx - dr)) <= 1e-12 * np.max(np.abs(dr))
+        # a direction orthogonal to the step keeps its image
+        v = rng.standard_normal(dx.size)
+        v -= (v @ dx) / (dx @ dx) * dx
+        assert np.max(np.abs(new @ v - jac @ v)) <= 1e-12 * np.max(np.abs(jac @ v))
 
 
 def test_the_returned_path_is_the_exp_map_of_the_returned_velocity():
@@ -502,50 +551,39 @@ def test_the_returned_path_is_the_exp_map_of_the_returned_velocity():
     assert_same_path(res.path, alone)
 
 
-def test_a_speculative_trial_that_converges_takes_its_path_from_exp_map():
-    # on this input the second iteration's linear model predicts a residual
-    # of 1.223e-7 and the step reaches 1.163e-7; a tolerance between the two
-    # makes that trial carry columns and still converge
-    c0, c1 = seeded_match(seed=(0, 4))
-    tol_rel = 1.19e-7 / (np.linalg.norm(c1.samples) * np.sqrt(TWO_PI / c0.n))
+def test_the_match_path_energy_is_half_the_initial_metric_over_time():
+    # a geodesic's speed is constant, so its energy is T/2 G_c0(h0, h0)
+    c0, c1 = seeded_match()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        res = geodesic_bvp(BESSEL, c0, c1, K=2, steps=32, tol_rel=tol_rel)
-        ref = unspeculated_bvp(BESSEL, c0, c1, K=2, steps=32, tol_rel=tol_rel)
-        alone = exp_map(BESSEL, c0, res.initial_velocity, T=1.0, steps=32, stride=2)
-    assert res.converged and res.iterations == 2
-    assert 1.16e-7 <= res.residual <= 1.19e-7
-    # the initial shot and both trial steps carry 10 columns; the path is
-    # one more run
-    assert res.shots == 3 * (1 + 10) + 1
-    assert res.integrations == 4
-    assert res.residual == ref.residual
-    assert np.array_equal(res.initial_velocity, ref.initial_velocity)
-    assert_same_path(res.path, alone)
+        res = geodesic_bvp(BESSEL, c0, c1, K=2, steps=32, T=1.0)
+        energy = path_energy(BESSEL, res.path)
+        expected = 1.0 / 2.0 * metric(BESSEL, c0, res.initial_velocity, res.initial_velocity)
+    assert res.converged
+    assert abs(energy - expected) <= 1e-6 * expected
 
 
 def refuse_exp_map(*args, **kwargs):
     raise AssertionError("geodesic_bvp called exp_map")
 
 
-def test_a_converging_speculative_trial_is_shot_again_alone_not_by_exp_map(monkeypatch):
-    # the input of the test above: the accepted trial carried columns, so
-    # its velocity was only shot in a batch; the path is one more lone shot,
-    # counted by the shot itself
+def test_a_converging_trial_is_the_returned_path_with_no_run_after_it(monkeypatch):
+    # every trial runs alone with its frames, so the converging one is the
+    # path: no lone re-shoot and no exp_map
     c0, c1 = seeded_match(seed=(0, 4))
-    tol_rel = 1.19e-7 / (np.linalg.norm(c1.samples) * np.sqrt(TWO_PI / c0.n))
     calls = recording_rk4(monkeypatch)
     monkeypatch.setattr(solvers, "exp_map", refuse_exp_map)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        res = geodesic_bvp(BESSEL, c0, c1, K=2, steps=32, tol_rel=tol_rel)
+        res = geodesic_bvp(BESSEL, c0, c1, K=2, steps=32)
         monkeypatch.undo()
         alone = exp_map(BESSEL, c0, res.initial_velocity, T=1.0, steps=32, stride=2)
-    assert res.converged and res.iterations == 2
-    assert [len(h) for h in calls] == [11, 11, 11, 1]
+    assert res.converged and res.iterations == 3
+    assert [len(h) for h in calls] == [11, 1, 1, 1]
     assert np.array_equal(calls[-1][0], res.initial_velocity)
-    assert res.shots == 3 * (1 + 10) + 1
+    assert res.shots == (1 + 10) + 3
     assert res.integrations == 4
+    assert res.jacobians == 1
     assert_same_path(res.path, alone)
 
 
@@ -584,6 +622,9 @@ def test_a_stalled_match_whose_best_velocity_was_shot_in_a_batch_shoots_it_again
     assert sizes == [11] + [1] * 12 + [1]
     assert result.shots == 11 + 12 + 1
     assert result.integrations == 14
+    # trials rejected under the differenced Jacobian raise the damping tenfold
+    assert result.jacobians == 1
+    assert result.damping == tuple(1e-3 * 10.0**k for k in range(12))
     assert_same_path(result.path, alone)
 
 
@@ -604,6 +645,7 @@ def test_an_identical_target_takes_one_shot_whose_frames_are_the_path():
     assert res.converged and res.iterations == 0
     assert res.shots == 1
     assert res.integrations == 1
+    assert res.jacobians == 0 and res.damping == ()
     assert_same_path(res.path, exp_map(BESSEL, c0, res.initial_velocity, T=1.0, steps=32, stride=2))
 
 

@@ -349,12 +349,14 @@ def test_match_result_records_shots_and_integrations(tmp_path, capsys):
                "--K", "2", "--steps", "32", "--out", str(out)])
     assert rc == 0
     payload = json.loads((out / "match_result.json").read_text())
-    # the initial shot in one batch with the first iteration's (2K+1)*d = 10
-    # Jacobian columns, and one accepted trial step; the model predicts that
-    # step converges, so it runs alone and its frames are the presented path
+    # the initial shot in one batch with the (2K+1)*d = 10 Jacobian
+    # columns, and one accepted trial step, which runs alone; its frames are
+    # the presented path
     assert payload["iterations"] == 1
     assert payload["shots"] == (1 + 10) + 1
     assert payload["integrations"] == 2
+    assert payload["jacobians"] == 1
+    assert payload["damping"] == [1e-3]
 
 
 COMMON_FLAGS = {"-h", "--help", "--config", "--family", "--r", "--alphas", "--seed"}

@@ -111,6 +111,35 @@ def test_curve_arrays_are_frozen(circle64):
         c.samples[0, 0] = 5.0
 
 
+@pytest.mark.parametrize("batch", [False, True])
+@pytest.mark.parametrize("read_only_view", [False, True])
+def test_make_curve_leaves_the_callers_array_writeable_and_unshared(circle64, batch, read_only_view):
+    x = np.array(np.stack([circle64, 1.1 * circle64]) if batch else circle64)
+    kept = x.copy()
+    given = x
+    if read_only_view:
+        # read-only, but the caller still writes its base
+        given = x.view()
+        given.setflags(write=False)
+    c = make_curve(given)
+    assert x.flags.writeable
+    assert not np.may_share_memory(c.samples, x)
+    x[..., 0, 0] = 5.0
+    assert np.array_equal(c.samples, kept)
+    # the copy changes no figure of the curve
+    again = make_curve(kept)
+    assert np.array_equal(c.speed, again.speed) and np.array_equal(c.psi.displacement, again.psi.displacement)
+
+
+def test_make_diffeo_leaves_the_callers_array_writeable_and_unshared():
+    p = 0.1 * np.sin(grid(16))
+    kept = p.copy()
+    phi = make_diffeo(p)
+    assert p.flags.writeable
+    p[0] = 5.0
+    assert np.array_equal(phi.displacement, kept)
+
+
 def test_diffeo_identity_and_inverse():
     ident = Diffeo.identity(32)
     assert ident.is_identity
