@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import checks
-from .curves import make_curve, read_samples
+from .curves import _is_number, make_curve, read_samples
 from .errors import ConfigError, FracsobError, NoConvergenceError
 from .metric import MetricConfig
 from .solvers import MIN_STEPS, _svg_chunks, _text_chunks, conservation_report, exp_map, geodesic_bvp
@@ -74,11 +74,6 @@ class RunConfig:
     solver: dict
     io: dict
     seed: int
-
-
-def _is_number(value):
-    """A number as JSON or a flag gives it: a boolean or a string is none."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _expect(block, key, kind, path, default=None, required=False):

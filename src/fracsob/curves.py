@@ -18,6 +18,7 @@ a copy of it. The operations are pure functions.
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,9 +44,17 @@ INVERSE_MAX_ITER = 60
 
 
 def _freeze(a):
-    a = np.ascontiguousarray(a)
-    a.setflags(write=False)
+    """The array a, read-only and C-contiguous; one that already is so is returned as it is."""
+    if a.flags.writeable or not a.flags.c_contiguous:
+        a = np.ascontiguousarray(a)
+        a.setflags(write=False)
     return a
+
+
+@functools.lru_cache(maxsize=16)
+def _theta(n):
+    """The grid theta_k of an n-point curve, read-only, one per n."""
+    return _freeze(grid(n))
 
 
 @functools.lru_cache(maxsize=16)
@@ -224,10 +233,11 @@ class DiscreteCurve:
     psi: Diffeo
 
     def __post_init__(self):
+        # make_curve hands over arrays it has frozen, which _freeze keeps
         for name in ("samples", "speed", "unit_tangent"):
             object.__setattr__(self, name, _freeze(np.asarray(getattr(self, name), dtype=float)))
         if np.ndim(self.length):
-            object.__setattr__(self, "length", _freeze(self.length))
+            object.__setattr__(self, "length", _freeze(np.asarray(self.length)))
 
     @property
     def n(self):
@@ -261,15 +271,10 @@ class DiscreteCurve:
         psi = Diffeo(self.psi.displacement)
         return DiscreteCurve(self.samples, self.speed, self.length, self.unit_tangent, psi)
 
-    @functools.cached_property
+    @property
     def theta(self):
-        return _freeze(grid(self.n))
-
-    @functools.cached_property
-    def quadrature_weights(self):
-        """W_k = |c'(theta_k)| 2 pi / (length N): sum_k W_k u_k e^(-i m psi(theta_k))
-        is the m-th Fourier coefficient of u in the constant-speed parameter."""
-        return _freeze(self.speed * (TWO_PI / (_per_member(self.length) * self.n)))
+        """The grid theta_k, shared by every curve on it."""
+        return _theta(self.n)
 
     @functools.cached_property
     def psi_values(self):
@@ -324,7 +329,8 @@ def make_curve(samples):
     speed = np.sqrt((deriv * deriv).sum(axis=-1))
     top = speed.max(axis=-1)
     low = speed.min(axis=-1)
-    bad = (top == 0.0) | (low <= IMMERSION_RTOL * top)
+    # a zero speed fails this too: low = top = 0
+    bad = low <= IMMERSION_RTOL * top
     if bad.any():
         i = np.flatnonzero(bad)[0]
         which = f" (batch member {i})" if c.ndim == 3 else ""
@@ -337,14 +343,18 @@ def make_curve(samples):
     # psi - theta integrates only the nonzero modes of |c'|: a ramp left in
     # it at rounding size would break rotation equivariance of A_c
     osc, mean = theta_antiderivative(speed)
-    slope = _psi_slope(speed, mean)
-    if slope.min() <= 0.0:
+    least = _psi_slope(speed, mean).min()
+    if least <= 0.0:
         raise ResolutionError(
             f"the grid does not resolve the speed: diffeomorphism is not orientation preserving: "
-            f"min psi' = {slope.min():.3e}"
+            f"min psi' = {least:.3e}"
         )
-    psi = Diffeo(osc / _per_member(mean))
-    return DiscreteCurve(c, speed, length if c.ndim == 3 else float(length), tangent, psi)
+    disp = osc / _per_member(mean)
+    # every array handed over is new or read-only, so the constructors
+    # keep them as they are
+    for a in (c, speed, tangent, disp) + ((length,) if c.ndim == 3 else ()):
+        a.setflags(write=False)
+    return DiscreteCurve(c, speed, length if c.ndim == 3 else float(length), tangent, Diffeo(disp))
 
 
 @functools.lru_cache(maxsize=16)
@@ -363,8 +373,8 @@ def _psi_slope(speed, mean):
     make_diffeo's 1 + spectral_derivative(p) to rounding.
     """
     sign = _alternating(speed.shape[-1])
-    nyquist = (speed @ sign) / speed.shape[-1]
-    return (speed - _per_member(nyquist) * sign) / _per_member(mean)
+    nyquist = (speed @ sign)[..., None] / speed.shape[-1]
+    return (speed - nyquist * sign) / _per_member(mean)
 
 
 def _check_field(c, u, name="field"):
@@ -476,16 +486,35 @@ def curve_to_dict(samples):
     return {"d": int(c.shape[1]), "samples": c.tolist()}
 
 
+def _is_number(value):
+    """A number as JSON or a flag gives it: a boolean or a string is none."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def curve_from_dict(payload):
-    """Samples array from the exchange dictionary; validates shape keys."""
+    """Samples array from the exchange dictionary; validates its keys and their types.
+
+    d is an integer; an integral float such as 2.0 is read as one. Every
+    sample is a JSON number: float() would read the string "1" and the
+    boolean true as numbers, and int() would truncate a d of 2.7.
+    """
     try:
-        d = int(payload["d"])
-        samples = np.asarray(payload["samples"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+        d, rows = payload["d"], payload["samples"]
+    except (KeyError, TypeError) as exc:
         raise GridError(f"malformed curve payload: {exc}") from exc
-    if samples.ndim != 2 or samples.shape[1] != d:
-        raise GridError(f"curve payload declares d = {d} but samples have shape {samples.shape}")
-    return samples
+    if not (_is_number(d) and float(d).is_integer()):
+        raise GridError(f"curve payload key d must be an integer, got {d!r}")
+    d = int(d)
+    try:
+        cells = np.array(rows, dtype=object)
+    except ValueError as exc:
+        raise GridError(f"malformed curve payload: {exc}") from exc
+    if cells.ndim != 2 or cells.shape[1] != d:
+        raise GridError(f"curve payload declares d = {d} but samples have shape {cells.shape}")
+    for x in cells.flat:
+        if not _is_number(x):
+            raise GridError(f"curve samples must be numbers, got {x!r}")
+    return cells.astype(float)
 
 
 def write_samples(path, samples):

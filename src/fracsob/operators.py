@@ -1,7 +1,8 @@
 """Modewise operator application, flat and conjugated to a curve.
 
 This module holds only the multiplier step: the multipliers of every
-variant come from symbols (_values, _variant). apply_flat multiplies
+variant come from symbols (_values and _variant for apply_flat,
+_variant_rows for the tables of the conjugated operator). apply_flat multiplies
 Fourier mode m of grid samples with a variant of a(lambda, m) at a given
 lambda. The curve-conjugated operator is
 
@@ -29,9 +30,11 @@ through: _apply (each pass of _solve, the lambda-derivative term of
 metric's w0, the frames _rk4 stores), and _derivative for the directional
 derivative. The core reads a _Core built once per curve and kept on it:
 the band basis and its mode-major transpose (a view), the quadrature
-weight column, the dense two-thirds filter on N <= _DENSE_MAX_N, and the
-multipliers of each symbol and variant, folded and shaped for the product,
-with the symbol evaluated once per curve. It checks nothing: callers
+weight column, the dense two-thirds filter on N <= _DENSE_MAX_N, and one
+_Table per symbol: every variant's multipliers from one joint evaluation
+of the symbol and its lambda-derivative (lambda checked once), folded in
+one operation and shaped for the product, so a scalar symbol's band
+multiply is one broadcast product. It checks nothing: callers
 inside the package pass it fields they made or checked. The arithmetic is
 the one each public function had on its own, in the same order, so every
 output is bitwise what it was.
@@ -43,8 +46,8 @@ import numpy as np
 
 from .curves import _check_field, _check_vector, _variations
 from .errors import GridError
-from .spectral import _DENSE_MAX_N, _mode_matrix, dealias, modes
-from .symbols import VARIANTS, _values, _variant
+from .spectral import _DENSE_MAX_N, TWO_PI, _mode_matrix, dealias, modes
+from .symbols import VARIANTS, _refuse, _values, _variant, _variant_rows
 
 
 def _multiply(symbol, mult, coef):
@@ -69,33 +72,43 @@ def apply_flat(symbol, lam, variant, u):
 
 
 @functools.lru_cache(maxsize=32)
-def _band_modes(top):
-    """Modes 0..top-1, then -1..-(top-1): the band a custom table is folded on."""
-    m = np.arange(top)
-    return np.concatenate([m, -m[1:]])
+def _band_modes(top, scalar):
+    """The modes a table is evaluated on, read-only.
+
+    A scalar symbol is even in m, bitwise (it reads m through m**2), so it
+    takes modes 0..top-1 only, as floats; a custom table takes 0..top-1,
+    then -1..-(top-1).
+    """
+    m = np.arange(top, dtype=float) if scalar else np.concatenate([np.arange(top), -np.arange(1, top)])
+    m.setflags(write=False)
+    return m
 
 
 class _Core:
     """What every application on one curve reads, built once per curve and kept on it.
 
     basis is the band basis B, (..., N, 2 top), and basis_t its mode-major
-    transpose, a view. weights is the quadrature-weight column W, filt the
-    dense two-thirds filter on N <= _DENSE_MAX_N (None above, where the
-    filter is an FFT round trip). mults holds the multipliers, one entry
-    per (id(symbol), variant).
+    transpose, a view. weights is the quadrature-weight column W, with
+    W_k = |c'(theta_k)| 2 pi / (length N): sum_k W_k u_k e^(-i m psi(theta_k))
+    is the m-th Fourier coefficient of u in the constant-speed parameter.
+    filt is the dense two-thirds filter on N <= _DENSE_MAX_N (None above,
+    where the filter is an FFT round trip). lam is the symbol's parameter,
+    the length, as a (B, 1) column on a batch. tables holds one _Table per
+    symbol, under id(symbol), built by the first application of that
+    symbol.
     """
 
-    __slots__ = ("lead", "top", "lam", "basis", "basis_t", "weights", "filt", "mults")
+    __slots__ = ("lead", "top", "lam", "basis", "basis_t", "weights", "filt", "tables")
 
     def __init__(self, curve):
-        self.lead = curve.samples.ndim - 2
-        self.basis = curve.psi.band_basis
-        self.basis_t = np.swapaxes(self.basis, -1, -2)
-        self.top = self.basis.shape[-1] // 2
-        self.lam = curve.length[..., None] if curve.batched else curve.length
-        self.weights = curve.quadrature_weights[..., None]
-        self.filt = _mode_matrix(curve.n, 0, True) if curve.n <= _DENSE_MAX_N else None
-        self.mults = {}
+        basis = self.basis = curve.psi.band_basis
+        self.basis_t = basis.swapaxes(-1, -2)
+        self.lead, n = basis.ndim - 2, basis.shape[-2]
+        self.top = basis.shape[-1] // 2
+        lam = self.lam = curve.length[..., None] if self.lead else curve.length
+        self.weights = (curve.speed * (TWO_PI / (lam * n)))[..., None]
+        self.filt = _mode_matrix(n, 0, True) if n <= _DENSE_MAX_N else None
+        self.tables = {}
 
 
 def _core(curve):
@@ -106,43 +119,54 @@ def _core(curve):
     return core
 
 
-def _multipliers(core, symbol, variant):
-    """(symbol, is_scalar, folded, shaped) for a variant on the core's curve.
+class _Table:
+    """The multipliers of every variant of one symbol on one curve, folded for the band product.
 
-    folded holds the multipliers of modes 0..top-1: a(0) at m = 0,
-    a(m) + conj(a(-m)) above; shaped is folded as the product takes it.
     A curve's length is fixed, so the symbol is evaluated once per curve:
-    its raw values on the band, under variant None, serve identity,
-    inverse, sqrt and sqrt_inverse, and the lambda-derivative has its own.
-    Every entry holds its symbol, which keeps the id from being reused, so
-    the cache is per symbol object and never hashes one. A scalar symbol
-    is even in m, bitwise (it reads m through m**2), so it is evaluated on
-    modes 0..top-1 only and its fold is 2 a(m) for m >= 1, real rows. A
-    custom table gives (top, d, d) blocks on modes -(top-1)..top-1, one
-    eigh per block for a variant other than identity.
+    symbols._variant_rows gives every variant from one joint evaluation of
+    a(lambda, m) and its lambda-derivative, and all of them are folded in
+    one operation. folded(variant) gives the multipliers of modes
+    0..top-1: a(0) at m = 0, a(m) + conj(a(-m)) above, which is 2 a(m) for
+    a scalar symbol. shaped[variant] holds them as the product takes them:
+    a scalar symbol's row doubled into a (..., 2 top, 1) column that
+    multiplies the real and the imaginary rows of the coefficients in one
+    broadcast product; a custom table's (top, d, d) blocks as they are.
+    refused holds the error of each variant that does not exist (a
+    positive variant of a symbol that is not positive, the
+    lambda-derivative of a table without one). The table holds its
+    symbol, which keeps the id from being reused, so the cache is per
+    symbol object and never hashes one.
     """
-    key = id(symbol)
-    entry = core.mults.get((key, variant))
-    if entry is not None:
-        return entry
-    top, scalar = core.top, symbol.is_scalar
-    band = np.arange(top) if scalar else _band_modes(top)
-    if variant == "lambda_derivative":
-        vals = _values(symbol, core.lam, band, derivative=True)
-    else:
-        raw = core.mults.get((key, None))
-        if raw is None:
-            raw = core.mults[(key, None)] = (symbol, _values(symbol, core.lam, band))
-        vals = _variant(raw[1], variant)
-    if scalar:
-        mult = 2.0 * vals
-        mult[..., 0] = vals[..., 0]
-    else:
-        mult = vals[:top].copy()
-        mult[1:] += np.conj(vals[top:])
-    mult.setflags(write=False)
-    entry = core.mults[(key, variant)] = (symbol, scalar, mult, mult[..., None, :, None] if scalar else mult)
-    return entry
+
+    __slots__ = ("symbol", "scalar", "shaped", "refused")
+
+    def __init__(self, core, symbol):
+        top = core.top
+        self.symbol, self.scalar = symbol, symbol.is_scalar
+        names, rows, self.refused = _variant_rows(symbol, core.lam, _band_modes(top, self.scalar))
+        if self.scalar:
+            mult = 2.0 * rows
+            mult[..., 0] = rows[..., 0]
+            # one copy for the real rows of the coefficients, one for the imaginary
+            shaped = np.concatenate([mult, mult], axis=-1)[..., None]
+        else:
+            shaped = rows[:, :top].copy()
+            shaped[:, 1:] += np.conj(rows[:, top:])
+        shaped.setflags(write=False)
+        self.shaped = dict(zip(names, shaped))
+
+    def folded(self, variant):
+        """The multipliers of modes 0..top-1 of a variant: a(0), then a(m) + conj(a(-m))."""
+        mult = self.shaped[variant]
+        return mult[..., : mult.shape[-2] // 2, 0] if self.scalar else mult
+
+
+def _table(core, symbol):
+    """The symbol's _Table on the core's curve, built by the first application of the symbol."""
+    table = core.tables.get(id(symbol))
+    if table is None:
+        table = core.tables[id(symbol)] = _Table(core, symbol)
+    return table
 
 
 def _band_multiply(core, symbol, variant, coef):
@@ -151,11 +175,15 @@ def _band_multiply(core, symbol, variant, coef):
     Rows 0..top-1 of coef hold the real parts of the coefficients of modes
     0..N/3, rows top..2top-1 their imaginary parts. A real field's mode -m
     is the conjugate of mode m, so mode m >= 1 carries a(m) + conj(a(-m))
-    and mode 0 carries a(0). Extra leading axes stack fields.
+    and mode 0 carries a(0). Extra leading axes stack fields. A scalar
+    symbol takes one broadcast product.
     """
-    _, scalar, mult, shaped = _multipliers(core, symbol, variant)
-    if scalar:
-        return (coef.reshape(coef.shape[:-2] + (2, core.top, -1)) * shaped).reshape(coef.shape)
+    table = _table(core, symbol)
+    mult = table.shaped.get(variant)
+    if mult is None:
+        _refuse(table.refused, variant)
+    if table.scalar:
+        return coef * mult
     top = core.top
     out = _multiply(symbol, mult, coef[..., :top, :] + 1j * coef[..., top:, :])
     return np.concatenate([out.real, out.imag], axis=-2)

@@ -15,11 +15,17 @@ derivative table before they can be used in the geodesic spray.
 
 This module turns a symbol into multipliers for every operator variant in
 VARIANTS, for scalar and matrix symbols alike: _values gives the values or
-the lambda-derivative on a set of modes, _variant applies the variant and
-holds the one positivity check. operators applies the result.
+the lambda-derivative on a set of modes, _variant applies one variant and
+holds the positivity check. _variant_rows gives every variant at once
+from one joint evaluation (_evaluate: the values and the
+lambda-derivative together, lambda checked once), bitwise what _variant
+gives each: a custom table's inverse and square roots share one eigh per
+block, and the positive variants exist only on positive values.
+operators keeps one such table per curve and symbol and applies it.
 """
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -154,48 +160,69 @@ def custom_table(values, order, derivative=None, dim=None):
 
 
 def _require_lambda(lam):
-    # lam is a float, or an array of parameters broadcast against m
-    if not (np.isfinite(lam) & (np.asarray(lam) > 0)).all():
+    # lam is a float (a single curve's length), or an array of parameters
+    # broadcast against m; a NaN fails the comparison
+    if not all(0.0 < x < math.inf for x in ((lam,) if isinstance(lam, float) else np.ravel(lam).tolist())):
         raise DomainError(f"symbol parameter lambda must be positive, got {lam}")
+
+
+def _scalar_pair(sym, lam, m, values=True, derivative=True):
+    """a(lambda, m) and d/dlambda a(lambda, m) of a built-in family from one evaluation.
+
+    The halves share (2 pi m / lambda)^2, and 1 + (2 pi m / lambda)^2 for
+    bessel_fractional, lambda^-3 (...) for scale_invariant, and y^r for
+    two_term_fractional; lam is checked once. A half not asked for is None.
+    scalar_values and scalar_derivative_values are the two halves, each
+    bitwise what the pair gives.
+    """
+    _require_lambda(lam)
+    m = np.asarray(m, dtype=float)
+    family, alphas, r = sym.family, sym.alphas, sym.order
+    vals = der = None
+    if family == "constant_coefficient":
+        y = (TWO_PI * m / lam) ** 2
+        if values:
+            vals = np.polynomial.polynomial.polyval(y, np.asarray(alphas))
+        if derivative:
+            coeffs = np.asarray(alphas) * np.arange(len(alphas))
+            der = -2.0 / lam * np.polynomial.polynomial.polyval(y, coeffs)
+    elif family == "scale_invariant":
+        y = (TWO_PI * m) ** 2
+        vals = lam ** -3 * np.polynomial.polynomial.polyval(y, np.asarray(alphas))
+        if derivative:
+            der = -3.0 / lam * vals
+    elif family == "bessel_fractional":
+        x2 = (TWO_PI * m / lam) ** 2
+        base = 1.0 + x2
+        if values:
+            vals = alphas[0] * base ** r
+        if derivative:
+            der = alphas[0] * r * base ** (r - 1.0) * (-2.0 * x2 / lam)
+    elif family == "two_term_fractional":
+        y = (TWO_PI * m / lam) ** 2
+        yr = y ** r
+        if values:
+            vals = alphas[0] + alphas[1] * yr
+        if derivative:
+            # m = 0 gets an exact +0.0; np.where, unlike a masked assignment,
+            # broadcasts against per-member parameters lam of shape (B, 1)
+            der = np.where(y > 0, -2.0 * r / lam * alphas[1] * yr, 0.0)
+    else:
+        raise NotSupportedError(f"{family} has no scalar {'values' if values else 'derivative'}")
+    return (vals if values else None), der
 
 
 def scalar_values(sym, lam, m):
     """Scalar multiplier values a(lambda, m) for the built-in families."""
-    _require_lambda(lam)
-    m = np.asarray(m, dtype=float)
-    if sym.family == "constant_coefficient":
-        y = (TWO_PI * m / lam) ** 2
-        return np.polynomial.polynomial.polyval(y, np.asarray(sym.alphas))
-    if sym.family == "scale_invariant":
-        y = (TWO_PI * m) ** 2
-        return lam ** -3 * np.polynomial.polynomial.polyval(y, np.asarray(sym.alphas))
-    if sym.family == "bessel_fractional":
-        return sym.alphas[0] * (1.0 + (TWO_PI * m / lam) ** 2) ** sym.order
-    if sym.family == "two_term_fractional":
-        y = (TWO_PI * m / lam) ** 2
-        return sym.alphas[0] + sym.alphas[1] * y ** sym.order
-    raise NotSupportedError(f"{sym.family} has no scalar values")
+    return _scalar_pair(sym, lam, m, derivative=False)[0]
 
 
 def scalar_derivative_values(sym, lam, m):
     """Analytic d/dlambda of the scalar multiplier for built-in families."""
-    _require_lambda(lam)
-    m = np.asarray(m, dtype=float)
-    if sym.family == "constant_coefficient":
-        y = (TWO_PI * m / lam) ** 2
-        coeffs = np.asarray(sym.alphas) * np.arange(len(sym.alphas))
-        return -2.0 / lam * np.polynomial.polynomial.polyval(y, coeffs)
-    if sym.family == "scale_invariant":
-        return -3.0 / lam * scalar_values(sym, lam, m)
-    if sym.family == "bessel_fractional":
-        x2 = (TWO_PI * m / lam) ** 2
-        return sym.alphas[0] * sym.order * (1.0 + x2) ** (sym.order - 1.0) * (-2.0 * x2 / lam)
-    if sym.family == "two_term_fractional":
-        y = (TWO_PI * m / lam) ** 2
-        # m = 0 gets an exact +0.0; np.where, unlike a masked assignment,
-        # broadcasts against per-member parameters lam of shape (B, 1)
-        return np.where(y > 0, -2.0 * sym.order / lam * sym.alphas[1] * y ** sym.order, 0.0)
-    raise NotSupportedError(f"{sym.family} has no scalar derivative")
+    return _scalar_pair(sym, lam, m, values=False)[1]
+
+
+_NO_DERIVATIVE = "custom table has no lambda-derivative table"
 
 
 def _table_lookup(sym, m, which):
@@ -205,7 +232,7 @@ def _table_lookup(sym, m, which):
         raise DomainError(f"custom table covers |m| <= {m_max}, requested |m| = {np.max(np.abs(m))}")
     src = vals if which == "value" else deriv
     if src is None:
-        raise NotSupportedError("custom table has no lambda-derivative table")
+        raise NotSupportedError(_NO_DERIVATIVE)
     return src[m + m_max]
 
 
@@ -221,6 +248,43 @@ def _values(sym, lam, m, derivative=False):
     return _table_lookup(sym, m, "derivative" if derivative else "value")
 
 
+def _evaluate(sym, lam, m):
+    """(a, d/dlambda a) on modes m: one joint evaluation, lam checked once.
+
+    Each half is bitwise what _values gives. A custom table's derivative
+    half is None when it has no derivative table.
+    """
+    if sym.is_scalar:
+        return _scalar_pair(sym, lam, m)
+    _require_lambda(lam)
+    vals = _table_lookup(sym, m, "value")
+    return vals, (_table_lookup(sym, m, "derivative") if sym.table[2] is not None else None)
+
+
+#: the variants that need positive values: 1/x, sqrt(x) and 1/sqrt(x)
+_POSITIVE = ("inverse", "sqrt", "sqrt_inverse")
+
+
+def _spectrum(vals):
+    """(w, v): one eigh of a custom table's blocks; scalar rows are their own eigenvalues, v None."""
+    return np.linalg.eigh(vals) if np.iscomplexobj(vals) else (vals, None)
+
+
+def _not_positive(w, variant):
+    """The message of a positive variant requested on values with eigenvalues w, min(w) <= 0."""
+    return f"symbol has smallest eigenvalue {w.min():.3e}, not positive, so variant {variant!r} is undefined"
+
+
+def _positive_functions(w, v):
+    """The multipliers of inverse, sqrt and sqrt_inverse from a positive spectrum (w, v)."""
+    s = np.sqrt(w)
+    fs = (1.0 / w, s, 1.0 / s)
+    if v is None:
+        return fs
+    vh = np.conj(np.swapaxes(v, -1, -2))
+    return tuple((v * f[..., None, :]) @ vh for f in fs)
+
+
 def _variant(vals, variant):
     """The multipliers of an operator variant from symbol values given by _values.
 
@@ -233,14 +297,46 @@ def _variant(vals, variant):
         raise DomainError(f"unknown operator variant {variant!r}")
     if variant in ("identity", "lambda_derivative"):
         return vals
-    blocks = np.iscomplexobj(vals)  # a custom table's blocks; scalar rows are real
-    w, v = np.linalg.eigh(vals) if blocks else (vals, None)
+    w, v = _spectrum(vals)
     if w.min() <= 0:
-        raise NotPositiveDefiniteError(
-            f"symbol has smallest eigenvalue {w.min():.3e}, not positive, so variant {variant!r} is undefined"
-        )
-    f = 1.0 / w if variant == "inverse" else np.sqrt(w) if variant == "sqrt" else 1.0 / np.sqrt(w)
-    return (v * f[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2)) if blocks else f
+        raise NotPositiveDefiniteError(_not_positive(w, variant))
+    return _positive_functions(w, v)[_POSITIVE.index(variant)]
+
+
+def _variant_rows(sym, lam, m):
+    """The multipliers of every variant on modes m at lam, from one joint evaluation.
+
+    Returns (names, rows, refused): rows stacks the multipliers of the
+    variants in names along a new first axis, each bitwise what _variant
+    gives from _values; refused maps every other variant of VARIANTS to
+    the (error class, message) a request for it raises. The positive
+    variants exist only on positive values, so none divides by zero or
+    takes the root of a negative number; a custom table's three share one
+    eigh per block, and its lambda-derivative exists only with a
+    derivative table.
+    """
+    vals, der = _evaluate(sym, lam, m)
+    names, rows, refused = ("identity",), [vals], {}
+    if der is None:
+        refused["lambda_derivative"] = (NotSupportedError, _NO_DERIVATIVE)
+    else:
+        names += ("lambda_derivative",)
+        rows.append(der)
+    w, v = _spectrum(vals)
+    if w.min() <= 0:
+        refused.update((variant, (NotPositiveDefiniteError, _not_positive(w, variant))) for variant in _POSITIVE)
+    else:
+        names += _POSITIVE
+        rows += _positive_functions(w, v)
+    return names, np.array(rows), refused
+
+
+def _refuse(refused, variant):
+    """Raise the error of a variant missing from a _variant_rows table."""
+    if variant not in VARIANTS:
+        raise DomainError(f"unknown operator variant {variant!r}")
+    cls, message = refused[variant]
+    raise cls(message)
 
 
 def _matrices(sym, lam, m, variant):

@@ -287,6 +287,23 @@ def test_a_number_key_refuses_a_string_or_a_boolean(tmp_path, capsys, config, ke
     assert f"key {key} must be {kind}" in err
 
 
+@pytest.mark.parametrize("payload", [
+    {"d": 2.7},
+    {"d": "2"},
+    {"samples": [["1", "0"]] * 64},
+    {"samples": [[True, False]] * 64},
+])
+def test_a_curve_file_that_is_not_json_numbers_is_one_error_line(workdir, capsys, payload):
+    tmp, _, velocity = workdir
+    curve = tmp / "typed.json"
+    curve.write_text(json.dumps({"d": 2, "samples": circle_samples().tolist(), **payload}))
+    out = tmp / "out"
+    assert main(["exp", "--curve", str(curve), "--velocity", str(velocity), "--steps", "16", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(curve) in err
+
+
 def test_an_integral_number_loads_as_an_integer(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"grid": {"N": 64.0}, "solver": {"steps": 1e3, "K": 2}, "seed": 3.0}))

@@ -435,6 +435,29 @@ def test_curve_from_dict_rejects_malformed_payload():
         curve_from_dict({"d": 3, "samples": [[0.0, 0.0]] * 16})
 
 
+@pytest.mark.parametrize("payload, message", [
+    ({"d": 2.7}, "key d must be an integer, got 2.7"),
+    ({"d": "2"}, "key d must be an integer, got '2'"),
+    ({"d": True}, "key d must be an integer, got True"),
+    ({"samples": [["1", "2"]] * 16}, "samples must be numbers, got '1'"),
+    ({"samples": [[True, 0.5]] * 16}, "samples must be numbers, got True"),
+    ({"samples": [[0.5, None]] * 16}, "samples must be numbers, got None"),
+])
+def test_curve_from_dict_refuses_values_that_are_not_json_numbers(payload, message):
+    # float() would read the string "1" and the boolean true as numbers,
+    # and int() would truncate a d of 2.7
+    full = {"d": 2, "samples": [[1.0, 0.0]] * 16, **payload}
+    with pytest.raises(GridError, match=message):
+        curve_from_dict(full)
+
+
+def test_curve_from_dict_reads_an_integral_float_d_and_integer_samples(circle64):
+    payload = curve_to_dict(circle64)
+    assert np.array_equal(curve_from_dict({**payload, "d": 2.0}), circle64)
+    ints = curve_from_dict({"d": 2, "samples": [[1, 0], [0, 1]] * 8})
+    assert ints.dtype == float and np.array_equal(ints, [[1.0, 0.0], [0.0, 1.0]] * 8)
+
+
 def test_samples_file_roundtrip(tmp_path, circle64):
     target = tmp_path / "curve.json"
     write_samples(target, circle64)

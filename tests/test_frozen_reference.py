@@ -8,7 +8,9 @@ arguments again. The copy caches nothing and checks nothing. The core must
 give every output bitwise: on one curve and a batch at N = 64, where the
 filter is a dense product, and at N = 256, where it is an FFT round trip;
 on scalar and vector fields; for every variant; for a scalar family and a
-custom table.
+custom table. The one multiplier table a curve keeps per symbol is held
+the same way: for every family, each variant folded is _variant(_values(...))
+folded on its own, on a single curve and on a batch.
 """
 
 import math
@@ -20,11 +22,20 @@ import pytest
 from fracsob import operators
 from fracsob.checks import random_curve_samples, random_field
 from fracsob.curves import ds_integral, make_curve
-from fracsob.errors import MeanResidualWarning
+from fracsob.errors import MeanResidualWarning, NotPositiveDefiniteError, NotSupportedError
 from fracsob.metric import MetricConfig, momentum_rhs, spray
 from fracsob.operators import apply_conjugated, operator_directional_derivative, solve_conjugated
 from fracsob.spectral import TWO_PI, _dealiased_derivative, dealias, spectral_derivative, theta_antiderivative
-from fracsob.symbols import VARIANTS, _values, _variant, bessel_fractional, custom_table
+from fracsob.symbols import (
+    VARIANTS,
+    _values,
+    _variant,
+    bessel_fractional,
+    constant_coefficient,
+    custom_table,
+    scale_invariant,
+    two_term_fractional,
+)
 
 # --- the frozen copy ---------------------------------------------------------
 
@@ -200,7 +211,7 @@ def ref_spray(symbol, c, h):
 # --- the comparisons ---------------------------------------------------------
 
 
-def _table(n):
+def _table(n, derivative=True):
     # MetricConfig's class report reads the table up to |m| = 66
     m_max = max(n // 2, 72)
     ms = np.arange(-m_max, m_max + 1, dtype=float)
@@ -208,7 +219,7 @@ def _table(n):
     table[:, 0, 0] = 2.0 + ms ** 2
     table[:, 1, 1] = 1.5 + 0.5 * ms ** 2
     table[:, 0, 1] = table[:, 1, 0] = 0.7
-    return custom_table(table, order=1.0, derivative=np.zeros_like(table))
+    return custom_table(table, order=1.0, derivative=np.zeros_like(table) if derivative else None)
 
 
 CASES = [(64, None), (64, 3), (256, None)]
@@ -311,3 +322,60 @@ def test_the_core_is_built_once_per_curve_and_shares_the_basis():
     assert operators._core(c) is core
     # a frame's copy of the curve shares the geometry and builds its own core
     assert "_operator_core" not in vars(c.uncached())
+
+
+TABLE_SYMBOLS = {
+    "constant_coefficient": constant_coefficient((1.0, 0.5, 0.25)),
+    "scale_invariant": scale_invariant((1.0, 0.5)),
+    "bessel_fractional": bessel_fractional(1.5),
+    "two_term_fractional": two_term_fractional(0.75, 1.0, 0.5),
+    "custom_table": _table(64),
+    "custom_table-no-derivative": _table(64, derivative=False),
+}
+
+
+@pytest.mark.parametrize("batch", [None, 3], ids=["single", "batch3"])
+@pytest.mark.parametrize("name", TABLE_SYMBOLS)
+def test_the_multiplier_table_is_the_frozen_fold_of_every_variant(name, batch):
+    # one table per curve and symbol holds every variant: folded, it is
+    # bitwise _variant(_values(...)) folded as each variant was on its own;
+    # shaped, its product is bitwise the frozen band multiply
+    symbol = TABLE_SYMBOLS[name]
+    c, _, _ = setup(64, batch)
+    core = operators._core(c)
+    table = operators._table(core, symbol)
+    coef = np.random.default_rng(2).normal(size=c.samples.shape[:-2] + (2 * core.top, 2))
+    for variant in VARIANTS:
+        if variant == "lambda_derivative" and not symbol.has_derivative:
+            with pytest.raises(NotSupportedError, match="custom table has no lambda-derivative table"):
+                operators._band_multiply(core, symbol, variant, coef)
+            continue
+        want = ref_multipliers(c, symbol, variant, core.top)
+        got = table.folded(variant)
+        assert got.shape == want.shape and np.array_equal(got, want), variant
+        if symbol.is_scalar:
+            # the row doubled into one column for the real and imaginary rows
+            assert table.shaped[variant].shape == want.shape[:-1] + (2 * core.top, 1)
+            assert np.array_equal(table.shaped[variant][..., 0], np.concatenate([want, want], axis=-1)), variant
+        got = operators._band_multiply(core, symbol, variant, coef)
+        assert np.array_equal(got, ref_band_multiply(c, symbol, variant, coef)), variant
+    assert operators._table(core, symbol) is table
+
+
+@pytest.mark.parametrize("batch", [None, 3], ids=["single", "batch3"])
+def test_a_symbol_that_is_not_positive_builds_no_positive_variant(batch):
+    # a(0) = 0: identity and the lambda-derivative apply; inverse, sqrt and
+    # sqrt_inverse raise the check's message, and building the table divides
+    # by no zero
+    symbol = two_term_fractional(1.5, 0.0, 1.0)
+    c, h, _ = setup(64, batch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for variant in ("identity", "lambda_derivative"):
+            assert np.array_equal(apply_conjugated(c, symbol, variant, h), ref_apply(c, symbol, variant, h))
+        for variant in ("inverse", "sqrt", "sqrt_inverse"):
+            with pytest.raises(NotPositiveDefiniteError) as err:
+                apply_conjugated(c, symbol, variant, h)
+            assert str(err.value) == (
+                f"symbol has smallest eigenvalue 0.000e+00, not positive, so variant {variant!r} is undefined"
+            )

@@ -301,41 +301,36 @@ def test_custom_table_matches_closed_form_on_a_curve():
 
 def folded(curve, symbol, variant):
     """The folded band multipliers the operators' core keeps for a variant on the curve."""
-    return operators._multipliers(operators._core(curve), symbol, variant)[2]
+    return operators._table(operators._core(curve), symbol).folded(variant)
 
 
-def test_band_multipliers_are_evaluated_once_per_curve_and_variant(monkeypatch):
-    calls = []
-
-    def counting(*args):
-        calls.append(1)
-        return scalar_values(*args)
-
-    monkeypatch.setattr(symbols, "scalar_values", counting)
+def test_band_multipliers_are_evaluated_once_per_curve_and_variant(count_calls):
+    # one joint evaluation of the symbol and its lambda-derivative per curve
+    calls = count_calls(symbols, "_evaluate")
     c = bent_curve()
     sym = bessel_fractional(1.5)
     u = np.column_stack([np.cos(2 * c.theta), np.sin(c.theta)])
     first = apply_conjugated(c, sym, "identity", u)
     again = apply_conjugated(c, sym, "identity", u)
-    assert len(calls) == 1
+    assert calls["_evaluate"] == 1
     assert np.array_equal(first, again)
-    # the other variants derive from the values kept on the curve, and the
-    # lambda-derivative evaluates only its own table
+    # every other variant, the lambda-derivative included, comes from the
+    # table that evaluation built on the curve
     inverse = apply_conjugated(c, sym, "inverse", u)
     apply_conjugated(c, sym, "sqrt", u)
     apply_conjugated(c, sym, "lambda_derivative", u)
-    assert len(calls) == 1
-    # an equal symbol is another object with its own entries, and the same numbers
+    assert calls["_evaluate"] == 1
+    # an equal symbol is another object with its own table, and the same numbers
     twin = bessel_fractional(1.5)
     assert np.array_equal(apply_conjugated(c, twin, "inverse", u), inverse)
-    assert len(calls) == 2
+    assert calls["_evaluate"] == 2
     for variant in VARIANTS:
         assert np.array_equal(folded(c, twin, variant),
                               folded(c, sym, variant))
-    assert len(calls) == 2
+    assert calls["_evaluate"] == 2
     fresh = bent_curve()
     assert np.array_equal(apply_conjugated(fresh, sym, "identity", u), first)
-    assert len(calls) == 3
+    assert calls["_evaluate"] == 3
 
 
 def test_the_operator_path_never_hashes_a_symbol(monkeypatch):
@@ -407,22 +402,23 @@ def test_custom_table_band_multipliers_are_computed_once_per_curve_and_variant(c
     u = np.column_stack([np.cos(2 * c.theta), np.sin(c.theta)])
     first = apply_conjugated(c, sym, "inverse", u)
     again = apply_conjugated(c, sym, "inverse", u)
-    assert calls == {"_table_lookup": 1, "eigh": 1}
+    # the first application reads the value and the derivative table once
+    # and takes one eigh per block, shared by inverse, sqrt and sqrt_inverse
+    assert calls == {"_table_lookup": 2, "eigh": 1}
     assert np.array_equal(first, again)
-    # the variants share the table's values kept on the curve, one eigh each;
-    # the lambda-derivative reads its own table; the solve reuses both entries
+    # every variant, the lambda-derivative included, comes from that table
     apply_conjugated(c, sym, "identity", u)
     apply_conjugated(c, sym, "sqrt", u)
     apply_conjugated(c, sym, "lambda_derivative", u)
     solve_conjugated(c, sym, u)
-    assert calls == {"_table_lookup": 2, "eigh": 2}
-    # an equal table is another object with its own entries, and the same numbers
+    assert calls == {"_table_lookup": 2, "eigh": 1}
+    # an equal table is another object with its own table, and the same numbers
     twin = custom_table(table, order=1.0, derivative=np.zeros_like(table))
     assert np.array_equal(apply_conjugated(c, twin, "inverse", u), first)
-    assert calls == {"_table_lookup": 3, "eigh": 3}
+    assert calls == {"_table_lookup": 4, "eigh": 2}
     fresh = bent_curve()
     assert np.array_equal(apply_conjugated(fresh, sym, "inverse", u), first)
-    assert calls == {"_table_lookup": 4, "eigh": 4}
+    assert calls == {"_table_lookup": 6, "eigh": 3}
 
 
 @pytest.mark.parametrize("seed", [2, 18])

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fracsob import curves, operators, solvers, spectral
+from fracsob import curves, operators, solvers, spectral, symbols
 from fracsob.checks import random_curve_samples, random_field
 from fracsob.curves import make_curve
 from fracsob.errors import (
@@ -90,6 +90,23 @@ def test_exp_map_deep_solves_only_the_final_frame(monkeypatch):
         path = exp_map(BESSEL, c0, h0, T=0.5, steps=MIN_STEPS, stride=stride)
         assert calls == [2] * (4 * MIN_STEPS) + [18]
         assert len(path.frames) == MIN_STEPS // stride + 1
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
+def test_exp_map_evaluates_the_symbol_once_per_curve(count_calls, batch):
+    # one joint evaluation of the symbol and its lambda-derivative per curve:
+    # the four stage curves of each step and the curve at t = T; the stored
+    # frames and the final deep solve read the tables those curves built
+    c0, h0 = flow_setup(np.random.default_rng(4))
+    steps = MIN_STEPS
+    calls = count_calls(symbols, "_evaluate")
+    if batch:
+        starts = make_curve(np.stack([c0.samples] * 3))
+        paths = solvers._geodesics(BESSEL, starts, np.stack([h0, 0.5 * h0, -h0]), 0.5, steps, 1)
+        assert len(paths) == 3
+    else:
+        exp_map(BESSEL, c0, h0, T=0.5, steps=steps, stride=1)
+    assert calls["_evaluate"] == 4 * steps + 1
 
 
 def test_exp_map_first_frame_is_the_exact_initial_pair(rng):
