@@ -254,7 +254,8 @@ def _curve_from_file(path, expected=None, label="curve"):
 
 
 def _make_out_dir(cfg):
-    """Create io.out_dir before any numerical work; ConfigError when it cannot be written."""
+    """Create io.out_dir once the curve files pass and before any numerical
+    work; ConfigError when it cannot be written."""
     out_dir = cfg.io["out_dir"]
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -309,9 +310,9 @@ def _write_path_artifacts(path_obj, cfg, stem):
 
 def cmd_exp(args):
     cfg = load_config(args.config, _overrides(args))
-    _make_out_dir(cfg)
     c0 = _curve_from_file(args.curve)
     h0 = _load_curve_file(args.velocity, expected=c0.samples.shape, label="velocity")
+    _make_out_dir(cfg)
     path = exp_map(
         cfg.metric, c0, h0,
         T=cfg.solver["T"], steps=cfg.solver["steps"], stride=cfg.solver["stride"],
@@ -326,9 +327,9 @@ def cmd_exp(args):
 
 def cmd_match(args):
     cfg = load_config(args.config, _overrides(args))
-    _make_out_dir(cfg)
     c0 = _curve_from_file(args.source, label="source")
     c1 = _curve_from_file(args.target, expected=c0.samples.shape, label="target")
+    _make_out_dir(cfg)
     try:
         result = geodesic_bvp(
             cfg.metric, c0, c1,

@@ -19,14 +19,17 @@ _geodesics turns one run into a path per member; exp_map and
 exp_map_spray hand it a batch of one. The boundary-value problem is
 solved by shooting: Levenberg-Marquardt on the endpoint mismatch over a
 Fourier-truncated initial velocity. The Jacobian is differenced forward,
-all its columns integrated as one batch, together with the initial shot;
-after each accepted step Broyden's rank-one secant update keeps it
-current without a shot. Only a step rejected under an updated Jacobian
-makes the solver difference again, at the current point. So a typical
-match is one batch and then one lone run per trial. A lone shot keeps
-its frames, and the shot at the returned velocity is the returned path.
-Trial shots that leave the immersion set count as rejected steps and
-raise the damping instead of aborting.
+all its columns integrated as one batch on half the RK4 steps, together
+with the base shot they are differenced against (at the start, the
+initial shot); after each accepted step Broyden's rank-one secant update
+keeps it current without a shot. Only a step rejected under an updated
+Jacobian makes the solver difference again, at the current point, in a
+batch that shoots its own base. So a typical match is one batch and then
+one lone run per trial. Trials run on all the steps, and only such a
+shot decides convergence and gives the reported residual. A lone shot
+keeps its frames, and the shot at the returned velocity is the returned
+path. Trial shots that leave the immersion set count as rejected steps
+and raise the damping instead of aborting.
 """
 
 import json
@@ -112,14 +115,17 @@ class GeodesicPath:
 class ShootingResult:
     """Outcome of geodesic_bvp: the velocity found, its mismatch, the path.
 
-    shots counts the geodesics integrated, every member of a batch
-    included; integrations counts the RK4 runs they took. Both are counted
-    in one place, the shot. jacobians counts the forward-difference
-    Jacobians built (one on a typical match), and damping holds the
+    residual is the mismatch of the path's endpoint, a shot on all the
+    steps, and converged holds exactly when it meets the tolerance; a
+    Jacobian batch's half-step residual is never reported. shots counts
+    the geodesics integrated, every member of a batch included;
+    integrations counts the RK4 runs they took. Both are counted in one
+    place, the shot. jacobians counts the forward-difference Jacobians
+    built (one on a typical match), and damping holds the
     Levenberg-Marquardt damping of each trial step in order. The path is
     a shot the solver already made, unless the returned velocity is the
-    initial one and was shot in a batch; then it is shot once more alone,
-    one more shot and run, counted like every shot.
+    initial one and was shot only in a batch; then it is shot once more
+    alone, one more shot and run, counted like every shot.
     """
 
     initial_velocity: np.ndarray
@@ -429,26 +435,41 @@ def geodesic_bvp(
     the residual is the endpoint mismatch in the L2(dtheta) norm of samples.
     Levenberg-Marquardt with a forward-difference Jacobian J: the columns
     step each coefficient x by FD_STEP max(1, |x|), and their (2K+1)*d shots
-    are integrated as one batch together with the initial shot; columns
-    whose shot loses immersion (a ResolutionError included) are retried
-    with the step negated, as a second batch. The initial shot runs alone
-    when max_iter is 0 or |c1 - c0| <= tol_rel * |c1|, where it is the
-    answer. After each accepted step dx, Broyden's secant update
+    are integrated as one batch together with the base shot at x, on
+    max(MIN_STEPS, steps // 2) RK4 steps; columns whose shot loses
+    immersion (a ResolutionError included) are retried with the step
+    negated, as a second batch on as many steps. A Jacobian and its base
+    come from one step count: the columns are differenced against the base
+    of their own batch, never against a full-step residual. Halving the
+    steps moves J by a time error far below FD_STEP's own truncation error,
+    since RK4 converges at order 4 on the smooth shooting map. The first
+    batch's base is the initial shot at the least-squares start x0, and
+    its half-step residual is the Levenberg-Marquardt anchor at x0. The
+    initial shot runs alone on all the steps when max_iter is 0 or
+    |c1 - c0| <= tol_rel * |c1|, where it is the answer. After each
+    accepted step dx, Broyden's secant update
     J += (r_new - r - J dx) dx^T / (dx^T dx) replaces a new difference. A
     trial rejected under an updated J makes the solver difference J again
-    at the current point (one batch) and retry at the same damping; only a
-    rejection under a freshly differenced J multiplies the damping by 10.
-    Trial shots that lose immersion count as rejected. Every trial runs
-    alone and keeps a frame every max(1, steps // 16) steps; frames never
-    feed back into the state, and the returned path is the frames of the
-    shot at the returned velocity. Only the initial velocity, when it was
-    shot in a batch, is shot once more alone, counted like every shot (an
-    ImmersionError if that lone shot fails). Frames are kept for the
-    current and the best velocity only. The result counts the shots, the
-    RK4 runs and the Jacobians differenced, and lists the damping of every
-    trial. Raises NoConvergenceError carrying the best ShootingResult when
-    the cap is hit, and DomainError before any work on a schedule exp_map
-    refuses.
+    at the current point (one batch, shooting its own base) and retry at
+    the same damping; only a rejection under a freshly differenced J
+    multiplies the damping by 10. A new difference whose base shot fails
+    ends the iterations at the best point. Trial shots that lose immersion
+    count as rejected. Every trial runs alone on all the steps and keeps a
+    frame every max(1, steps // 16) steps; frames never feed back into the
+    state, and the returned path is the frames of the shot at the returned
+    velocity. Only full-step shots decide: x0, when it was shot only in a
+    batch and is the returned velocity (its half-step residual meets the
+    tolerance, or it is the best point when the iterations stop), is shot
+    once more alone on all the steps, counted like every shot (an
+    ImmersionError if that lone shot fails), and that shot's residual is
+    the one reported and judged. If it misses the tolerance where the
+    half-step one met it, the iterations go on from it. Frames are kept
+    for the current and the best velocity only. The result counts the
+    shots, the RK4 runs and the Jacobians differenced, and lists the
+    damping of every trial. Raises NoConvergenceError carrying the best
+    ShootingResult when the cap is hit or the iterations stall and that
+    result has not converged, and DomainError before any work on a
+    schedule exp_map refuses.
     """
     if c0.batched or c1.batched:
         raise GridError("geodesic_bvp matches two single curves, not batches")
@@ -469,85 +490,105 @@ def geodesic_bvp(
 
     shots = integrations = jacobians = 0
     lams = []
+    # the step count of every Jacobian batch; trials and the path run on steps
+    jac_steps = max(MIN_STEPS, steps // 2)
 
     def velocity(x):
         return basis @ x.reshape(x.shape[:-1] + (n_coef, d))
 
-    def shoot(xs, stride=None):
+    def shoot(xs, run_steps, stride=None):
         """Endpoint residual vectors of the shots at the rows of xs, in one
-        batch, and their frames at `stride`; None for a shot that loses
-        immersion or goes nonfinite."""
+        batch of run_steps RK4 steps, and their frames at `stride`; None for
+        a shot that loses immersion or goes nonfinite."""
         nonlocal shots, integrations
         shots += len(xs)
         integrations += 1
         starts = make_curve(np.broadcast_to(c0.samples, (len(xs), n, d)))
-        ends, frames, _ = _rk4(cfg, starts, velocity(xs), T, steps, stride)
+        ends, frames, _ = _rk4(cfg, starts, velocity(xs), T, run_steps, stride)
         residuals = [None if end is None else (end - c1.samples).ravel() * np.sqrt(TWO_PI / n) for end in ends]
         return residuals, frames
 
-    def finish(x, residual, converged, frames):
+    def lone(x):
+        """The residual and frames of x's shot alone on steps."""
+        [r], [frames] = shoot(x[None], steps, out_stride)
+        if r is None:
+            raise ImmersionError("the shot at the returned velocity leaves the immersion set when run alone")
+        return r, frames
+
+    def finish(x, residual, frames):
+        """The result at x, whose frames are None when x was shot only in a
+        Jacobian batch: then its lone shot on steps gives the path and the
+        residual. Only a full-step residual decides convergence."""
         if frames is None:
-            # only the initial x is shot in a batch, which stores no frames
-            [r], [frames] = shoot(x[None], out_stride)
-            if r is None:
-                raise ImmersionError("the shot at the returned velocity leaves the immersion set when run alone")
+            r, frames = lone(x)
+            residual = float(np.linalg.norm(r))
         path = GeodesicPath(tuple(frames), cfg, scheme=_MOMENTUM.scheme, steps=steps)
         return ShootingResult(
-            velocity(x), residual, iterations, path, converged, shots, integrations, jacobians, tuple(lams)
+            velocity(x), residual, iterations, path, bool(residual <= tol_abs), shots, integrations, jacobians, tuple(lams)
         )
 
     def fd_deltas(x):
         return FD_STEP * np.maximum(1.0, np.abs(x))
 
-    def differenced(x, r, cols=None):
-        """The forward-difference Jacobian at x, where the residual is r:
-        its columns shot as one batch unless cols already holds their
-        residuals, and the columns whose shot failed shot again with the
-        step negated, as a second batch."""
+    def differenced(x, shot=None):
+        """The forward-difference Jacobian at x from one batch on jac_steps:
+        the base shot at x together with its columns, unless shot already
+        holds their residuals, and the columns whose shot failed shot again
+        with the step negated, as a second batch. The columns difference
+        against the base of their own step count. None when the base fails."""
         nonlocal jacobians
         jacobians += 1
         deltas = fd_deltas(x)
         probes = np.diag(deltas)
-        if cols is None:
-            cols, _ = shoot(x + probes)
+        if shot is None:
+            shot, _ = shoot(np.vstack([x, x + probes]), jac_steps)
+        base, *cols = shot
+        if base is None:
+            return None
         retry = [j for j, rp in enumerate(cols) if rp is None]
         if retry:
-            back, _ = shoot(x - probes[retry])
+            back, _ = shoot(x - probes[retry], jac_steps)
             for j, rp in zip(retry, back):
                 cols[j] = rp
                 deltas[j] = -deltas[j]
-        jac = np.empty((r.size, x.size))
+        jac = np.empty((base.size, x.size))
         for j, rp in enumerate(cols):
-            jac[:, j] = 0.0 if rp is None else (rp - r) / deltas[j]
+            jac[:, j] = 0.0 if rp is None else (rp - base) / deltas[j]
         return jac
 
     coef0, *_ = np.linalg.lstsq(basis, (c1.samples - c0.samples) / T, rcond=None)
     x = coef0.ravel()
     iterations = 0
-    # the initial shot carries the forward-difference columns at x, unless
-    # no iteration may run or the target is within tolerance of c0, where
-    # that shot is the answer
+    # the initial shot is the base of the first Jacobian batch, unless no
+    # iteration may run or the target is within tolerance of c0, where that
+    # shot runs alone on steps and is the answer
     if max_iter > 0 and _l2_norm(c1.samples - c0.samples, n) > tol_abs:
-        (r, *cols), _ = shoot(np.vstack([x, x + np.diag(fd_deltas(x))]))
-        frames = None
+        shot, _ = shoot(np.vstack([x, x + np.diag(fd_deltas(x))]), jac_steps)
+        r, frames = shot[0], None
     else:
-        [r], [frames] = shoot(x[None], out_stride)
-        cols = None
+        [r], [frames] = shoot(x[None], steps, out_stride)
+        shot = None
     if r is None:
         raise ImmersionError("the initial shot already leaves the immersion set")
-    # frames are kept for the current x and the best x only
+    if frames is None and np.linalg.norm(r) <= tol_abs:
+        # a half-step residual decides nothing: x's lone shot on steps does
+        r, frames = lone(x)
+    # frames are kept for the current x and the best x only; until a trial
+    # is accepted, r may be the half-step residual of the batch, without frames
     best = (float(np.linalg.norm(r)), x.copy(), frames)
     if best[0] <= tol_abs:
-        return finish(x, best[0], True, frames)
+        return finish(x, best[0], frames)
 
-    jac = None if cols is None else differenced(x, r, cols)
+    jac = None if shot is None else differenced(x, shot)
     # whether jac carries secant updates since it was last differenced
     updated = False
     lam = damping
     while iterations < max_iter:
-        iterations += 1
         if jac is None:
-            jac = differenced(x, r)
+            jac = differenced(x)
+            if jac is None:
+                break
+        iterations += 1
         accepted = False
         for _ in range(12):
             jtj = jac.T @ jac
@@ -560,7 +601,7 @@ def geodesic_bvp(
                 continue
             x_t = x + dx
             lams.append(lam)
-            [r_new], [frames_t] = shoot(x_t[None], out_stride)
+            [r_new], [frames_t] = shoot(x_t[None], steps, out_stride)
             if r_new is not None and np.linalg.norm(r_new) < np.linalg.norm(r):
                 jac = _broyden(jac, dx, r_new - r)
                 updated = True
@@ -571,20 +612,26 @@ def geodesic_bvp(
             if updated:
                 # the secant model may be what failed: difference again at
                 # x and retry at the same damping
-                jac = differenced(x, r)
+                jac = differenced(x)
                 updated = False
+                if jac is None:
+                    break
             else:
                 lam *= 10.0
         norm_r = float(np.linalg.norm(r))
         if norm_r < best[0]:
             best = (norm_r, x.copy(), frames)
         if norm_r <= tol_abs:
-            return finish(x, norm_r, True, frames)
+            return finish(x, norm_r, frames)
         if not accepted:
             break
-    result = finish(best[1], best[0], False, best[2])
+    result = finish(best[1], best[0], best[2])
+    if result.converged:
+        # the best x is x0, whose half-step residual missed the tolerance
+        # and whose lone shot on steps meets it
+        return result
     raise NoConvergenceError(
-        f"shooting stalled at residual {best[0]:.3e} (tolerance {tol_abs:.3e}) "
+        f"shooting stalled at residual {result.residual:.3e} (tolerance {tol_abs:.3e}) "
         f"after {iterations} iterations",
         result=result,
     )

@@ -130,10 +130,10 @@ def two_term_fractional(r, alpha0, alpha1, dim=2):
 def custom_table(values, order, derivative=None, dim=None):
     """Matrix-valued symbol from a stored table over m = -m_max .. m_max.
 
-    values has shape (2*m_max + 1, d, d) and must be Hermitian and even in m.
-    The table does not depend on lambda; a derivative table of the same shape
-    may be supplied (zero is the natural choice) and is required before the
-    symbol can enter the geodesic spray.
+    values has shape (2*m_max + 1, d, d) and must be finite, Hermitian and
+    even in m. The table does not depend on lambda; a finite derivative
+    table of the same shape may be supplied (zero is the natural choice)
+    and is required before the symbol can enter the geodesic spray.
     """
     vals = np.asarray(values, dtype=complex)
     if vals.ndim != 3 or vals.shape[1] != vals.shape[2] or vals.shape[0] % 2 != 1:
@@ -141,6 +141,8 @@ def custom_table(values, order, derivative=None, dim=None):
     d = vals.shape[1]
     if dim is not None and dim != d:
         raise DomainError(f"declared dim {dim} does not match table dimension {d}")
+    if not np.isfinite(vals).all():
+        raise DomainError("custom table values must be finite")
     m_max = vals.shape[0] // 2
     herm = np.max(np.abs(vals - np.conj(np.swapaxes(vals, 1, 2))))
     if herm > 1e-12 * max(1.0, np.max(np.abs(vals))):
@@ -153,6 +155,8 @@ def custom_table(values, order, derivative=None, dim=None):
         deriv = np.asarray(derivative, dtype=complex)
         if deriv.shape != vals.shape:
             raise DomainError("derivative table shape does not match the value table")
+        if not np.isfinite(deriv).all():
+            raise DomainError("derivative table values must be finite")
     vals.setflags(write=False)
     if deriv is not None:
         deriv.setflags(write=False)

@@ -24,7 +24,7 @@ from fracsob.errors import (
 )
 from fracsob.metric import MetricConfig, metric, momentum_rhs, path_energy
 from fracsob.operators import VARIANTS, apply_conjugated, solve_conjugated
-from fracsob.solvers import exp_map, geodesic_bvp
+from fracsob.solvers import MIN_STEPS, exp_map, geodesic_bvp
 from fracsob.spectral import TWO_PI, grid
 from fracsob.symbols import bessel_fractional, constant_coefficient
 
@@ -278,39 +278,43 @@ def test_a_column_that_loses_resolution_is_retried_with_the_step_negated(monkeyp
 
 def sequential_bvp(cfg, c0, c1, K, steps, T=1.0, max_iter=50, tol_rel=1e-6, damping=1e-3, fd_step=1e-6):
     """The shooting loop with one exp_map per Jacobian column, as reference:
-    Broyden updates after accepted steps, a new difference after a step
-    rejected under an updated Jacobian."""
+    the Jacobian differenced on half the steps against a base shot on as
+    many, which is the anchor at x0; trials on steps; Broyden updates after
+    accepted steps, a new difference after a step rejected under an updated
+    Jacobian."""
     n, d = c0.n, c0.dim
     basis = solvers._fourier_basis(n, K)
     n_coef = basis.shape[1]
     tol_abs = tol_rel * max(float(np.linalg.norm(c1.samples)) * np.sqrt(TWO_PI / n), 1e-300)
+    half = max(MIN_STEPS, steps // 2)
 
-    def shoot(x):
+    def shoot(x, run_steps=steps):
         try:
-            path = exp_map(cfg, c0, basis @ x.reshape(n_coef, d), T=T, steps=steps, stride=steps)
+            path = exp_map(cfg, c0, basis @ x.reshape(n_coef, d), T=T, steps=run_steps, stride=run_steps)
         except (ImmersionError, StepError):
             return None
         return (path.endpoint.samples - c1.samples).ravel() * np.sqrt(TWO_PI / n)
 
-    def jacobian(x, r):
-        jac = np.empty((r.size, x.size))
+    def jacobian(x):
+        base = shoot(x, half)
+        jac = np.empty((base.size, x.size))
         for j in range(x.size):
             delta = fd_step * max(1.0, abs(x[j]))
             xp = x.copy()
             xp[j] += delta
-            rp = shoot(xp)
+            rp = shoot(xp, half)
             if rp is None:
                 xp[j] = x[j] - delta
-                rp = shoot(xp)
+                rp = shoot(xp, half)
                 delta = -delta
-            jac[:, j] = 0.0 if rp is None else (rp - r) / delta
+            jac[:, j] = 0.0 if rp is None else (rp - base) / delta
         return jac
 
     coef0, *_ = np.linalg.lstsq(basis, (c1.samples - c0.samples) / T, rcond=None)
     x = coef0.ravel()
-    r = shoot(x)
+    r = shoot(x, half)
     best = (float(np.linalg.norm(r)), x.copy())
-    jac, updated = jacobian(x, r), False
+    jac, updated = jacobian(x), False
     lam = damping
     iterations = 0
     while iterations < max_iter:
@@ -329,7 +333,7 @@ def sequential_bvp(cfg, c0, c1, K, steps, T=1.0, max_iter=50, tol_rel=1e-6, damp
                 accepted = True
                 break
             if updated:
-                jac, updated = jacobian(x, r), False
+                jac, updated = jacobian(x), False
             else:
                 lam *= 10.0
         norm_r = float(np.linalg.norm(r))
@@ -379,34 +383,40 @@ def test_shooting_counts_its_shots_and_integrations():
 
 def lone_shot_bvp(cfg, c0, c1, K, steps, T=1.0, max_iter=50, tol_rel=1e-6, damping=1e-3, fd_step=1e-6):
     """The shooting loop whose initial shot and trial shots run alone without
-    frames, whose Jacobian columns run as their own batch, and whose
-    presented path is one more exp_map run, as reference: Broyden updates
-    after accepted steps, a new difference after a step rejected under an
-    updated Jacobian."""
+    frames, whose first Jacobian's columns run as their own batch, and whose
+    presented path is one more exp_map run, as reference: the initial shot
+    and every Jacobian on half the steps, a new difference shooting its
+    base in its own batch; trials on steps; Broyden updates after accepted
+    steps, a new difference after a step rejected under an updated
+    Jacobian."""
     n, d = c0.n, c0.dim
     basis = solvers._fourier_basis(n, K)
     n_coef = basis.shape[1]
     tol_abs = tol_rel * max(float(np.linalg.norm(c1.samples)) * np.sqrt(TWO_PI / n), 1e-300)
     out_stride = max(1, steps // 16)
+    half = max(MIN_STEPS, steps // 2)
     lams = []
 
-    def shoot(xs):
+    def shoot(xs, run_steps=steps):
         starts = make_curve(np.broadcast_to(c0.samples, (len(xs), n, d)))
-        ends, _, _ = solvers._rk4(cfg, starts, basis @ xs.reshape(len(xs), n_coef, d), T, steps)
+        ends, _, _ = solvers._rk4(cfg, starts, basis @ xs.reshape(len(xs), n_coef, d), T, run_steps)
         return [None if end is None else (end - c1.samples).ravel() * np.sqrt(TWO_PI / n) for end in ends]
 
-    def jacobian(x, r):
+    def jacobian(x, base=None):
         deltas = fd_step * np.maximum(1.0, np.abs(x))
         probes = np.diag(deltas)
-        cols = shoot(x + probes)
+        if base is None:
+            base, *cols = shoot(np.vstack([x, x + probes]), half)
+        else:
+            cols = shoot(x + probes, half)
         retry = [j for j, rp in enumerate(cols) if rp is None]
         if retry:
-            for j, rp in zip(retry, shoot(x - probes[retry])):
+            for j, rp in zip(retry, shoot(x - probes[retry], half)):
                 cols[j] = rp
                 deltas[j] = -deltas[j]
-        jac = np.empty((r.size, x.size))
+        jac = np.empty((base.size, x.size))
         for j, rp in enumerate(cols):
-            jac[:, j] = 0.0 if rp is None else (rp - r) / deltas[j]
+            jac[:, j] = 0.0 if rp is None else (rp - base) / deltas[j]
         return jac
 
     def finish(x, residual, converged):
@@ -417,10 +427,8 @@ def lone_shot_bvp(cfg, c0, c1, K, steps, T=1.0, max_iter=50, tol_rel=1e-6, dampi
     coef0, *_ = np.linalg.lstsq(basis, (c1.samples - c0.samples) / T, rcond=None)
     x = coef0.ravel()
     iterations = 0
-    [r] = shoot(x[None])
+    [r] = shoot(x[None], half)
     best = (float(np.linalg.norm(r)), x.copy())
-    if best[0] <= tol_abs:
-        return finish(x, best[0], True)
     jac, updated = jacobian(x, r), False
     lam = damping
     while iterations < max_iter:
@@ -440,7 +448,7 @@ def lone_shot_bvp(cfg, c0, c1, K, steps, T=1.0, max_iter=50, tol_rel=1e-6, dampi
                 accepted = True
                 break
             if updated:
-                jac, updated = jacobian(x, r), False
+                jac, updated = jacobian(x), False
             else:
                 lam *= 10.0
         norm_r = float(np.linalg.norm(r))
@@ -483,8 +491,8 @@ def recording_rk4(monkeypatch, reject_call=None):
 @pytest.mark.parametrize("reject_second_trial", [False, True])
 def test_broyden_updates_reproduce_the_lone_shot_loop(monkeypatch, reject_second_trial):
     # run 1 of geodesic_bvp is the initial shot with the 10 Jacobian
-    # columns, runs 1 and 2 of the reference; the second trial is run 3
-    # there and run 4 here
+    # columns on half the steps, runs 1 and 2 of the reference; the second
+    # trial is run 3 there and run 4 here
     c0, c1 = seeded_match()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -503,7 +511,7 @@ def test_broyden_updates_reproduce_the_lone_shot_loop(monkeypatch, reject_second
     if reject_second_trial:
         # the trial rejected under the updated Jacobian makes the solver
         # difference again at the same point and retry at the same damping
-        assert sizes[:5] == [11, 1, 1, 10, 1]
+        assert sizes[:5] == [11, 1, 1, 11, 1]
         assert res.damping[:3] == (1e-3, 1e-3 / 3.0, 1e-3 / 3.0)
         assert res.jacobians == 2
     else:
@@ -698,6 +706,136 @@ def test_a_failing_initial_shot_raises_the_same_error_alone_or_in_a_batch(monkey
             geodesic_bvp(BESSEL, c0, c1, K=2, steps=32)
     assert str(err.value) == "the initial shot already leaves the immersion set"
     assert [len(h) for h in calls] == runs
+
+
+def recording_runs(monkeypatch, base_end=None, reject=()):
+    """Record (members, steps) of every RK4 run. A batch's base shot, its
+    first member, ends at base_end when that is given; the runs numbered in
+    reject lose their first member, as rejected trial shots."""
+    real = solvers._rk4
+    runs = []
+
+    def recording(cfg, starts, h0s, T, steps, *args, **kwargs):
+        runs.append((len(h0s), steps))
+        ends, frames, errors = real(cfg, starts, h0s, T, steps, *args, **kwargs)
+        if base_end is not None and len(h0s) > 1:
+            ends[0] = base_end
+        if len(runs) in reject:
+            ends[0] = None
+            errors[0] = ImmersionError("injected")
+        return ends, frames, errors
+
+    monkeypatch.setattr(solvers, "_rk4", recording)
+    return runs
+
+
+def test_the_jacobian_batch_runs_on_half_the_steps_and_the_trials_on_all(monkeypatch):
+    c0, c1 = seeded_match()
+    runs = recording_runs(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = geodesic_bvp(BESSEL, c0, c1, K=2, steps=32)
+    assert res.converged
+    assert [steps for _, steps in runs] == [16, 32, 32]
+
+
+def fd_jacobian(c0, c1, K, steps):
+    """The forward-difference Jacobian at geodesic_bvp's initial coefficients,
+    its base and columns from one batch of the given step count."""
+    n, d = c0.n, c0.dim
+    basis = solvers._fourier_basis(n, K)
+    x = np.linalg.lstsq(basis, c1.samples - c0.samples, rcond=None)[0].ravel()
+    deltas = solvers.FD_STEP * np.maximum(1.0, np.abs(x))
+    xs = np.vstack([x, x + np.diag(deltas)])
+    starts = make_curve(np.broadcast_to(c0.samples, (len(xs), n, d)))
+    (base, *cols), _, _ = solvers._rk4(BESSEL, starts, basis @ xs.reshape(len(xs), basis.shape[1], d), 1.0, steps)
+    return np.column_stack([(col - base).ravel() / delta for col, delta in zip(cols, deltas)])
+
+
+def test_the_half_step_jacobian_at_x0_is_the_full_step_one_to_1e_7():
+    c0, c1 = seeded_match()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        half, full = fd_jacobian(c0, c1, K=2, steps=16), fd_jacobian(c0, c1, K=2, steps=32)
+    assert np.linalg.norm(half - full) <= 1e-7 * np.linalg.norm(full)
+
+
+# seeded_match's initial coefficients miss the target by 1.28e-2 relative,
+# on 16 steps as on 32; this tolerance takes them
+LOOSE = 2e-2
+
+EXITS = {
+    # name: (target, geodesic_bvp keywords, recording_runs keywords, converged)
+    "converging trial": ("far", {}, {}, True),
+    "stalled x0 shot again": ("far", {"max_iter": 1}, {"reject": range(2, 14)}, False),
+    "near target": ("near", {}, {}, True),
+    # the batch puts x0 on the target, its lone shot on all the steps does not
+    "x0 half-step within tolerance": ("far", {"max_iter": 1}, {"base_end": "target"}, False),
+    "x0 within tolerance": ("far", {"tol_rel": LOOSE}, {}, True),
+    # the batch puts x0 at the source, every trial is rejected, and x0's
+    # lone shot meets the tolerance
+    "stalled x0 within tolerance": (
+        "far", {"max_iter": 1, "tol_rel": LOOSE}, {"base_end": "source", "reject": range(2, 14)}, True
+    ),
+}
+
+
+def assert_full_step_verdict(result, c1, tol_rel):
+    """The reported residual is the mismatch of the returned path's endpoint,
+    a run on all the steps, and it alone decides convergence."""
+    n = c1.n
+    residual = solvers._l2_norm(result.path.endpoint.samples - c1.samples, n)
+    assert result.path.steps == 32
+    assert abs(result.residual - residual) <= 1e-12 * residual
+    assert result.converged == (result.residual <= tol_rel * solvers._l2_norm(c1.samples, n))
+
+
+@pytest.mark.parametrize("exit_path", EXITS)
+def test_every_exit_reports_the_residual_of_its_path_and_decides_convergence_by_it(monkeypatch, exit_path):
+    target, kwargs, patch, converged = EXITS[exit_path]
+    c0, c1 = seeded_match()
+    if target == "near":
+        c1 = near_target(c0)
+    base_end = {"target": c1.samples, "source": c0.samples}.get(patch.get("base_end"))
+    runs = recording_runs(monkeypatch, base_end, patch.get("reject", ()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            result = geodesic_bvp(BESSEL, c0, c1, K=2, steps=32, **kwargs)
+        except NoConvergenceError as err:
+            result = err.result
+        monkeypatch.undo()
+        alone = exp_map(BESSEL, c0, result.initial_velocity, T=1.0, steps=32, stride=2)
+    assert result.converged == converged
+    assert_full_step_verdict(result, c1, kwargs.get("tol_rel", 1e-6))
+    assert_same_path(result.path, alone)
+    # only the Jacobian batches run on half the steps
+    assert all(steps == (16 if size > 1 else 32) for size, steps in runs)
+    if exit_path.startswith("x0"):
+        # x0 is shot once more alone, right after its batch
+        assert runs[:2] == [(11, 16), (1, 32)]
+    if exit_path == "x0 within tolerance":
+        assert len(runs) == 2 and result.iterations == result.jacobians == 0
+    if exit_path.startswith("stalled"):
+        # the 12 rejected trials, then x0 once more alone
+        assert runs == [(11, 16)] + [(1, 32)] * 13
+
+
+def test_a_jacobian_whose_base_shot_fails_stalls_the_match_at_its_best_point(monkeypatch):
+    # the second trial, run 3, is rejected under the updated Jacobian; the
+    # base shot of the new difference, run 4, fails
+    c0, c1 = seeded_match()
+    runs = recording_runs(monkeypatch, reject=(3, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(NoConvergenceError) as err:
+            geodesic_bvp(BESSEL, c0, c1, K=2, steps=32)
+    result = err.value.result
+    # the best point is the first trial, whose frames are the path: no run follows
+    assert runs == [(11, 16), (1, 32), (1, 32), (11, 16)]
+    assert result.iterations == 2 and result.jacobians == 2
+    assert result.shots == sum(size for size, _ in runs)
+    assert_full_step_verdict(result, c1, 1e-6)
 
 
 @pytest.mark.parametrize("n", [64, 256])

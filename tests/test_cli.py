@@ -304,6 +304,23 @@ def test_a_curve_file_that_is_not_json_numbers_is_one_error_line(workdir, capsys
     assert str(curve) in err
 
 
+@pytest.mark.parametrize("command", ["exp", "match"])
+def test_a_refused_curve_file_leaves_no_out_directory(workdir, capsys, command):
+    tmp, curve, velocity = workdir
+    bad = tmp / "bad.json"
+    bad.write_text(json.dumps({"d": 2, "samples": [["1", "0"]] * 64}))
+    out = tmp / "out"
+    argv = {
+        "exp": ["exp", "--curve", str(bad), "--velocity", str(velocity)],
+        "match": ["match", "--source", str(curve), "--target", str(bad)],
+    }[command]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(bad) in err
+    assert not out.exists()
+
+
 def test_an_integral_number_loads_as_an_integer(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"grid": {"N": 64.0}, "solver": {"steps": 1e3, "K": 2}, "seed": 3.0}))

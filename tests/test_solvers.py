@@ -593,7 +593,8 @@ def test_conservation_report_names_the_first_frame_without_a_velocity(monkeypatc
 
 def test_every_rk4_run_of_a_match_builds_4_steps_plus_1_curves(count_calls):
     # a shot batch's t = 0 curve serves its first stage, as exp_map's batch
-    # of one does, so no run builds that curve twice
+    # of one does, so no run builds that curve twice; the Jacobian batch runs
+    # on half the steps
     c0 = circle(32)
     theta = grid(32)
     h_true = 0.1 * np.column_stack([np.cos(theta) + 0.3 * np.sin(2 * theta), np.sin(theta)])
@@ -601,7 +602,8 @@ def test_every_rk4_run_of_a_match_builds_4_steps_plus_1_curves(count_calls):
     calls = count_calls(solvers, "make_curve")
     res = geodesic_bvp(BESSEL, c0, target, K=3, steps=32, T=1.0)
     assert res.converged and res.integrations >= 2 and res.shots > res.integrations
-    assert calls["make_curve"] == res.integrations * (4 * 32 + 1)
+    assert res.jacobians == 1
+    assert calls["make_curve"] == (4 * 16 + 1) + (res.integrations - 1) * (4 * 32 + 1)
 
 
 REMOVED_KEYWORDS = {

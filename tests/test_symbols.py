@@ -199,6 +199,26 @@ def test_custom_table_validation():
         custom_table(table, order=1.5, derivative=np.zeros((3, 2, 2)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_custom_table_refuses_nonfinite_values(bad):
+    # a NaN deviation is never above the Hermitian or even tolerance
+    with pytest.raises(DomainError, match="table values must be finite"):
+        custom_table(np.full((5, 2, 2), bad), order=1.0)
+    table, _ = _bessel_table(16)
+    table[2, 1, 1] = table[-3, 1, 1] = bad
+    with pytest.raises(DomainError, match="table values must be finite"):
+        custom_table(table, order=1.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_custom_table_refuses_a_nonfinite_derivative_table(bad):
+    table, _ = _bessel_table(16)
+    derivative = np.zeros_like(table)
+    derivative[4, 0, 0] = bad
+    with pytest.raises(DomainError, match="derivative table values must be finite"):
+        custom_table(table, order=1.5, derivative=derivative)
+
+
 def test_custom_table_requests_beyond_range_fail():
     table, _ = _bessel_table(4)
     sym = custom_table(table, order=1.5)
