@@ -202,8 +202,9 @@ def load_config(path=None, overrides=None, require_admissible=True):
     solver = data["solver"]
     for key in ("T", "tol_rel", "damping"):
         solver[key] = _expect(solver, key, float, "solver", required=True)
-        if solver[key] <= 0:
-            raise ConfigError(f"key solver.{key} must be positive, got {solver[key]}")
+        # NaN fails every comparison, so the test is that the value lies in (0, inf)
+        if not 0 < solver[key] < np.inf:
+            raise ConfigError(f"key solver.{key} must be positive and finite, got {solver[key]}")
     for key, least in (("steps", MIN_STEPS), ("stride", 1), ("K", 0), ("max_iter", 0)):
         solver[key] = _expect(solver, key, int, "solver", required=True)
         if solver[key] < least:
@@ -329,6 +330,8 @@ def cmd_match(args):
     cfg = load_config(args.config, _overrides(args))
     c0 = _curve_from_file(args.source, label="source")
     c1 = _curve_from_file(args.target, expected=c0.samples.shape, label="target")
+    if 2 * cfg.solver["K"] + 1 > c0.n:
+        raise ConfigError(f"key solver.K = {cfg.solver['K']} needs 2K+1 <= N, and the curves have N = {c0.n}")
     _make_out_dir(cfg)
     try:
         result = geodesic_bvp(
@@ -354,6 +357,7 @@ def cmd_match(args):
                 "integrations": result.integrations,
                 "jacobians": result.jacobians,
                 "damping": list(result.damping),
+                "run_steps": list(result.run_steps),
                 "converged": result.converged,
                 "seed": cfg.seed,
             },

@@ -25,11 +25,13 @@ initial shot); after each accepted step Broyden's rank-one secant update
 keeps it current without a shot. Only a step rejected under an updated
 Jacobian makes the solver difference again, at the current point, in a
 batch that shoots its own base. So a typical match is one batch and then
-one lone run per trial. Trials run on all the steps, and only such a
-shot decides convergence and gives the reported residual. A lone shot
-keeps its frames, and the shot at the returned velocity is the returned
-path. Trial shots that leave the immersion set count as rejected steps
-and raise the damping instead of aborting.
+one lone run per trial. A trial runs on half the steps too, unless the
+linear model predicts it meets the tolerance; only a shot on all the
+steps decides convergence and gives the reported residual, and a
+half-step shot that meets the tolerance is shot again on all of them.
+A shot on all the steps keeps its frames, and the shot at the returned
+velocity is the returned path. Trial shots that leave the immersion set
+count as rejected steps and raise the damping instead of aborting.
 """
 
 import json
@@ -117,15 +119,17 @@ class ShootingResult:
 
     residual is the mismatch of the path's endpoint, a shot on all the
     steps, and converged holds exactly when it meets the tolerance; a
-    Jacobian batch's half-step residual is never reported. shots counts
-    the geodesics integrated, every member of a batch included;
-    integrations counts the RK4 runs they took. Both are counted in one
-    place, the shot. jacobians counts the forward-difference Jacobians
-    built (one on a typical match), and damping holds the
-    Levenberg-Marquardt damping of each trial step in order. The path is
-    a shot the solver already made, unless the returned velocity is the
-    initial one and was shot only in a batch; then it is shot once more
-    alone, one more shot and run, counted like every shot.
+    half-step residual, of a Jacobian batch or of a trial, is never
+    reported. shots counts the geodesics integrated, every member of a
+    batch included; integrations counts the RK4 runs they took, and
+    run_steps holds the RK4 step count of each run in order. All three
+    are counted in one place, the shot. jacobians counts the
+    forward-difference Jacobians built (one on a typical match), and
+    damping holds the Levenberg-Marquardt damping of each trial step in
+    order. The path is a shot on all the steps the solver already made,
+    unless the returned velocity was shot only on half the steps (x0 in
+    a batch, or a half-step trial); then it is shot once more alone, one
+    more shot and run, counted like every shot.
     """
 
     initial_velocity: np.ndarray
@@ -137,6 +141,7 @@ class ShootingResult:
     integrations: int = 0
     jacobians: int = 0
     damping: tuple = ()
+    run_steps: tuple = ()
 
 
 def _require_dynamics(cfg):
@@ -332,8 +337,8 @@ def _check_schedule(T, steps, stride):
         raise DomainError(f"need steps >= {MIN_STEPS}, got {steps}")
     if stride < 1:
         raise DomainError(f"need stride >= 1, got {stride}")
-    if T <= 0:
-        raise DomainError(f"need T > 0, got {T}")
+    if not 0 < T < np.inf:
+        raise DomainError(f"need a finite T > 0, got {T}")
 
 
 def _geodesics(cfg, c0, h0, T, steps, stride, form=_MOMENTUM):
@@ -454,27 +459,36 @@ def geodesic_bvp(
     the same damping; only a rejection under a freshly differenced J
     multiplies the damping by 10. A new difference whose base shot fails
     ends the iterations at the best point. Trial shots that lose immersion
-    count as rejected. Every trial runs alone on all the steps and keeps a
-    frame every max(1, steps // 16) steps; frames never feed back into the
-    state, and the returned path is the frames of the shot at the returned
-    velocity. Only full-step shots decide: x0, when it was shot only in a
-    batch and is the returned velocity (its half-step residual meets the
-    tolerance, or it is the best point when the iterations stop), is shot
-    once more alone on all the steps, counted like every shot (an
-    ImmersionError if that lone shot fails), and that shot's residual is
-    the one reported and judged. If it misses the tolerance where the
-    half-step one met it, the iterations go on from it. Frames are kept
-    for the current and the best velocity only. The result counts the
-    shots, the RK4 runs and the Jacobians differenced, and lists the
-    damping of every trial. Raises NoConvergenceError carrying the best
-    ShootingResult when the cap is hit or the iterations stall and that
-    result has not converged, and DomainError before any work on a
-    schedule exp_map refuses.
+    count as rejected. Each trial runs alone, on the Jacobian's half
+    steps without frames, unless its linear model predicts convergence,
+    |r + J dx| <= tol_rel * |c1|: that trial may be the answer, so it runs
+    on all the steps and keeps a frame every max(1, steps // 16) steps.
+    Frames never feed back into the state, and the returned path is the
+    frames of the shot at the returned velocity. Only full-step shots
+    decide: a point shot only on half the steps (x0 in its batch, or an
+    accepted half-step trial) whose residual meets the tolerance, and a
+    best point without frames when the iterations stop, is shot once more
+    alone on all the steps, counted like every shot (an ImmersionError if
+    that lone shot fails), and that shot's residual is the one reported
+    and judged. If it misses the tolerance where the half-step one met
+    it, the iterations go on from it. Frames are kept for the current and
+    the best velocity only. The result counts the shots, the RK4 runs and
+    the Jacobians differenced, and lists the step count of every run and
+    the damping of every trial. Raises NoConvergenceError carrying the
+    best ShootingResult when the cap is hit or the iterations stall and
+    that result has not converged, and DomainError before any work on a
+    schedule exp_map refuses, a tol_rel or damping that is not finite
+    and positive, or a negative max_iter.
     """
     if c0.batched or c1.batched:
         raise GridError("geodesic_bvp matches two single curves, not batches")
     out_stride = max(1, steps // 16)
     _check_schedule(T, steps, out_stride)
+    for name, value in (("tol_rel", tol_rel), ("damping", damping)):
+        if not 0 < value < np.inf:
+            raise DomainError(f"need a finite {name} > 0, got {value}")
+    if max_iter < 0:
+        raise DomainError(f"need max_iter >= 0, got {max_iter}")
     if c0.n != c1.n or c0.dim != c1.dim:
         raise GridError(
             f"curves must share the grid: got ({c0.n},{c0.dim}) and ({c1.n},{c1.dim})"
@@ -488,25 +502,27 @@ def geodesic_bvp(
     scale = max(_l2_norm(c1.samples, n), 1e-300)
     tol_abs = tol_rel * scale
 
-    shots = integrations = jacobians = 0
-    lams = []
-    # the step count of every Jacobian batch; trials and the path run on steps
+    shots = jacobians = 0
+    lams, run_steps = [], []
+    # the step count of every Jacobian batch and of every trial that is not
+    # expected to converge; the path and every verdict run on steps
     jac_steps = max(MIN_STEPS, steps // 2)
 
     def velocity(x):
         return basis @ x.reshape(x.shape[:-1] + (n_coef, d))
 
-    def shoot(xs, run_steps, stride=None):
+    def shoot(xs, n_steps, stride=None):
         """Endpoint residual vectors of the shots at the rows of xs, in one
-        batch of run_steps RK4 steps, and their frames at `stride`; None for
-        a shot that loses immersion or goes nonfinite."""
-        nonlocal shots, integrations
+        batch of n_steps RK4 steps, and their frames at `stride` (None
+        without a stride); None for a shot that loses immersion or goes
+        nonfinite."""
+        nonlocal shots
         shots += len(xs)
-        integrations += 1
+        run_steps.append(n_steps)
         starts = make_curve(np.broadcast_to(c0.samples, (len(xs), n, d)))
-        ends, frames, _ = _rk4(cfg, starts, velocity(xs), T, run_steps, stride)
+        ends, frames, _ = _rk4(cfg, starts, velocity(xs), T, n_steps, stride)
         residuals = [None if end is None else (end - c1.samples).ravel() * np.sqrt(TWO_PI / n) for end in ends]
-        return residuals, frames
+        return residuals, frames if stride else [None] * len(xs)
 
     def lone(x):
         """The residual and frames of x's shot alone on steps."""
@@ -515,16 +531,24 @@ def geodesic_bvp(
             raise ImmersionError("the shot at the returned velocity leaves the immersion set when run alone")
         return r, frames
 
+    def confirmed(x, r, frames):
+        """(r, frames) at x, from x's lone shot on steps when r is a half-step
+        residual that meets the tolerance: such a residual decides nothing."""
+        if frames is None and np.linalg.norm(r) <= tol_abs:
+            return lone(x)
+        return r, frames
+
     def finish(x, residual, frames):
-        """The result at x, whose frames are None when x was shot only in a
-        Jacobian batch: then its lone shot on steps gives the path and the
+        """The result at x, whose frames are None when x was shot only on
+        half the steps: then its lone shot on steps gives the path and the
         residual. Only a full-step residual decides convergence."""
         if frames is None:
             r, frames = lone(x)
             residual = float(np.linalg.norm(r))
         path = GeodesicPath(tuple(frames), cfg, scheme=_MOMENTUM.scheme, steps=steps)
         return ShootingResult(
-            velocity(x), residual, iterations, path, bool(residual <= tol_abs), shots, integrations, jacobians, tuple(lams)
+            velocity(x), residual, iterations, path, bool(residual <= tol_abs),
+            shots, len(run_steps), jacobians, tuple(lams), tuple(run_steps),
         )
 
     def fd_deltas(x):
@@ -562,24 +586,22 @@ def geodesic_bvp(
     # the initial shot is the base of the first Jacobian batch, unless no
     # iteration may run or the target is within tolerance of c0, where that
     # shot runs alone on steps and is the answer
-    if max_iter > 0 and _l2_norm(c1.samples - c0.samples, n) > tol_abs:
-        shot, _ = shoot(np.vstack([x, x + np.diag(fd_deltas(x))]), jac_steps)
-        r, frames = shot[0], None
+    batch = max_iter > 0 and _l2_norm(c1.samples - c0.samples, n) > tol_abs
+    if batch:
+        shot, [frames, *_] = shoot(np.vstack([x, x + np.diag(fd_deltas(x))]), jac_steps)
     else:
-        [r], [frames] = shoot(x[None], steps, out_stride)
-        shot = None
+        shot, [frames] = shoot(x[None], steps, out_stride)
+    r = shot[0]
     if r is None:
         raise ImmersionError("the initial shot already leaves the immersion set")
-    if frames is None and np.linalg.norm(r) <= tol_abs:
-        # a half-step residual decides nothing: x's lone shot on steps does
-        r, frames = lone(x)
-    # frames are kept for the current x and the best x only; until a trial
-    # is accepted, r may be the half-step residual of the batch, without frames
+    # frames are kept for the current x and the best x only; a half-step
+    # residual, of the batch or of a trial, comes without frames
+    r, frames = confirmed(x, r, frames)
     best = (float(np.linalg.norm(r)), x.copy(), frames)
     if best[0] <= tol_abs:
         return finish(x, best[0], frames)
 
-    jac = None if shot is None else differenced(x, shot)
+    jac = differenced(x, shot) if batch else None
     # whether jac carries secant updates since it was last differenced
     updated = False
     lam = damping
@@ -601,7 +623,12 @@ def geodesic_bvp(
                 continue
             x_t = x + dx
             lams.append(lam)
-            [r_new], [frames_t] = shoot(x_t[None], steps, out_stride)
+            # only a trial the linear model expects to meet the tolerance may
+            # be the answer: it runs on steps with its frames
+            if np.linalg.norm(r + jac @ dx) <= tol_abs:
+                [r_new], [frames_t] = shoot(x_t[None], steps, out_stride)
+            else:
+                [r_new], [frames_t] = shoot(x_t[None], jac_steps)
             if r_new is not None and np.linalg.norm(r_new) < np.linalg.norm(r):
                 jac = _broyden(jac, dx, r_new - r)
                 updated = True
@@ -618,6 +645,7 @@ def geodesic_bvp(
                     break
             else:
                 lam *= 10.0
+        r, frames = confirmed(x, r, frames)
         norm_r = float(np.linalg.norm(r))
         if norm_r < best[0]:
             best = (norm_r, x.copy(), frames)
@@ -627,8 +655,8 @@ def geodesic_bvp(
             break
     result = finish(best[1], best[0], best[2])
     if result.converged:
-        # the best x is x0, whose half-step residual missed the tolerance
-        # and whose lone shot on steps meets it
+        # the best x was shot only on half the steps, missed the tolerance
+        # there and meets it on steps
         return result
     raise NoConvergenceError(
         f"shooting stalled at residual {result.residual:.3e} (tolerance {tol_abs:.3e}) "

@@ -279,9 +279,11 @@ def test_a_column_that_loses_resolution_is_retried_with_the_step_negated(monkeyp
 def sequential_bvp(cfg, c0, c1, K, steps, T=1.0, max_iter=50, tol_rel=1e-6, damping=1e-3, fd_step=1e-6):
     """The shooting loop with one exp_map per Jacobian column, as reference:
     the Jacobian differenced on half the steps against a base shot on as
-    many, which is the anchor at x0; trials on steps; Broyden updates after
-    accepted steps, a new difference after a step rejected under an updated
-    Jacobian."""
+    many, which is the anchor at x0; a trial on steps when its linear model
+    meets the tolerance, else on half the steps; a half-step residual that
+    meets the tolerance replaced by its point's shot on steps; Broyden
+    updates after accepted steps, a new difference after a step rejected
+    under an updated Jacobian."""
     n, d = c0.n, c0.dim
     basis = solvers._fourier_basis(n, K)
     n_coef = basis.shape[1]
@@ -310,9 +312,14 @@ def sequential_bvp(cfg, c0, c1, K, steps, T=1.0, max_iter=50, tol_rel=1e-6, damp
             jac[:, j] = 0.0 if rp is None else (rp - base) / delta
         return jac
 
+    def confirmed(x, r, full):
+        if not full and np.linalg.norm(r) <= tol_abs:
+            return shoot(x), True
+        return r, full
+
     coef0, *_ = np.linalg.lstsq(basis, (c1.samples - c0.samples) / T, rcond=None)
     x = coef0.ravel()
-    r = shoot(x, half)
+    r, full = confirmed(x, shoot(x, half), False)
     best = (float(np.linalg.norm(r)), x.copy())
     jac, updated = jacobian(x), False
     lam = damping
@@ -325,10 +332,11 @@ def sequential_bvp(cfg, c0, c1, K, steps, T=1.0, max_iter=50, tol_rel=1e-6, damp
             diag = np.diag(jtj).copy()
             diag[diag <= 0] = 1.0
             dx = np.linalg.solve(jtj + lam * np.diag(diag), -(jac.T @ r))
-            r_new = shoot(x + dx)
+            trial_steps = steps if np.linalg.norm(r + jac @ dx) <= tol_abs else half
+            r_new = shoot(x + dx, trial_steps)
             if r_new is not None and np.linalg.norm(r_new) < np.linalg.norm(r):
                 jac, updated = jac + np.outer(r_new - r - jac @ dx, dx) / (dx @ dx), True
-                x, r = x + dx, r_new
+                x, r, full = x + dx, r_new, trial_steps == steps
                 lam = max(lam / 3.0, 1e-12)
                 accepted = True
                 break
@@ -336,6 +344,7 @@ def sequential_bvp(cfg, c0, c1, K, steps, T=1.0, max_iter=50, tol_rel=1e-6, damp
                 jac, updated = jacobian(x), False
             else:
                 lam *= 10.0
+        r, full = confirmed(x, r, full)
         norm_r = float(np.linalg.norm(r))
         if norm_r < best[0]:
             best = (norm_r, x.copy())
@@ -386,9 +395,11 @@ def lone_shot_bvp(cfg, c0, c1, K, steps, T=1.0, max_iter=50, tol_rel=1e-6, dampi
     frames, whose first Jacobian's columns run as their own batch, and whose
     presented path is one more exp_map run, as reference: the initial shot
     and every Jacobian on half the steps, a new difference shooting its
-    base in its own batch; trials on steps; Broyden updates after accepted
-    steps, a new difference after a step rejected under an updated
-    Jacobian."""
+    base in its own batch; a trial on steps when its linear model meets the
+    tolerance, else on half the steps; a half-step residual that meets the
+    tolerance replaced by its point's lone shot on steps; Broyden updates
+    after accepted steps, a new difference after a step rejected under an
+    updated Jacobian."""
     n, d = c0.n, c0.dim
     basis = solvers._fourier_basis(n, K)
     n_coef = basis.shape[1]
@@ -419,6 +430,12 @@ def lone_shot_bvp(cfg, c0, c1, K, steps, T=1.0, max_iter=50, tol_rel=1e-6, dampi
             jac[:, j] = 0.0 if rp is None else (rp - base) / deltas[j]
         return jac
 
+    def confirmed(x, r, full):
+        if not full and np.linalg.norm(r) <= tol_abs:
+            [r] = shoot(x[None])
+            return r, True
+        return r, full
+
     def finish(x, residual, converged):
         h0 = basis @ x.reshape(n_coef, d)
         path = exp_map(cfg, c0, h0, T=T, steps=steps, stride=out_stride)
@@ -428,8 +445,9 @@ def lone_shot_bvp(cfg, c0, c1, K, steps, T=1.0, max_iter=50, tol_rel=1e-6, dampi
     x = coef0.ravel()
     iterations = 0
     [r] = shoot(x[None], half)
-    best = (float(np.linalg.norm(r)), x.copy())
     jac, updated = jacobian(x, r), False
+    r, full = confirmed(x, r, False)
+    best = (float(np.linalg.norm(r)), x.copy())
     lam = damping
     while iterations < max_iter:
         iterations += 1
@@ -440,10 +458,11 @@ def lone_shot_bvp(cfg, c0, c1, K, steps, T=1.0, max_iter=50, tol_rel=1e-6, dampi
             diag[diag <= 0] = 1.0
             dx = np.linalg.solve(jtj + lam * np.diag(diag), -(jac.T @ r))
             lams.append(lam)
-            [r_new] = shoot((x + dx)[None])
+            trial_steps = steps if np.linalg.norm(r + jac @ dx) <= tol_abs else half
+            [r_new] = shoot((x + dx)[None], trial_steps)
             if r_new is not None and np.linalg.norm(r_new) < np.linalg.norm(r):
                 jac, updated = jac + np.outer(r_new - r - jac @ dx, dx) / (dx @ dx), True
-                x, r = x + dx, r_new
+                x, r, full = x + dx, r_new, trial_steps == steps
                 lam = max(lam / 3.0, 1e-12)
                 accepted = True
                 break
@@ -451,6 +470,7 @@ def lone_shot_bvp(cfg, c0, c1, K, steps, T=1.0, max_iter=50, tol_rel=1e-6, dampi
                 jac, updated = jacobian(x), False
             else:
                 lam *= 10.0
+        r, full = confirmed(x, r, full)
         norm_r = float(np.linalg.norm(r))
         if norm_r < best[0]:
             best = (norm_r, x.copy())
@@ -492,7 +512,8 @@ def recording_rk4(monkeypatch, reject_call=None):
 def test_broyden_updates_reproduce_the_lone_shot_loop(monkeypatch, reject_second_trial):
     # run 1 of geodesic_bvp is the initial shot with the 10 Jacobian
     # columns on half the steps, runs 1 and 2 of the reference; the second
-    # trial is run 3 there and run 4 here
+    # trial, the first whose linear model meets the tolerance and so the
+    # first on all the steps, is run 3 there and run 4 here
     c0, c1 = seeded_match()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -729,14 +750,27 @@ def recording_runs(monkeypatch, base_end=None, reject=()):
     return runs
 
 
-def test_the_jacobian_batch_runs_on_half_the_steps_and_the_trials_on_all(monkeypatch):
+def test_the_seeded_match_runs_16_16_32_steps_and_only_the_32_step_run_keeps_frames(monkeypatch):
+    # the Jacobian batch and the first trial run on half the steps; the
+    # second trial, whose linear model meets the tolerance, runs on all of
+    # them with its frames and is the answer
     c0, c1 = seeded_match()
-    runs = recording_runs(monkeypatch)
+    real, runs = solvers._rk4, []
+
+    def recording(cfg, starts, h0s, T, steps, stride=None):
+        ends, frames, errors = real(cfg, starts, h0s, T, steps, stride)
+        runs.append((steps, [len(f) for f in frames]))
+        return ends, frames, errors
+
+    monkeypatch.setattr(solvers, "_rk4", recording)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         res = geodesic_bvp(BESSEL, c0, c1, K=2, steps=32)
     assert res.converged
-    assert [steps for _, steps in runs] == [16, 32, 32]
+    assert [steps for steps, _ in runs] == [16, 16, 32]
+    assert res.run_steps == (16, 16, 32)
+    assert [kept for _, kept in runs] == [[0] * 11, [0], [17]]
+    assert len(res.run_steps) == res.integrations
 
 
 def fd_jacobian(c0, c1, K, steps):
@@ -780,6 +814,21 @@ EXITS = {
 }
 
 
+#: the (members, steps) of every RK4 run on each exit path
+EXIT_RUNS = {
+    "converging trial": [(11, 16), (1, 16), (1, 32)],
+    "stalled x0 shot again": [(11, 16)] + [(1, 16)] * 12 + [(1, 32)],
+    "near target": [(1, 32)],
+    # x0's lone shot misses; the one trial, on half the steps, is accepted
+    # and the best point, so it is shot again alone
+    "x0 half-step within tolerance": [(11, 16), (1, 32), (1, 16), (1, 32)],
+    "x0 within tolerance": [(11, 16), (1, 32)],
+    # anchored at the source, the first three trials' linear models meet the
+    # loose tolerance
+    "stalled x0 within tolerance": [(11, 16)] + [(1, 32)] * 3 + [(1, 16)] * 9 + [(1, 32)],
+}
+
+
 def assert_full_step_verdict(result, c1, tol_rel):
     """The reported residual is the mismatch of the returned path's endpoint,
     a run on all the steps, and it alone decides convergence."""
@@ -809,8 +858,11 @@ def test_every_exit_reports_the_residual_of_its_path_and_decides_convergence_by_
     assert result.converged == converged
     assert_full_step_verdict(result, c1, kwargs.get("tol_rel", 1e-6))
     assert_same_path(result.path, alone)
-    # only the Jacobian batches run on half the steps
-    assert all(steps == (16 if size > 1 else 32) for size, steps in runs)
+    # every batch runs on half the steps, and every run on all the steps
+    # is a lone shot
+    assert all(steps == 16 or size == 1 for size, steps in runs)
+    assert result.run_steps == tuple(steps for _, steps in runs)
+    assert runs == EXIT_RUNS[exit_path]
     if exit_path.startswith("x0"):
         # x0 is shot once more alone, right after its batch
         assert runs[:2] == [(11, 16), (1, 32)]
@@ -818,12 +870,13 @@ def test_every_exit_reports_the_residual_of_its_path_and_decides_convergence_by_
         assert len(runs) == 2 and result.iterations == result.jacobians == 0
     if exit_path.startswith("stalled"):
         # the 12 rejected trials, then x0 once more alone
-        assert runs == [(11, 16)] + [(1, 32)] * 13
+        assert len(runs) == 14 and runs[0] == (11, 16) and runs[-1] == (1, 32)
 
 
 def test_a_jacobian_whose_base_shot_fails_stalls_the_match_at_its_best_point(monkeypatch):
-    # the second trial, run 3, is rejected under the updated Jacobian; the
-    # base shot of the new difference, run 4, fails
+    # the second trial, run 3, on all the steps since its linear model
+    # meets the tolerance, is rejected under the updated Jacobian; the base
+    # shot of the new difference, run 4, fails
     c0, c1 = seeded_match()
     runs = recording_runs(monkeypatch, reject=(3, 4))
     with warnings.catch_warnings():
@@ -831,11 +884,61 @@ def test_a_jacobian_whose_base_shot_fails_stalls_the_match_at_its_best_point(mon
         with pytest.raises(NoConvergenceError) as err:
             geodesic_bvp(BESSEL, c0, c1, K=2, steps=32)
     result = err.value.result
-    # the best point is the first trial, whose frames are the path: no run follows
-    assert runs == [(11, 16), (1, 32), (1, 32), (11, 16)]
+    # the best point is the first trial, shot on half the steps without
+    # frames: it is shot once more alone on all of them for the path
+    assert runs == [(11, 16), (1, 16), (1, 32), (11, 16), (1, 32)]
     assert result.iterations == 2 and result.jacobians == 2
     assert result.shots == sum(size for size, _ in runs)
     assert_full_step_verdict(result, c1, 1e-6)
+
+
+def test_a_half_step_trial_within_tolerance_is_shot_again_and_a_miss_goes_on_from_the_full_step_residual(monkeypatch):
+    # the first trial, run 2 on half the steps, is made to end on the
+    # target; its lone shot on all the steps, run 3, misses, and the next
+    # Broyden update starts from that shot's residual, not from the half-step 0
+    c0, c1 = seeded_match()
+    real_rk4, real_broyden = solvers._rk4, solvers._broyden
+    runs, ends_seen, updates = [], [], []
+
+    def recording(cfg, starts, h0s, T, steps, stride=None):
+        ends, frames, errors = real_rk4(cfg, starts, h0s, T, steps, stride)
+        runs.append((len(h0s), steps, np.array(h0s[0])))
+        if len(runs) == 2:
+            ends[0] = c1.samples
+        ends_seen.append(ends[0])
+        return ends, frames, errors
+
+    monkeypatch.setattr(solvers, "_rk4", recording)
+    monkeypatch.setattr(solvers, "_broyden", lambda jac, dx, dr: updates.append(dr) or real_broyden(jac, dx, dr))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        result = geodesic_bvp(BESSEL, c0, c1, K=2, steps=32)
+        monkeypatch.undo()
+        alone = exp_map(BESSEL, c0, result.initial_velocity, T=1.0, steps=32, stride=2)
+    assert [(size, steps) for size, steps, _ in runs[:3]] == [(11, 16), (1, 16), (1, 32)]
+    # the lone shot is the accepted trial's velocity
+    assert np.array_equal(runs[2][2], runs[1][2])
+    assert result.run_steps[:3] == (16, 16, 32)
+    scale = np.sqrt(TWO_PI / c1.n)
+    r_full = (ends_seen[2] - c1.samples).ravel() * scale
+    assert np.linalg.norm(r_full) > 1e-6 * solvers._l2_norm(c1.samples, c1.n)
+    # dr = r_new - r of the second update, whose r_new is run 4's residual
+    r_new = (ends_seen[3] - c1.samples).ravel() * scale
+    assert np.max(np.abs((r_new - updates[1]) - r_full)) <= 1e-12 * np.max(np.abs(r_full))
+    assert result.converged and result.iterations >= 2
+    assert_full_step_verdict(result, c1, 1e-6)
+    assert_same_path(result.path, alone)
+
+
+def test_the_half_and_full_step_residuals_at_the_seeded_answer_differ_by_a_hundredth_of_the_tolerance():
+    c0, c1 = seeded_match()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = geodesic_bvp(BESSEL, c0, c1, K=2, steps=32)
+        half = exp_map(BESSEL, c0, res.initial_velocity, T=1.0, steps=16, stride=16)
+    tol_abs = 1e-6 * solvers._l2_norm(c1.samples, c1.n)
+    gap = solvers._l2_norm(half.endpoint.samples - res.path.endpoint.samples, c1.n)
+    assert gap <= 1e-2 * tol_abs
 
 
 @pytest.mark.parametrize("n", [64, 256])

@@ -321,6 +321,34 @@ def test_a_refused_curve_file_leaves_no_out_directory(workdir, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flags, config", [
+    ("exp", ["--T", "nan"], {}),
+    ("exp", [], {"solver": {"T": float("nan")}}),
+    ("exp", ["--T", "inf"], {}),
+    ("match", ["--tol-rel", "nan"], {}),
+    ("match", [], {"solver": {"damping": float("nan")}}),
+    ("match", [], {"solver": {"damping": -1.0}}),
+    ("match", ["--K", "40"], {}),
+])
+def test_a_bad_solver_setting_exits_1_before_any_output(workdir, capsys, command, flags, config):
+    # json writes and reads NaN, so a config file can hold one; at N = 64,
+    # K = 40 breaks 2K+1 <= N, which only the curve files can tell
+    tmp, curve, velocity = workdir
+    out = tmp / "out"
+    argv = {
+        "exp": ["exp", "--curve", str(curve), "--velocity", str(velocity)],
+        "match": ["match", "--source", str(curve), "--target", str(velocity)],
+    }[command]
+    if config:
+        path = tmp / "config.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    assert main(argv + flags + ["--steps", "16", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: key solver.") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_an_integral_number_loads_as_an_integer(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"grid": {"N": 64.0}, "solver": {"steps": 1e3, "K": 2}, "seed": 3.0}))
@@ -391,6 +419,8 @@ def test_match_result_records_shots_and_integrations(tmp_path, capsys):
     assert payload["integrations"] == 2
     assert payload["jacobians"] == 1
     assert payload["damping"] == [1e-3]
+    # the batch on half the steps, the trial on all of them
+    assert payload["run_steps"] == [16, 32]
 
 
 COMMON_FLAGS = {"-h", "--help", "--config", "--family", "--r", "--alphas", "--seed"}

@@ -193,6 +193,15 @@ def test_exp_map_validates_inputs():
         exp_map(BESSEL, c0, np.zeros((32, 2)))
 
 
+@pytest.mark.parametrize("bad", [{"T": float("nan")}, {"T": np.inf}, {"T": -np.inf}])
+def test_exp_map_refuses_a_nonfinite_time_before_integrating(bad, monkeypatch):
+    built = []
+    monkeypatch.setattr(solvers, "make_curve", lambda s: built.append(s) or make_curve(s))
+    with pytest.raises(DomainError, match="finite T"):
+        exp_map(BESSEL, circle(), np.zeros((64, 2)), **{"steps": MIN_STEPS, **bad})
+    assert built == []
+
+
 @pytest.mark.parametrize("bad", [{"stride": 0}, {"T": 0.0}, {"T": -0.5}, {"steps": MIN_STEPS - 1}])
 def test_exp_map_spray_refuses_a_bad_schedule_before_integrating(bad, monkeypatch):
     # the schedule is refused before the first curve of the path is built
@@ -568,7 +577,11 @@ def test_each_rk4_stage_makes_no_fft_call_at_64_points_and_22_real_ones_at_256(c
             assert real[32] - real[16] == 64 * 22
 
 
-@pytest.mark.parametrize("bad", [{"steps": 8}, {"T": 0.0}, {"T": -1.0}])
+@pytest.mark.parametrize("bad", [
+    {"steps": 8}, {"T": 0.0}, {"T": -1.0}, {"T": float("nan")}, {"T": np.inf},
+    {"tol_rel": -1.0}, {"tol_rel": 0.0}, {"tol_rel": float("nan")}, {"tol_rel": np.inf},
+    {"damping": -1.0}, {"damping": float("nan")}, {"damping": np.inf}, {"max_iter": -1},
+])
 def test_geodesic_bvp_refuses_a_bad_schedule_before_any_work(bad, monkeypatch):
     # exp_map's schedule rule, checked before the first curve is built
     built = []
@@ -593,8 +606,8 @@ def test_conservation_report_names_the_first_frame_without_a_velocity(monkeypatc
 
 def test_every_rk4_run_of_a_match_builds_4_steps_plus_1_curves(count_calls):
     # a shot batch's t = 0 curve serves its first stage, as exp_map's batch
-    # of one does, so no run builds that curve twice; the Jacobian batch runs
-    # on half the steps
+    # of one does, so no run builds that curve twice; the Jacobian batch and
+    # the trials not expected to converge run on half the steps
     c0 = circle(32)
     theta = grid(32)
     h_true = 0.1 * np.column_stack([np.cos(theta) + 0.3 * np.sin(2 * theta), np.sin(theta)])
@@ -603,7 +616,8 @@ def test_every_rk4_run_of_a_match_builds_4_steps_plus_1_curves(count_calls):
     res = geodesic_bvp(BESSEL, c0, target, K=3, steps=32, T=1.0)
     assert res.converged and res.integrations >= 2 and res.shots > res.integrations
     assert res.jacobians == 1
-    assert calls["make_curve"] == (4 * 16 + 1) + (res.integrations - 1) * (4 * 32 + 1)
+    assert res.run_steps[0] == 16 and len(res.run_steps) == res.integrations
+    assert calls["make_curve"] == sum(4 * steps + 1 for steps in res.run_steps)
 
 
 REMOVED_KEYWORDS = {
