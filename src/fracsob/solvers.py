@@ -19,22 +19,24 @@ _geodesics turns one run into a path per member; exp_map and
 exp_map_spray hand it a batch of one. The boundary-value problem is
 solved by shooting: Levenberg-Marquardt on the endpoint mismatch over a
 Fourier-truncated initial velocity. The Jacobian is differenced forward,
-all its columns integrated as one batch on half the RK4 steps, together
-with the base shot they are differenced against (at the start, the
-initial shot); after each accepted step Broyden's rank-one secant update
-keeps it current without a shot. Only a step rejected under an updated
-Jacobian makes the solver difference again, at the current point, in a
-batch that shoots its own base. So a typical match is one batch and then
-one lone run per trial. A trial runs on half the steps too, unless the
-linear model predicts it meets the tolerance; only a shot on all the
-steps decides convergence and gives the reported residual, and a
-half-step shot that meets the tolerance is shot again on all of them.
-A shot on all the steps keeps its frames, and the shot at the returned
-velocity is the returned path. Trial shots that leave the immersion set
-count as rejected steps and raise the damping instead of aborting.
+all its columns integrated as one batch together with the base shot they
+are differenced against (at the start, the initial shot); after each
+accepted step Broyden's rank-one secant update keeps it current without
+a shot. A match starts on a coarse model of the shooting map, a quarter
+of the RK4 steps: the Jacobian batch and every trial the linear model
+does not expect to converge run there. A model residual is compared only
+with a model residual and decides nothing. Only a shot on all the steps
+decides convergence and gives the reported residual; once such a shot
+misses, or the model stalls, the match goes on with every trial on all
+the steps. So a typical match is one batch and then one lone run per
+trial. A shot on all the steps keeps its frames, and the shot at the
+returned velocity is the returned path. Trial shots that leave the
+immersion set count as rejected steps and raise the damping instead of
+aborting.
 """
 
 import json
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -119,17 +121,17 @@ class ShootingResult:
 
     residual is the mismatch of the path's endpoint, a shot on all the
     steps, and converged holds exactly when it meets the tolerance; a
-    half-step residual, of a Jacobian batch or of a trial, is never
-    reported. shots counts the geodesics integrated, every member of a
-    batch included; integrations counts the RK4 runs they took, and
-    run_steps holds the RK4 step count of each run in order. All three
-    are counted in one place, the shot. jacobians counts the
+    model residual, of a Jacobian batch or of a trial on a quarter of the
+    steps, is never reported. shots counts the geodesics integrated, every
+    member of a batch included; integrations counts the RK4 runs they
+    took, and run_steps holds the RK4 step count of each run in order. All
+    three are counted in one place, the shot. jacobians counts the
     forward-difference Jacobians built (one on a typical match), and
     damping holds the Levenberg-Marquardt damping of each trial step in
     order. The path is a shot on all the steps the solver already made,
-    unless the returned velocity was shot only on half the steps (x0 in
-    a batch, or a half-step trial); then it is shot once more alone, one
-    more shot and run, counted like every shot.
+    unless the iterations stopped on the model; then the returned velocity
+    is shot once more alone, one more shot and run, counted like every
+    shot.
     """
 
     initial_velocity: np.ndarray
@@ -331,8 +333,16 @@ def _rk4(cfg, c0, h0, T, steps, stride=None, form=_MOMENTUM):
     return result()
 
 
+def _check_count(name, value):
+    """DomainError unless value is an integer; a bool is none, a numpy integer is one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"need an integer {name}, got {value!r}")
+
+
 def _check_schedule(T, steps, stride):
     """The time grid of a path: DomainError before any integration starts."""
+    _check_count("steps", steps)
+    _check_count("stride", stride)
     if steps < MIN_STEPS:
         raise DomainError(f"need steps >= {MIN_STEPS}, got {steps}")
     if stride < 1:
@@ -423,6 +433,12 @@ def _broyden(jac, dx, dr):
     return jac + np.outer(dr - jac @ dx, dx) / (dx @ dx)
 
 
+def _improves(r_new, r):
+    """Levenberg-Marquardt's accept test: the trial shot r_new did not fail
+    and has a smaller residual than r, a residual of the same step count."""
+    return r_new is not None and np.linalg.norm(r_new) < np.linalg.norm(r)
+
+
 def geodesic_bvp(
     cfg,
     c0,
@@ -440,50 +456,72 @@ def geodesic_bvp(
     the residual is the endpoint mismatch in the L2(dtheta) norm of samples.
     Levenberg-Marquardt with a forward-difference Jacobian J: the columns
     step each coefficient x by FD_STEP max(1, |x|), and their (2K+1)*d shots
-    are integrated as one batch together with the base shot at x, on
-    max(MIN_STEPS, steps // 2) RK4 steps; columns whose shot loses
-    immersion (a ResolutionError included) are retried with the step
-    negated, as a second batch on as many steps. A Jacobian and its base
-    come from one step count: the columns are differenced against the base
-    of their own batch, never against a full-step residual. Halving the
-    steps moves J by a time error far below FD_STEP's own truncation error,
-    since RK4 converges at order 4 on the smooth shooting map. The first
-    batch's base is the initial shot at the least-squares start x0, and
-    its half-step residual is the Levenberg-Marquardt anchor at x0. The
-    initial shot runs alone on all the steps when max_iter is 0 or
-    |c1 - c0| <= tol_rel * |c1|, where it is the answer. After each
-    accepted step dx, Broyden's secant update
-    J += (r_new - r - J dx) dx^T / (dx^T dx) replaces a new difference. A
-    trial rejected under an updated J makes the solver difference J again
-    at the current point (one batch, shooting its own base) and retry at
-    the same damping; only a rejection under a freshly differenced J
-    multiplies the damping by 10. A new difference whose base shot fails
-    ends the iterations at the best point. Trial shots that lose immersion
-    count as rejected. Each trial runs alone, on the Jacobian's half
-    steps without frames, unless its linear model predicts convergence,
-    |r + J dx| <= tol_rel * |c1|: that trial may be the answer, so it runs
-    on all the steps and keeps a frame every max(1, steps // 16) steps.
-    Frames never feed back into the state, and the returned path is the
-    frames of the shot at the returned velocity. Only full-step shots
-    decide: a point shot only on half the steps (x0 in its batch, or an
-    accepted half-step trial) whose residual meets the tolerance, and a
-    best point without frames when the iterations stop, is shot once more
-    alone on all the steps, counted like every shot (an ImmersionError if
-    that lone shot fails), and that shot's residual is the one reported
-    and judged. If it misses the tolerance where the half-step one met
-    it, the iterations go on from it. Frames are kept for the current and
-    the best velocity only. The result counts the shots, the RK4 runs and
-    the Jacobians differenced, and lists the step count of every run and
-    the damping of every trial. Raises NoConvergenceError carrying the
-    best ShootingResult when the cap is hit or the iterations stall and
-    that result has not converged, and DomainError before any work on a
-    schedule exp_map refuses, a tol_rel or damping that is not finite
-    and positive, or a negative max_iter.
+    are integrated as one batch together with the base shot at x; columns
+    whose shot loses immersion (a ResolutionError included) are retried
+    with the step negated, as a second batch. After each accepted step dx,
+    Broyden's secant update J += (r_new - r - J dx) dx^T / (dx^T dx)
+    replaces a new difference; a trial rejected under an updated J makes
+    the solver difference J again at the current point (one batch, shooting
+    its own base) and retry at the same damping.
+
+    The match starts on a coarse model of the shooting map: every
+    Jacobian batch, and every trial whose linear model does not predict
+    convergence, runs on max(MIN_STEPS // 2, steps // 4) RK4 steps without
+    frames (8 at 32 steps). The model is a good Jacobian and a bad judge:
+    its residual can differ from the full-step one by far more than the
+    tolerance once the deformation grows. So a model residual is compared,
+    and enters a secant, only against a model residual, and it decides
+    nothing:
+    - a trial whose linear model predicts convergence,
+      |r + J dx| <= tol_rel * |c1|, runs on all the steps with a frame every
+      max(1, steps // 16) steps. It is the answer if it meets the tolerance;
+      otherwise the match goes on from it on full steps;
+    - a model point whose residual meets the tolerance (x0 in its batch, or
+      an accepted model trial) is shot alone on all the steps; a miss goes
+      on from that shot on full steps;
+    - the model stalls when an accepted step lowers its residual by less
+      than the tolerance (it sits at its own minimum), when an iteration's
+      12 trials are all rejected, or when a new difference's base shot
+      fails. The current point is then shot alone on all the steps and the
+      match goes on from it on full steps.
+    On full steps every trial runs on all the steps with its frames, is
+    compared with the full-step residual at the current point and updates
+    J by its full-step secant, and a new difference runs on all the steps
+    too: where the model stopped judging, its Jacobian can be off as well.
+    There a rejection under a freshly differenced J multiplies the damping
+    by 10, a new difference whose base shot fails keeps the old J as if
+    fresh, and an iteration whose 12 trials are all rejected ends the
+    match. Trial shots that lose immersion count as rejected.
+
+    The initial shot is the base of the first Jacobian batch, at the
+    least-squares start x0. It runs alone on all the steps instead when
+    max_iter is 0 or |c1 - c0| <= tol_rel * |c1|, where it is the answer,
+    and the match is then on full steps from the start. When the initial
+    shot leaves the immersion set, or misses c1 by more than c0 does (the
+    residual at x = 0 on any step count), x is halved and shot again, up to
+    three times, each attempt counted like every shot; ImmersionError when
+    the last attempt fails too.
+
+    Only a full-step shot decides convergence and gives the reported
+    residual, and the returned path is the frames of the full-step shot at
+    the returned velocity: when the iterations stop on the model, the
+    current point is shot once more alone on all the steps (an
+    ImmersionError if a full-step shot of a current point fails). The
+    current point is the best point of its phase, since a step is taken
+    only when it lowers the residual. The result counts the shots, the RK4
+    runs and the Jacobians differenced, and lists the step count of every
+    run and the damping of every trial. Raises NoConvergenceError carrying
+    that result when the match ends unconverged, after max_iter iterations
+    or on a full-step iteration whose trials are all rejected. DomainError
+    before any work for a schedule exp_map refuses, a K or max_iter that
+    is not an integer (a bool included), a negative max_iter, 2K+1 > N, or
+    a tol_rel or damping that is not finite and positive.
     """
     if c0.batched or c1.batched:
         raise GridError("geodesic_bvp matches two single curves, not batches")
-    out_stride = max(1, steps // 16)
-    _check_schedule(T, steps, out_stride)
+    _check_schedule(T, steps, 1)
+    _check_count("K", K)
+    _check_count("max_iter", max_iter)
     for name, value in (("tol_rel", tol_rel), ("damping", damping)):
         if not 0 < value < np.inf:
             raise DomainError(f"need a finite {name} > 0, got {value}")
@@ -501,12 +539,13 @@ def geodesic_bvp(
     n_coef = basis.shape[1]
     scale = max(_l2_norm(c1.samples, n), 1e-300)
     tol_abs = tol_rel * scale
+    out_stride = max(1, steps // 16)
+    # the step count of the model: every Jacobian batch, and every trial on
+    # the model that is not expected to converge
+    model_steps = max(MIN_STEPS // 2, steps // 4)
 
     shots = jacobians = 0
     lams, run_steps = [], []
-    # the step count of every Jacobian batch and of every trial that is not
-    # expected to converge; the path and every verdict run on steps
-    jac_steps = max(MIN_STEPS, steps // 2)
 
     def velocity(x):
         return basis @ x.reshape(x.shape[:-1] + (n_coef, d))
@@ -524,54 +563,36 @@ def geodesic_bvp(
         residuals = [None if end is None else (end - c1.samples).ravel() * np.sqrt(TWO_PI / n) for end in ends]
         return residuals, frames if stride else [None] * len(xs)
 
-    def lone(x):
-        """The residual and frames of x's shot alone on steps."""
+    def full(x):
+        """The residual and frames of x's lone shot on steps, where the
+        match goes on from x or ends at it."""
         [r], [frames] = shoot(x[None], steps, out_stride)
         if r is None:
-            raise ImmersionError("the shot at the returned velocity leaves the immersion set when run alone")
+            raise ImmersionError("the full-step shot of the current velocity leaves the immersion set")
         return r, frames
-
-    def confirmed(x, r, frames):
-        """(r, frames) at x, from x's lone shot on steps when r is a half-step
-        residual that meets the tolerance: such a residual decides nothing."""
-        if frames is None and np.linalg.norm(r) <= tol_abs:
-            return lone(x)
-        return r, frames
-
-    def finish(x, residual, frames):
-        """The result at x, whose frames are None when x was shot only on
-        half the steps: then its lone shot on steps gives the path and the
-        residual. Only a full-step residual decides convergence."""
-        if frames is None:
-            r, frames = lone(x)
-            residual = float(np.linalg.norm(r))
-        path = GeodesicPath(tuple(frames), cfg, scheme=_MOMENTUM.scheme, steps=steps)
-        return ShootingResult(
-            velocity(x), residual, iterations, path, bool(residual <= tol_abs),
-            shots, len(run_steps), jacobians, tuple(lams), tuple(run_steps),
-        )
 
     def fd_deltas(x):
         return FD_STEP * np.maximum(1.0, np.abs(x))
 
-    def differenced(x, shot=None):
-        """The forward-difference Jacobian at x from one batch on jac_steps:
-        the base shot at x together with its columns, unless shot already
-        holds their residuals, and the columns whose shot failed shot again
-        with the step negated, as a second batch. The columns difference
-        against the base of their own step count. None when the base fails."""
+    def differenced(x, n_steps, shot=None):
+        """The forward-difference Jacobian at x from one batch of n_steps RK4
+        steps: the base shot at x together with its columns, unless shot
+        already holds their residuals, and the columns whose shot failed
+        shot again with the step negated, as a second batch. The columns
+        difference against the base of their own step count. None when the
+        base fails."""
         nonlocal jacobians
         jacobians += 1
         deltas = fd_deltas(x)
         probes = np.diag(deltas)
         if shot is None:
-            shot, _ = shoot(np.vstack([x, x + probes]), jac_steps)
+            shot, _ = shoot(np.vstack([x, x + probes]), n_steps)
         base, *cols = shot
         if base is None:
             return None
         retry = [j for j, rp in enumerate(cols) if rp is None]
         if retry:
-            back, _ = shoot(x - probes[retry], jac_steps)
+            back, _ = shoot(x - probes[retry], n_steps)
             for j, rp in zip(retry, back):
                 cols[j] = rp
                 deltas[j] = -deltas[j]
@@ -582,36 +603,51 @@ def geodesic_bvp(
 
     coef0, *_ = np.linalg.lstsq(basis, (c1.samples - c0.samples) / T, rcond=None)
     x = coef0.ravel()
-    iterations = 0
     # the initial shot is the base of the first Jacobian batch, unless no
     # iteration may run or the target is within tolerance of c0, where that
     # shot runs alone on steps and is the answer
-    batch = max_iter > 0 and _l2_norm(c1.samples - c0.samples, n) > tol_abs
-    if batch:
-        shot, [frames, *_] = shoot(np.vstack([x, x + np.diag(fd_deltas(x))]), jac_steps)
+    gap = _l2_norm(c1.samples - c0.samples, n)
+    batch = max_iter > 0 and gap > tol_abs
+    # the start is halved while its shot fails or misses c1 by more than
+    # standing still does, up to three times
+    for attempt in range(4):
+        if batch:
+            shot, [frames, *_] = shoot(np.vstack([x, x + np.diag(fd_deltas(x))]), model_steps)
+        else:
+            shot, [frames] = shoot(x[None], steps, out_stride)
+        if shot[0] is not None and (np.linalg.norm(shot[0]) <= gap or attempt == 3):
+            break
+        x = 0.5 * x
     else:
-        shot, [frames] = shoot(x[None], steps, out_stride)
-    r = shot[0]
-    if r is None:
         raise ImmersionError("the initial shot already leaves the immersion set")
-    # frames are kept for the current x and the best x only; a half-step
-    # residual, of the batch or of a trial, comes without frames
-    r, frames = confirmed(x, r, frames)
-    best = (float(np.linalg.norm(r)), x.copy(), frames)
-    if best[0] <= tol_abs:
-        return finish(x, best[0], frames)
-
-    jac = differenced(x, shot) if batch else None
+    # (r, frames) at the current x: a model residual without frames, or a
+    # full-step one with the frames of its shot
+    r = shot[0]
+    jac = None
     # whether jac carries secant updates since it was last differenced
     updated = False
     lam = damping
-    while iterations < max_iter:
+    iterations = 0
+    moved = True
+    while True:
+        if frames is None and np.linalg.norm(r) <= tol_abs:
+            r, frames = full(x)
+        if np.linalg.norm(r) <= tol_abs or iterations >= max_iter or not moved:
+            break
+        # the match is on the model until its first full-step shot that
+        # does not end it; from there a new difference runs on steps too
+        on_model = frames is None
+        jac_steps = model_steps if on_model else steps
         if jac is None:
-            jac = differenced(x)
+            # the first Jacobian: from the initial batch, or from a batch of
+            # its own when the initial shot ran alone on steps
+            jac = differenced(x, model_steps, shot) if batch else differenced(x, steps)
             if jac is None:
                 break
         iterations += 1
-        accepted = False
+        # stalled: on the model, the accepted step lowered the residual by
+        # less than the tolerance, so the model sits at its own minimum
+        moved = stalled = False
         for _ in range(12):
             jtj = jac.T @ jac
             diag = np.diag(jtj).copy()
@@ -623,40 +659,49 @@ def geodesic_bvp(
                 continue
             x_t = x + dx
             lams.append(lam)
-            # only a trial the linear model expects to meet the tolerance may
-            # be the answer: it runs on steps with its frames
-            if np.linalg.norm(r + jac @ dx) <= tol_abs:
-                [r_new], [frames_t] = shoot(x_t[None], steps, out_stride)
+            if on_model and np.linalg.norm(r + jac @ dx) <= tol_abs:
+                # a trial that may be the answer runs on steps; it is the
+                # answer, or the match goes on from it on full steps
+                [r_t], [frames_t] = shoot(x_t[None], steps, out_stride)
+                if r_t is not None:
+                    x, r, frames = x_t, r_t, frames_t
+                    moved = True
+                    break
             else:
-                [r_new], [frames_t] = shoot(x_t[None], jac_steps)
-            if r_new is not None and np.linalg.norm(r_new) < np.linalg.norm(r):
-                jac = _broyden(jac, dx, r_new - r)
-                updated = True
-                x, r, frames = x_t, r_new, frames_t
-                lam = max(lam / 3.0, 1e-12)
-                accepted = True
-                break
+                [r_t], [frames_t] = shoot(x_t[None], model_steps if on_model else steps, None if on_model else out_stride)
+                if _improves(r_t, r):
+                    jac = _broyden(jac, dx, r_t - r)
+                    updated = True
+                    stalled = on_model and np.linalg.norm(r) - np.linalg.norm(r_t) < tol_abs
+                    x, r, frames = x_t, r_t, frames_t
+                    lam = max(lam / 3.0, 1e-12)
+                    moved = True
+                    break
             if updated:
                 # the secant model may be what failed: difference again at
                 # x and retry at the same damping
-                jac = differenced(x)
+                new = differenced(x, jac_steps)
                 updated = False
-                if jac is None:
+                if new is not None:
+                    jac = new
+                    continue
+                if on_model:
                     break
-            else:
-                lam *= 10.0
-        r, frames = confirmed(x, r, frames)
-        norm_r = float(np.linalg.norm(r))
-        if norm_r < best[0]:
-            best = (norm_r, x.copy(), frames)
-        if norm_r <= tol_abs:
-            return finish(x, norm_r, frames)
-        if not accepted:
-            break
-    result = finish(best[1], best[0], best[2])
+            lam *= 10.0
+        if frames is None and (stalled or not moved):
+            # the model stalls: x goes on from its shot on steps
+            r, frames = full(x)
+            moved = True
+    if frames is None:
+        # the iterations stopped on the model
+        r, frames = full(x)
+    path = GeodesicPath(tuple(frames), cfg, scheme=_MOMENTUM.scheme, steps=steps)
+    residual = float(np.linalg.norm(r))
+    result = ShootingResult(
+        velocity(x), residual, iterations, path, bool(residual <= tol_abs),
+        shots, len(run_steps), jacobians, tuple(lams), tuple(run_steps),
+    )
     if result.converged:
-        # the best x was shot only on half the steps, missed the tolerance
-        # there and meets it on steps
         return result
     raise NoConvergenceError(
         f"shooting stalled at residual {result.residual:.3e} (tolerance {tol_abs:.3e}) "

@@ -61,3 +61,26 @@ def count_calls(monkeypatch):
         return calls
 
     return install
+
+
+def match_input(seed, index=None, s=0.5, n=64, steps=32):
+    """A match input drawn as perfbench's match_n64 draws one, without
+    importing perfbench: from default_rng([seed, index]) (default_rng(seed)
+    without an index), a curve of amplitude 0.10, then h_true = s *
+    random_field(modes=2), and the target c1, h_true's exp_map endpoint on
+    `steps` RK4 steps under bessel_fractional(1.5) at T = 1. match_n64 is
+    s = 0.5. Returns the curves c0 and c1 with h_true as (c0, h_true, c1)."""
+    from fracsob.checks import random_curve_samples, random_field
+    from fracsob.curves import make_curve
+    from fracsob.metric import MetricConfig
+    from fracsob.solvers import exp_map
+    from fracsob.symbols import bessel_fractional
+
+    rng = np.random.default_rng(seed if index is None else [seed, index])
+    c0 = make_curve(random_curve_samples(rng, n=n, amplitude=0.10))
+    h_true = s * random_field(rng, n, modes=2)
+    with warnings.catch_warnings():
+        # from s = 2 on the N = 64 grid warns that it resolves the flow coarsely
+        warnings.simplefilter("ignore")
+        path = exp_map(MetricConfig(bessel_fractional(1.5)), c0, h_true, T=1.0, steps=steps, stride=steps)
+    return c0, h_true, path.endpoint

@@ -11,6 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import match_input
 
 from fracsob import curves, solvers
 from fracsob.checks import random_curve_samples, random_field
@@ -276,90 +277,122 @@ def test_a_column_that_loses_resolution_is_retried_with_the_step_negated(monkeyp
     assert err.value.result.iterations == 1
 
 
-def sequential_bvp(cfg, c0, c1, K, steps, T=1.0, max_iter=50, tol_rel=1e-6, damping=1e-3, fd_step=1e-6):
-    """The shooting loop with one exp_map per Jacobian column, as reference:
-    the Jacobian differenced on half the steps against a base shot on as
-    many, which is the anchor at x0; a trial on steps when its linear model
-    meets the tolerance, else on half the steps; a half-step residual that
-    meets the tolerance replaced by its point's shot on steps; Broyden
-    updates after accepted steps, a new difference after a step rejected
-    under an updated Jacobian."""
+def reference_bvp(cfg, c0, c1, K, steps, T=1.0, max_iter=50, tol_rel=1e-6, damping=1e-3, fd_step=1e-6,
+                  batch_columns=True):
+    """The shooting loop whose initial shot and trial shots run alone
+    without frames, and whose presented path is one more exp_map run, as
+    reference. The match runs on the model, a quarter of the steps, until a
+    full-step shot misses or the model stalls, then on all the steps. A
+    Jacobian is differenced on the steps of the match's phase against a
+    base of its own step count: at the start, against the initial shot, the
+    anchor at x0; later against a base shot with the columns. The columns
+    run as one batch, or one run each with batch_columns=False. On the
+    model a trial runs on steps when its linear model meets the tolerance
+    (the answer, or the point the match goes on from), else on the model; a
+    model residual that meets the tolerance is replaced by its point's lone
+    shot on steps; an accepted model step that gains less than the
+    tolerance, an iteration without an accepted step, or a failed model
+    base stalls the model. Broyden updates after accepted steps of one step
+    count, a new difference after a step rejected under an updated
+    Jacobian, the damping tenfold after a rejection under a fresh one."""
     n, d = c0.n, c0.dim
     basis = solvers._fourier_basis(n, K)
     n_coef = basis.shape[1]
     tol_abs = tol_rel * max(float(np.linalg.norm(c1.samples)) * np.sqrt(TWO_PI / n), 1e-300)
-    half = max(MIN_STEPS, steps // 2)
+    out_stride = max(1, steps // 16)
+    model = max(MIN_STEPS // 2, steps // 4)
+    lams = []
 
-    def shoot(x, run_steps=steps):
-        try:
-            path = exp_map(cfg, c0, basis @ x.reshape(n_coef, d), T=T, steps=run_steps, stride=run_steps)
-        except (ImmersionError, StepError):
-            return None
-        return (path.endpoint.samples - c1.samples).ravel() * np.sqrt(TWO_PI / n)
+    def shoot(xs, run_steps):
+        starts = make_curve(np.broadcast_to(c0.samples, (len(xs), n, d)))
+        ends, _, _ = solvers._rk4(cfg, starts, basis @ xs.reshape(len(xs), n_coef, d), T, run_steps)
+        return [None if end is None else (end - c1.samples).ravel() * np.sqrt(TWO_PI / n) for end in ends]
 
-    def jacobian(x):
-        base = shoot(x, half)
+    def shoot_columns(xs, run_steps):
+        if batch_columns:
+            return shoot(xs, run_steps)
+        return [rp for x_j in xs for rp in shoot(x_j[None], run_steps)]
+
+    def jacobian(x, run_steps, base=None):
+        deltas = fd_step * np.maximum(1.0, np.abs(x))
+        probes = np.diag(deltas)
+        if base is None:
+            base, *cols = shoot_columns(np.vstack([x, x + probes]), run_steps)
+            if base is None:
+                return None
+        else:
+            cols = shoot_columns(x + probes, run_steps)
+        retry = [j for j, rp in enumerate(cols) if rp is None]
+        if retry:
+            for j, rp in zip(retry, shoot_columns(x - probes[retry], run_steps)):
+                cols[j] = rp
+                deltas[j] = -deltas[j]
         jac = np.empty((base.size, x.size))
-        for j in range(x.size):
-            delta = fd_step * max(1.0, abs(x[j]))
-            xp = x.copy()
-            xp[j] += delta
-            rp = shoot(xp, half)
-            if rp is None:
-                xp[j] = x[j] - delta
-                rp = shoot(xp, half)
-                delta = -delta
-            jac[:, j] = 0.0 if rp is None else (rp - base) / delta
+        for j, rp in enumerate(cols):
+            jac[:, j] = 0.0 if rp is None else (rp - base) / deltas[j]
         return jac
 
-    def confirmed(x, r, full):
-        if not full and np.linalg.norm(r) <= tol_abs:
-            return shoot(x), True
-        return r, full
+    def finish(x, residual, converged):
+        h0 = basis @ x.reshape(n_coef, d)
+        path = exp_map(cfg, c0, h0, T=T, steps=steps, stride=out_stride)
+        return solvers.ShootingResult(h0, residual, iterations, path, converged, damping=tuple(lams))
 
     coef0, *_ = np.linalg.lstsq(basis, (c1.samples - c0.samples) / T, rcond=None)
     x = coef0.ravel()
-    r, full = confirmed(x, shoot(x, half), False)
-    best = (float(np.linalg.norm(r)), x.copy())
-    jac, updated = jacobian(x), False
-    lam = damping
     iterations = 0
-    while iterations < max_iter:
+    # the initial shot is the base of the first Jacobian
+    [r] = r0 = shoot(x[None], model)
+    jac, updated, full = None, False, False
+    lam = damping
+    moved = True
+    while True:
+        if not full and np.linalg.norm(r) <= tol_abs:
+            [r], full = shoot(x[None], steps), True
+        if np.linalg.norm(r) <= tol_abs or iterations >= max_iter or not moved:
+            break
+        jac_steps = steps if full else model
+        if jac is None:
+            jac = jacobian(x, model, r0[0])
         iterations += 1
-        accepted = False
+        moved = stalled = False
         for _ in range(12):
             jtj = jac.T @ jac
             diag = np.diag(jtj).copy()
             diag[diag <= 0] = 1.0
             dx = np.linalg.solve(jtj + lam * np.diag(diag), -(jac.T @ r))
-            trial_steps = steps if np.linalg.norm(r + jac @ dx) <= tol_abs else half
-            r_new = shoot(x + dx, trial_steps)
-            if r_new is not None and np.linalg.norm(r_new) < np.linalg.norm(r):
-                jac, updated = jac + np.outer(r_new - r - jac @ dx, dx) / (dx @ dx), True
-                x, r, full = x + dx, r_new, trial_steps == steps
-                lam = max(lam / 3.0, 1e-12)
-                accepted = True
-                break
-            if updated:
-                jac, updated = jacobian(x), False
+            lams.append(lam)
+            if not full and np.linalg.norm(r + jac @ dx) <= tol_abs:
+                [r_new] = shoot((x + dx)[None], steps)
+                if r_new is not None:
+                    x, r, full, moved = x + dx, r_new, True, True
+                    break
             else:
-                lam *= 10.0
-        r, full = confirmed(x, r, full)
-        norm_r = float(np.linalg.norm(r))
-        if norm_r < best[0]:
-            best = (norm_r, x.copy())
-        if norm_r <= tol_abs:
-            return basis @ x.reshape(n_coef, d), norm_r, iterations, True
-        if not accepted:
-            break
-    return basis @ best[1].reshape(n_coef, d), best[0], iterations, False
+                [r_new] = shoot((x + dx)[None], jac_steps)
+                if r_new is not None and np.linalg.norm(r_new) < np.linalg.norm(r):
+                    jac, updated = jac + np.outer(r_new - r - jac @ dx, dx) / (dx @ dx), True
+                    stalled = not full and np.linalg.norm(r) - np.linalg.norm(r_new) < tol_abs
+                    x, r, moved = x + dx, r_new, True
+                    lam = max(lam / 3.0, 1e-12)
+                    break
+            if updated:
+                new, updated = jacobian(x, jac_steps), False
+                if new is not None:
+                    jac = new
+                    continue
+                if not full:
+                    break
+            lam *= 10.0
+        if not full and (stalled or not moved):
+            [r], full, moved = shoot(x[None], steps), True, True
+    if not full:
+        [r] = shoot(x[None], steps)
+    norm_r = float(np.linalg.norm(r))
+    return finish(x, norm_r, norm_r <= tol_abs)
 
 
-def seeded_match(seed=0, n=64, K=2, steps=32):
-    rng = np.random.default_rng(seed)
-    c0 = make_curve(random_curve_samples(rng, n=n, amplitude=0.10))
-    h_true = 0.5 * random_field(rng, n, modes=2)
-    c1 = exp_map(BESSEL, c0, h_true, T=1.0, steps=steps, stride=steps).endpoint
+def seeded_match(seed=0):
+    """(c0, c1) of match_input(seed), or of match_input(*seed) for a (seed, index) pair."""
+    c0, _, c1 = match_input(*seed) if isinstance(seed, tuple) else match_input(seed)
     return c0, c1
 
 
@@ -367,12 +400,12 @@ def test_batched_columns_reproduce_the_sequential_column_loop():
     c0, c1 = seeded_match()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        velocity, residual, iterations, converged = sequential_bvp(BESSEL, c0, c1, K=2, steps=32)
+        ref = reference_bvp(BESSEL, c0, c1, K=2, steps=32, batch_columns=False)
         res = geodesic_bvp(BESSEL, c0, c1, K=2, steps=32)
-    assert converged and res.converged
-    assert res.iterations == iterations
-    assert abs(res.residual - residual) <= 1e-10 * residual
-    assert rel_gap(res.initial_velocity, velocity) <= 1e-10
+    assert ref.converged and res.converged
+    assert res.iterations == ref.iterations
+    assert abs(res.residual - ref.residual) <= 1e-10 * ref.residual
+    assert rel_gap(res.initial_velocity, ref.initial_velocity) <= 1e-10
 
 
 def test_shooting_counts_its_shots_and_integrations():
@@ -390,97 +423,6 @@ def test_shooting_counts_its_shots_and_integrations():
     assert res.damping == (1e-3, 1e-3 / 3.0)
 
 
-def lone_shot_bvp(cfg, c0, c1, K, steps, T=1.0, max_iter=50, tol_rel=1e-6, damping=1e-3, fd_step=1e-6):
-    """The shooting loop whose initial shot and trial shots run alone without
-    frames, whose first Jacobian's columns run as their own batch, and whose
-    presented path is one more exp_map run, as reference: the initial shot
-    and every Jacobian on half the steps, a new difference shooting its
-    base in its own batch; a trial on steps when its linear model meets the
-    tolerance, else on half the steps; a half-step residual that meets the
-    tolerance replaced by its point's lone shot on steps; Broyden updates
-    after accepted steps, a new difference after a step rejected under an
-    updated Jacobian."""
-    n, d = c0.n, c0.dim
-    basis = solvers._fourier_basis(n, K)
-    n_coef = basis.shape[1]
-    tol_abs = tol_rel * max(float(np.linalg.norm(c1.samples)) * np.sqrt(TWO_PI / n), 1e-300)
-    out_stride = max(1, steps // 16)
-    half = max(MIN_STEPS, steps // 2)
-    lams = []
-
-    def shoot(xs, run_steps=steps):
-        starts = make_curve(np.broadcast_to(c0.samples, (len(xs), n, d)))
-        ends, _, _ = solvers._rk4(cfg, starts, basis @ xs.reshape(len(xs), n_coef, d), T, run_steps)
-        return [None if end is None else (end - c1.samples).ravel() * np.sqrt(TWO_PI / n) for end in ends]
-
-    def jacobian(x, base=None):
-        deltas = fd_step * np.maximum(1.0, np.abs(x))
-        probes = np.diag(deltas)
-        if base is None:
-            base, *cols = shoot(np.vstack([x, x + probes]), half)
-        else:
-            cols = shoot(x + probes, half)
-        retry = [j for j, rp in enumerate(cols) if rp is None]
-        if retry:
-            for j, rp in zip(retry, shoot(x - probes[retry], half)):
-                cols[j] = rp
-                deltas[j] = -deltas[j]
-        jac = np.empty((base.size, x.size))
-        for j, rp in enumerate(cols):
-            jac[:, j] = 0.0 if rp is None else (rp - base) / deltas[j]
-        return jac
-
-    def confirmed(x, r, full):
-        if not full and np.linalg.norm(r) <= tol_abs:
-            [r] = shoot(x[None])
-            return r, True
-        return r, full
-
-    def finish(x, residual, converged):
-        h0 = basis @ x.reshape(n_coef, d)
-        path = exp_map(cfg, c0, h0, T=T, steps=steps, stride=out_stride)
-        return solvers.ShootingResult(h0, residual, iterations, path, converged, damping=tuple(lams))
-
-    coef0, *_ = np.linalg.lstsq(basis, (c1.samples - c0.samples) / T, rcond=None)
-    x = coef0.ravel()
-    iterations = 0
-    [r] = shoot(x[None], half)
-    jac, updated = jacobian(x, r), False
-    r, full = confirmed(x, r, False)
-    best = (float(np.linalg.norm(r)), x.copy())
-    lam = damping
-    while iterations < max_iter:
-        iterations += 1
-        accepted = False
-        for _ in range(12):
-            jtj = jac.T @ jac
-            diag = np.diag(jtj).copy()
-            diag[diag <= 0] = 1.0
-            dx = np.linalg.solve(jtj + lam * np.diag(diag), -(jac.T @ r))
-            lams.append(lam)
-            trial_steps = steps if np.linalg.norm(r + jac @ dx) <= tol_abs else half
-            [r_new] = shoot((x + dx)[None], trial_steps)
-            if r_new is not None and np.linalg.norm(r_new) < np.linalg.norm(r):
-                jac, updated = jac + np.outer(r_new - r - jac @ dx, dx) / (dx @ dx), True
-                x, r, full = x + dx, r_new, trial_steps == steps
-                lam = max(lam / 3.0, 1e-12)
-                accepted = True
-                break
-            if updated:
-                jac, updated = jacobian(x), False
-            else:
-                lam *= 10.0
-        r, full = confirmed(x, r, full)
-        norm_r = float(np.linalg.norm(r))
-        if norm_r < best[0]:
-            best = (norm_r, x.copy())
-        if norm_r <= tol_abs:
-            return finish(x, norm_r, True)
-        if not accepted:
-            break
-    return finish(best[1], best[0], False)
-
-
 def assert_same_path(path, ref):
     assert len(path.frames) == len(ref.frames)
     for f, g in zip(path.frames, ref.frames):
@@ -490,16 +432,16 @@ def assert_same_path(path, ref):
         assert np.array_equal(f.momentum, g.momentum)
 
 
-def recording_rk4(monkeypatch, reject_call=None):
-    """Record the initial velocities of every RK4 run; the run numbered
-    reject_call loses its first member, as a rejected trial shot."""
+def recording_rk4(monkeypatch, reject=()):
+    """Record the initial velocities of every RK4 run; the runs numbered in
+    reject lose their first member, as rejected trial shots."""
     real = solvers._rk4
     calls = []
 
     def recording(cfg, starts, h0s, *args, **kwargs):
         calls.append(np.array(h0s).reshape(-1, starts.n, starts.dim))
         ends, frames, errors = real(cfg, starts, h0s, *args, **kwargs)
-        if len(calls) == reject_call:
+        if len(calls) in reject:
             ends[0] = None
             errors[0] = ImmersionError("injected")
         return ends, frames, errors
@@ -511,16 +453,16 @@ def recording_rk4(monkeypatch, reject_call=None):
 @pytest.mark.parametrize("reject_second_trial", [False, True])
 def test_broyden_updates_reproduce_the_lone_shot_loop(monkeypatch, reject_second_trial):
     # run 1 of geodesic_bvp is the initial shot with the 10 Jacobian
-    # columns on half the steps, runs 1 and 2 of the reference; the second
-    # trial, the first whose linear model meets the tolerance and so the
-    # first on all the steps, is run 3 there and run 4 here
+    # columns on the model's steps, runs 1 and 2 of the reference; the
+    # second trial, the first whose linear model meets the tolerance and so
+    # the first on all the steps, is run 3 there and run 4 here
     c0, c1 = seeded_match()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        ref_calls = recording_rk4(monkeypatch, 4 if reject_second_trial else None)
-        ref = lone_shot_bvp(BESSEL, c0, c1, K=2, steps=32)
+        ref_calls = recording_rk4(monkeypatch, (4,) if reject_second_trial else ())
+        ref = reference_bvp(BESSEL, c0, c1, K=2, steps=32)
         monkeypatch.undo()
-        calls = recording_rk4(monkeypatch, 3 if reject_second_trial else None)
+        calls = recording_rk4(monkeypatch, (3,) if reject_second_trial else ())
         res = geodesic_bvp(BESSEL, c0, c1, K=2, steps=32)
     assert ref.converged and res.converged
     assert res.iterations == ref.iterations == 2
@@ -559,7 +501,9 @@ def test_each_broyden_update_maps_the_step_to_the_residual_change(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         res = geodesic_bvp(BESSEL, c0, c1, K=2, steps=32)
-    assert res.converged and len(updates) == res.iterations == 2
+    # the converging trial runs on all the steps after a model step, so it
+    # makes no secant across the two step counts
+    assert res.converged and len(updates) == res.iterations - 1 == 1
     rng = np.random.default_rng(1)
     for jac, dx, dr, new in updates:
         # the secant condition, to rounding
@@ -636,7 +580,8 @@ def rejecting_trials(monkeypatch, runs):
 
 def test_a_stalled_match_whose_best_velocity_was_shot_in_a_batch_shoots_it_again_alone(monkeypatch):
     # with max_iter=1 the initial shot carries the columns and the 12 trials
-    # run alone; when all are rejected the best velocity is the initial one
+    # run alone; when all are rejected the model stalls at the initial
+    # velocity, which is shot alone on all the steps
     c0, c1 = seeded_match()
     sizes = rejecting_trials(monkeypatch, range(2, 14))
     monkeypatch.setattr(solvers, "exp_map", refuse_exp_map)
@@ -662,7 +607,7 @@ def test_a_best_velocity_whose_lone_shot_fails_raises_an_immersion_error(monkeyp
     # short silently
     c0, c1 = seeded_match()
     rejecting_trials(monkeypatch, range(2, 15))
-    with pytest.raises(ImmersionError, match="returned velocity"):
+    with pytest.raises(ImmersionError, match="full-step shot of the current velocity"):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             geodesic_bvp(BESSEL, c0, c1, K=2, steps=32, max_iter=1)
@@ -715,18 +660,34 @@ def test_max_iter_zero_takes_one_lone_shot_whose_frames_are_the_path(monkeypatch
     assert_same_path(result.path, alone)
 
 
-@pytest.mark.parametrize("target, runs", [("far", [11]), ("near", [1])])
+@pytest.mark.parametrize("target, runs", [("far", [11] * 4), ("near", [1] * 4)])
 def test_a_failing_initial_shot_raises_the_same_error_alone_or_in_a_batch(monkeypatch, target, runs):
+    # the start is halved three times before the match gives up
     c0, c1 = seeded_match()
     if target == "near":
         c1 = near_target(c0)
-    calls = recording_rk4(monkeypatch, reject_call=1)
+    calls = recording_rk4(monkeypatch, reject=range(1, 5))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises(ImmersionError) as err:
             geodesic_bvp(BESSEL, c0, c1, K=2, steps=32)
     assert str(err.value) == "the initial shot already leaves the immersion set"
     assert [len(h) for h in calls] == runs
+    for k, h in enumerate(calls):
+        assert np.array_equal(h[0], 0.5**k * calls[0][0])
+
+
+def test_a_failing_initial_shot_is_halved_and_each_attempt_is_counted(monkeypatch):
+    c0, c1 = seeded_match()
+    runs = recording_runs(monkeypatch, reject=(1,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = geodesic_bvp(BESSEL, c0, c1, K=2, steps=32)
+    assert res.converged
+    assert runs[:2] == [(11, 8), (11, 8)]
+    assert res.run_steps == tuple(steps for _, steps in runs)
+    assert res.shots == sum(size for size, _ in runs)
+    assert res.jacobians == 1
 
 
 def recording_runs(monkeypatch, base_end=None, reject=()):
@@ -750,11 +711,12 @@ def recording_runs(monkeypatch, base_end=None, reject=()):
     return runs
 
 
-def test_the_seeded_match_runs_16_16_32_steps_and_only_the_32_step_run_keeps_frames(monkeypatch):
-    # the Jacobian batch and the first trial run on half the steps; the
-    # second trial, whose linear model meets the tolerance, runs on all of
-    # them with its frames and is the answer
-    c0, c1 = seeded_match()
+def test_the_seeded_match_runs_8_8_32_steps_and_only_the_32_step_run_keeps_frames(monkeypatch):
+    # match_n64's first input: the Jacobian batch and the first trial run on
+    # the model's quarter of the steps; the second trial, whose linear model
+    # meets the tolerance, runs on all of them with its frames and is the
+    # answer
+    c0, _, c1 = match_input(0, 0)
     real, runs = solvers._rk4, []
 
     def recording(cfg, starts, h0s, T, steps, stride=None):
@@ -767,10 +729,30 @@ def test_the_seeded_match_runs_16_16_32_steps_and_only_the_32_step_run_keeps_fra
         warnings.simplefilter("ignore")
         res = geodesic_bvp(BESSEL, c0, c1, K=2, steps=32)
     assert res.converged
-    assert [steps for steps, _ in runs] == [16, 16, 32]
-    assert res.run_steps == (16, 16, 32)
+    assert [steps for steps, _ in runs] == [8, 8, 32]
+    assert res.run_steps == (8, 8, 32)
     assert [kept for _, kept in runs] == [[0] * 11, [0], [17]]
     assert len(res.run_steps) == res.integrations
+
+
+#: match_n64's (iterations, shots, run_steps) on its seed 0 inputs 0-7
+MATCH_N64_COUNTS = [
+    (2, 13, (8, 8, 32)), (2, 13, (8, 8, 32)), (3, 14, (8, 8, 32, 32)), (2, 13, (8, 8, 32)),
+    (3, 14, (8, 8, 32, 32)), (3, 14, (8, 8, 32, 32)), (2, 13, (8, 8, 32)), (2, 13, (8, 8, 32)),
+]
+
+
+def test_match_n64_inputs_keep_their_iterations_and_shots():
+    counts = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for index in range(8):
+            c0, h_true, c1 = match_input(0, index)
+            res = geodesic_bvp(BESSEL, c0, c1, K=2, steps=32)
+            assert res.converged
+            assert np.linalg.norm(res.initial_velocity - h_true) <= 1e-4 * np.linalg.norm(h_true)
+            counts.append((res.iterations, res.shots, res.run_steps))
+    assert counts == MATCH_N64_COUNTS
 
 
 def fd_jacobian(c0, c1, K, steps):
@@ -794,8 +776,19 @@ def test_the_half_step_jacobian_at_x0_is_the_full_step_one_to_1e_7():
     assert np.linalg.norm(half - full) <= 1e-7 * np.linalg.norm(full)
 
 
+def test_the_model_jacobian_at_x0_is_the_full_step_one_to_fd_step_truncation():
+    # the model's 8 steps move J by no more than FD_STEP's own truncation
+    # error, about 5e-7 relative on these inputs
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for index in range(3):
+            c0, _, c1 = match_input(0, index)
+            model, full = fd_jacobian(c0, c1, K=2, steps=8), fd_jacobian(c0, c1, K=2, steps=32)
+            assert np.linalg.norm(model - full) <= 1e-6 * np.linalg.norm(full)
+
+
 # seeded_match's initial coefficients miss the target by 1.28e-2 relative,
-# on 16 steps as on 32; this tolerance takes them
+# on 8 steps as on 32; this tolerance takes them
 LOOSE = 2e-2
 
 EXITS = {
@@ -804,7 +797,7 @@ EXITS = {
     "stalled x0 shot again": ("far", {"max_iter": 1}, {"reject": range(2, 14)}, False),
     "near target": ("near", {}, {}, True),
     # the batch puts x0 on the target, its lone shot on all the steps does not
-    "x0 half-step within tolerance": ("far", {"max_iter": 1}, {"base_end": "target"}, False),
+    "x0 model within tolerance": ("far", {"max_iter": 1}, {"base_end": "target"}, False),
     "x0 within tolerance": ("far", {"tol_rel": LOOSE}, {}, True),
     # the batch puts x0 at the source, every trial is rejected, and x0's
     # lone shot meets the tolerance
@@ -816,16 +809,17 @@ EXITS = {
 
 #: the (members, steps) of every RK4 run on each exit path
 EXIT_RUNS = {
-    "converging trial": [(11, 16), (1, 16), (1, 32)],
-    "stalled x0 shot again": [(11, 16)] + [(1, 16)] * 12 + [(1, 32)],
+    "converging trial": [(11, 8), (1, 8), (1, 32)],
+    # the 12 rejected trials stall the model, and x0 is shot on all the steps
+    "stalled x0 shot again": [(11, 8)] + [(1, 8)] * 12 + [(1, 32)],
     "near target": [(1, 32)],
-    # x0's lone shot misses; the one trial, on half the steps, is accepted
-    # and the best point, so it is shot again alone
-    "x0 half-step within tolerance": [(11, 16), (1, 32), (1, 16), (1, 32)],
-    "x0 within tolerance": [(11, 16), (1, 32)],
+    # x0's lone shot misses, so the one trial runs on all the steps and
+    # keeps its frames: no run after it
+    "x0 model within tolerance": [(11, 8), (1, 32), (1, 32)],
+    "x0 within tolerance": [(11, 8), (1, 32)],
     # anchored at the source, the first three trials' linear models meet the
     # loose tolerance
-    "stalled x0 within tolerance": [(11, 16)] + [(1, 32)] * 3 + [(1, 16)] * 9 + [(1, 32)],
+    "stalled x0 within tolerance": [(11, 8)] + [(1, 32)] * 3 + [(1, 8)] * 9 + [(1, 32)],
 }
 
 
@@ -858,44 +852,44 @@ def test_every_exit_reports_the_residual_of_its_path_and_decides_convergence_by_
     assert result.converged == converged
     assert_full_step_verdict(result, c1, kwargs.get("tol_rel", 1e-6))
     assert_same_path(result.path, alone)
-    # every batch runs on half the steps, and every run on all the steps
-    # is a lone shot
-    assert all(steps == 16 or size == 1 for size, steps in runs)
+    # every batch runs on the model's steps, and every run on all the
+    # steps is a lone shot
+    assert all(steps == 8 or size == 1 for size, steps in runs)
     assert result.run_steps == tuple(steps for _, steps in runs)
     assert runs == EXIT_RUNS[exit_path]
     if exit_path.startswith("x0"):
         # x0 is shot once more alone, right after its batch
-        assert runs[:2] == [(11, 16), (1, 32)]
+        assert runs[:2] == [(11, 8), (1, 32)]
     if exit_path == "x0 within tolerance":
         assert len(runs) == 2 and result.iterations == result.jacobians == 0
     if exit_path.startswith("stalled"):
         # the 12 rejected trials, then x0 once more alone
-        assert len(runs) == 14 and runs[0] == (11, 16) and runs[-1] == (1, 32)
+        assert len(runs) == 14 and runs[0] == (11, 8) and runs[-1] == (1, 32)
 
 
 def test_a_jacobian_whose_base_shot_fails_stalls_the_match_at_its_best_point(monkeypatch):
     # the second trial, run 3, on all the steps since its linear model
     # meets the tolerance, is rejected under the updated Jacobian; the base
-    # shot of the new difference, run 4, fails
+    # shot of the new difference, run 4, fails, so the model stalls at the
+    # first trial, and the match goes on from that point's lone shot on all
+    # the steps, run 5
     c0, c1 = seeded_match()
     runs = recording_runs(monkeypatch, reject=(3, 4))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        with pytest.raises(NoConvergenceError) as err:
-            geodesic_bvp(BESSEL, c0, c1, K=2, steps=32)
-    result = err.value.result
-    # the best point is the first trial, shot on half the steps without
-    # frames: it is shot once more alone on all of them for the path
-    assert runs == [(11, 16), (1, 16), (1, 32), (11, 16), (1, 32)]
-    assert result.iterations == 2 and result.jacobians == 2
+        result = geodesic_bvp(BESSEL, c0, c1, K=2, steps=32)
+    assert runs[:5] == [(11, 8), (1, 8), (1, 32), (11, 8), (1, 32)]
+    # every run after the stall is on all the steps
+    assert all(steps == 32 for _, steps in runs[4:])
+    assert result.converged and result.iterations >= 3 and result.jacobians == 2
     assert result.shots == sum(size for size, _ in runs)
     assert_full_step_verdict(result, c1, 1e-6)
 
 
 def test_a_half_step_trial_within_tolerance_is_shot_again_and_a_miss_goes_on_from_the_full_step_residual(monkeypatch):
-    # the first trial, run 2 on half the steps, is made to end on the
+    # the first trial, run 2 on the model's steps, is made to end on the
     # target; its lone shot on all the steps, run 3, misses, and the next
-    # Broyden update starts from that shot's residual, not from the half-step 0
+    # Broyden update starts from that shot's residual, not from the model's 0
     c0, c1 = seeded_match()
     real_rk4, real_broyden = solvers._rk4, solvers._broyden
     runs, ends_seen, updates = [], [], []
@@ -915,10 +909,10 @@ def test_a_half_step_trial_within_tolerance_is_shot_again_and_a_miss_goes_on_fro
         result = geodesic_bvp(BESSEL, c0, c1, K=2, steps=32)
         monkeypatch.undo()
         alone = exp_map(BESSEL, c0, result.initial_velocity, T=1.0, steps=32, stride=2)
-    assert [(size, steps) for size, steps, _ in runs[:3]] == [(11, 16), (1, 16), (1, 32)]
+    assert [(size, steps) for size, steps, _ in runs[:3]] == [(11, 8), (1, 8), (1, 32)]
     # the lone shot is the accepted trial's velocity
     assert np.array_equal(runs[2][2], runs[1][2])
-    assert result.run_steps[:3] == (16, 16, 32)
+    assert result.run_steps[:3] == (8, 8, 32)
     scale = np.sqrt(TWO_PI / c1.n)
     r_full = (ends_seen[2] - c1.samples).ravel() * scale
     assert np.linalg.norm(r_full) > 1e-6 * solvers._l2_norm(c1.samples, c1.n)
@@ -939,6 +933,108 @@ def test_the_half_and_full_step_residuals_at_the_seeded_answer_differ_by_a_hundr
     tol_abs = 1e-6 * solvers._l2_norm(c1.samples, c1.n)
     gap = solvers._l2_norm(half.endpoint.samples - res.path.endpoint.samples, c1.n)
     assert gap <= 1e-2 * tol_abs
+
+
+def test_at_s_2_the_model_residual_at_the_true_velocity_misses_the_full_step_one_by_the_tolerance():
+    # why a model residual decides nothing: at twice match_n64's scale the
+    # model's endpoint at the exact answer lies outside the tolerance (by
+    # 6.9 times it here)
+    c0, h_true, c1 = match_input(0, 1, s=2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ends, _, _ = solvers._rk4(BESSEL, make_curve(c0.samples[None]), h_true[None], 1.0, 8)
+    tol_abs = 1e-6 * solvers._l2_norm(c1.samples, c1.n)
+    assert solvers._l2_norm(ends[0] - c1.samples, c1.n) > tol_abs
+
+
+def step_counts_of_residuals(monkeypatch, c1):
+    """Record the step count of every residual a shot returns, by value."""
+    real = solvers._rk4
+    seen = []
+
+    def recording(cfg, starts, h0s, T, steps, stride=None):
+        ends, frames, errors = real(cfg, starts, h0s, T, steps, stride)
+        for end in ends:
+            if end is not None:
+                seen.append(((end - c1.samples).ravel() * np.sqrt(TWO_PI / c1.n), steps))
+        return ends, frames, errors
+
+    monkeypatch.setattr(solvers, "_rk4", recording)
+
+    def steps_of(r):
+        [count] = {steps for seen_r, steps in seen if np.array_equal(seen_r, r)}
+        return count
+
+    return steps_of
+
+
+@pytest.mark.parametrize("index, s", [(0, 0.5), (1, 2.0), (3, 3.0)])
+def test_no_secant_or_accept_test_mixes_step_counts(monkeypatch, index, s):
+    c0, _, c1 = match_input(0, index, s=s)
+    steps_of = step_counts_of_residuals(monkeypatch, c1)
+    real_improves, real_broyden = solvers._improves, solvers._broyden
+    tests, secants = [], []
+
+    def improves(r_new, r):
+        verdict = real_improves(r_new, r)
+        if r_new is not None:
+            tests.append((steps_of(r_new), steps_of(r)))
+        if verdict:
+            last[:] = [r_new, r]
+        return verdict
+
+    def broyden(jac, dx, dr):
+        r_new, r = last
+        # the secant takes the residual change of the accept test just made
+        assert np.array_equal(dr, r_new - r)
+        secants.append((steps_of(r_new), steps_of(r)))
+        return real_broyden(jac, dx, dr)
+
+    last = []
+    monkeypatch.setattr(solvers, "_improves", improves)
+    monkeypatch.setattr(solvers, "_broyden", broyden)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = geodesic_bvp(BESSEL, c0, c1, K=2, steps=32)
+    assert res.converged
+    assert tests and secants
+    assert all(a == b for a, b in tests + secants)
+    if s > 1.0:
+        # these matches go on to full steps after the model
+        assert (32, 32) in tests and (8, 8) in tests
+
+
+@pytest.mark.parametrize("index", [1, 3])
+def test_s_2_inputs_that_stalled_on_mixed_step_counts_converge_to_the_true_velocity(index):
+    # at twice match_n64's scale these inputs stalled when trials were
+    # accepted against residuals of another step count
+    c0, h_true, c1 = match_input(0, index, s=2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = geodesic_bvp(BESSEL, c0, c1, K=2, steps=32)
+        alone = exp_map(BESSEL, c0, res.initial_velocity, T=1.0, steps=32, stride=2)
+    assert res.converged
+    assert_full_step_verdict(res, c1, 1e-6)
+    assert_same_path(res.path, alone)
+    assert np.linalg.norm(res.initial_velocity - h_true) <= 1e-4 * np.linalg.norm(h_true)
+
+
+@pytest.mark.parametrize("index", [3, 4])
+def test_s_3_starts_that_leave_the_immersion_set_are_halved_and_converge(monkeypatch, index):
+    # x0's own shot fails (input 4) or blows up on the model's steps
+    # (input 3); from x0 / 2 both matches converge
+    c0, h_true, c1 = match_input(0, index, s=3.0)
+    runs = recording_runs(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = geodesic_bvp(BESSEL, c0, c1, K=2, steps=32)
+        monkeypatch.undo()
+        alone = exp_map(BESSEL, c0, res.initial_velocity, T=1.0, steps=32, stride=2)
+    assert runs[:2] == [(11, 8), (11, 8)]
+    assert res.converged
+    assert_full_step_verdict(res, c1, 1e-6)
+    assert_same_path(res.path, alone)
+    assert np.linalg.norm(res.initial_velocity - h_true) <= 1e-4 * np.linalg.norm(h_true)
 
 
 @pytest.mark.parametrize("n", [64, 256])

@@ -419,8 +419,8 @@ def test_match_result_records_shots_and_integrations(tmp_path, capsys):
     assert payload["integrations"] == 2
     assert payload["jacobians"] == 1
     assert payload["damping"] == [1e-3]
-    # the batch on half the steps, the trial on all of them
-    assert payload["run_steps"] == [16, 32]
+    # the batch on the model's quarter of the steps, the trial on all of them
+    assert payload["run_steps"] == [8, 32]
 
 
 COMMON_FLAGS = {"-h", "--help", "--config", "--family", "--r", "--alphas", "--seed"}

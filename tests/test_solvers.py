@@ -592,6 +592,42 @@ def test_geodesic_bvp_refuses_a_bad_schedule_before_any_work(bad, monkeypatch):
     assert built == []
 
 
+@pytest.mark.parametrize("bad", [
+    {"steps": 16.5}, {"steps": 32.0}, {"steps": True}, {"steps": None},
+    {"stride": None}, {"stride": 2.5}, {"stride": True},
+])
+def test_exp_map_refuses_a_count_that_is_no_integer_before_integrating(bad, monkeypatch):
+    built = []
+    monkeypatch.setattr(solvers, "make_curve", lambda s: built.append(s) or make_curve(s))
+    name = next(iter(bad))
+    for integrate in (exp_map, exp_map_spray):
+        with pytest.raises(DomainError, match=f"need an integer {name}"):
+            integrate(BESSEL, circle(), np.zeros((64, 2)), **{"steps": MIN_STEPS, **bad})
+    assert built == []
+
+
+@pytest.mark.parametrize("bad", [
+    {"steps": 32.5}, {"steps": True}, {"K": 2.5}, {"K": True}, {"K": np.float64(2.0)},
+    {"max_iter": 2.5}, {"max_iter": False}, {"max_iter": None},
+])
+def test_geodesic_bvp_refuses_a_count_that_is_no_integer_before_any_shot(bad, monkeypatch):
+    shot = []
+    monkeypatch.setattr(solvers, "_rk4", lambda *a, **k: shot.append(a) or pytest.fail("shot"))
+    c0 = circle(32)
+    name = next(iter(bad))
+    with pytest.raises(DomainError, match=f"need an integer {name}"):
+        geodesic_bvp(BESSEL, c0, make_curve(1.05 * c0.samples), **{"K": 2, "steps": 32, **bad})
+    assert shot == []
+
+
+def test_numpy_integer_counts_pass_as_integers():
+    c0 = circle(32)
+    path = exp_map(BESSEL, c0, np.zeros((32, 2)), steps=np.int64(16), stride=np.int32(8))
+    assert len(path.frames) == 3
+    res = geodesic_bvp(BESSEL, c0, c0, K=np.int64(2), steps=np.int64(16), max_iter=np.int16(3))
+    assert res.converged and res.iterations == 0
+
+
 def test_conservation_report_names_the_first_frame_without_a_velocity(monkeypatch):
     path = exp_map(BESSEL, circle(), 0.1 * circle().samples, T=0.5, steps=MIN_STEPS, stride=4)
     frames = [Frame(f.t, f.curve, None, f.momentum) if i in (2, 3) else f for i, f in enumerate(path.frames)]
@@ -607,7 +643,8 @@ def test_conservation_report_names_the_first_frame_without_a_velocity(monkeypatc
 def test_every_rk4_run_of_a_match_builds_4_steps_plus_1_curves(count_calls):
     # a shot batch's t = 0 curve serves its first stage, as exp_map's batch
     # of one does, so no run builds that curve twice; the Jacobian batch and
-    # the trials not expected to converge run on half the steps
+    # the trials not expected to converge run on the model's quarter of the
+    # steps
     c0 = circle(32)
     theta = grid(32)
     h_true = 0.1 * np.column_stack([np.cos(theta) + 0.3 * np.sin(2 * theta), np.sin(theta)])
@@ -616,7 +653,7 @@ def test_every_rk4_run_of_a_match_builds_4_steps_plus_1_curves(count_calls):
     res = geodesic_bvp(BESSEL, c0, target, K=3, steps=32, T=1.0)
     assert res.converged and res.integrations >= 2 and res.shots > res.integrations
     assert res.jacobians == 1
-    assert res.run_steps[0] == 16 and len(res.run_steps) == res.integrations
+    assert res.run_steps[0] == 8 and len(res.run_steps) == res.integrations
     assert calls["make_curve"] == sum(4 * steps + 1 for steps in res.run_steps)
 
 
