@@ -755,6 +755,41 @@ def test_match_n64_inputs_keep_their_iterations_and_shots():
     assert counts == MATCH_N64_COUNTS
 
 
+#: (iterations, shots, jacobians, (8-step runs, 32-step runs)) of the survey's
+#: matches at 1, 2 and 3 times match_n64's scale, seed 0 inputs 0-7
+SURVEY_COUNTS = {
+    1.0: [
+        (3, 14, 1, (3, 1)), (3, 14, 1, (3, 1)), (4, 15, 1, (3, 2)), (3, 14, 1, (3, 1)),
+        (4, 15, 1, (3, 2)), (4, 15, 1, (3, 2)), (2, 13, 1, (2, 1)), (4, 15, 1, (3, 2)),
+    ],
+    2.0: [
+        (5, 16, 1, (4, 2)), (7, 19, 1, (7, 2)), (9, 21, 1, (8, 3)), (6, 18, 1, (6, 2)),
+        (9, 35, 2, (12, 3)), (7, 19, 1, (7, 2)), (4, 15, 1, (3, 2)), (8, 20, 1, (7, 3)),
+    ],
+    3.0: [
+        (7, 18, 1, (6, 2)), (13, 25, 1, (9, 6)), (12, 24, 1, (10, 4)), (19, 122, 7, (26, 16)),
+        (15, 38, 1, (12, 6)), (8, 20, 1, (7, 3)), (6, 18, 1, (6, 2)), (9, 45, 3, (12, 3)),
+    ],
+}
+
+
+@pytest.mark.parametrize("s", SURVEY_COUNTS)
+def test_survey_matches_converge_on_8_step_runs_then_32_step_runs_at_their_counts(s):
+    counts = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for index in range(8):
+            c0, h_true, c1 = match_input(0, index, s=s)
+            res = geodesic_bvp(BESSEL, c0, c1, K=2, steps=32)
+            assert res.converged
+            assert np.linalg.norm(res.initial_velocity - h_true) <= 1e-4 * np.linalg.norm(h_true)
+            model, full = res.run_steps.count(8), res.run_steps.count(32)
+            # the model's runs, then the full-step ones
+            assert res.run_steps == (8,) * model + (32,) * full
+            counts.append((res.iterations, res.shots, res.jacobians, (model, full)))
+    assert counts == SURVEY_COUNTS[s]
+
+
 def fd_jacobian(c0, c1, K, steps):
     """The forward-difference Jacobian at geodesic_bvp's initial coefficients,
     its base and columns from one batch of the given step count."""
