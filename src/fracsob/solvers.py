@@ -19,20 +19,20 @@ _geodesics turns one run into a path per member; exp_map and
 exp_map_spray hand it a batch of one. The boundary-value problem is
 solved by shooting: Levenberg-Marquardt on the endpoint mismatch over a
 Fourier-truncated initial velocity. The Jacobian is differenced forward,
-all its columns integrated as one batch together with the base shot they
-are differenced against (at the start, the initial shot); after each
-accepted step Broyden's rank-one secant update keeps it current without
-a shot. A match starts on a coarse model of the shooting map, a quarter
-of the RK4 steps: the Jacobian batch and every trial the linear model
-does not expect to converge run there. A model residual is compared only
-with a model residual and decides nothing. Only a shot on all the steps
-decides convergence and gives the reported residual; once such a shot
-misses, or the model stalls, the match goes on with every trial on all
-the steps. So a typical match is one batch and then one lone run per
-trial. A shot on all the steps keeps its frames, and the shot at the
-returned velocity is the returned path. Trial shots that leave the
-immersion set count as rejected steps and raise the damping instead of
-aborting.
+its columns integrated as one batch and differenced against the residual
+the match already holds (the first batch carries the initial shot); after
+each accepted step Broyden's rank-one secant update keeps it current
+without a shot. The iterations run in two phases: on a coarse model of
+the shooting map, a quarter of the RK4 steps, then on all the steps, with
+one lone full-step shot of the current point, the hand-over, between
+them. A residual is compared only with a residual of its own step count,
+so a model residual decides nothing; a model trial the linear model
+expects to converge runs on all the steps and, unless it fails, ends the
+model phase in place of the hand-over. So a typical match is one batch
+and then one lone run per trial. A shot on all the steps keeps its
+frames, and the shot at the returned velocity is the returned path.
+Trial shots that leave the immersion set count as rejected steps and
+raise the damping instead of aborting.
 """
 
 import json
@@ -128,10 +128,10 @@ class ShootingResult:
     three are counted in one place, the shot. jacobians counts the
     forward-difference Jacobians built (one on a typical match), and
     damping holds the Levenberg-Marquardt damping of each trial step in
-    order. The path is a shot on all the steps the solver already made,
-    unless the iterations stopped on the model; then the returned velocity
-    is shot once more alone, one more shot and run, counted like every
-    shot.
+    order. The path is the full-step shot at the returned velocity, one the
+    match makes anyway: the lone initial shot, the model phase's last
+    shot (a trial on all the steps, or the hand-over of its current
+    point), or an accepted full-step trial.
     """
 
     initial_velocity: np.ndarray
@@ -333,16 +333,18 @@ def _rk4(cfg, c0, h0, T, steps, stride=None, form=_MOMENTUM):
     return result()
 
 
-def _check_count(name, value):
-    """DomainError unless value is an integer; a bool is none, a numpy integer is one."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise DomainError(f"need an integer {name}, got {value!r}")
+def _check_number(name, value, kind=numbers.Integral):
+    """DomainError unless value is a number of kind, an integer by default or
+    numbers.Real; a bool is neither, a numpy integer or float is its kind."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise DomainError(f"need {'an integer' if kind is numbers.Integral else 'a real'} {name}, got {value!r}")
 
 
 def _check_schedule(T, steps, stride):
     """The time grid of a path: DomainError before any integration starts."""
-    _check_count("steps", steps)
-    _check_count("stride", stride)
+    _check_number("steps", steps)
+    _check_number("stride", stride)
+    _check_number("T", T, numbers.Real)
     if steps < MIN_STEPS:
         raise DomainError(f"need steps >= {MIN_STEPS}, got {steps}")
     if stride < 1:
@@ -455,74 +457,65 @@ def geodesic_bvp(
     The unknown is the (2K+1) real Fourier coefficients per dimension of h0;
     the residual is the endpoint mismatch in the L2(dtheta) norm of samples.
     Levenberg-Marquardt with a forward-difference Jacobian J: the columns
-    step each coefficient x by FD_STEP max(1, |x|), and their (2K+1)*d shots
-    are integrated as one batch together with the base shot at x; columns
-    whose shot loses immersion (a ResolutionError included) are retried
-    with the step negated, as a second batch. After each accepted step dx,
-    Broyden's secant update J += (r_new - r - J dx) dx^T / (dx^T dx)
-    replaces a new difference; a trial rejected under an updated J makes
-    the solver difference J again at the current point (one batch, shooting
-    its own base) and retry at the same damping.
+    step each coefficient x by FD_STEP max(1, |x|), their (2K+1)*d shots
+    run as one batch, and they are differenced against the residual the
+    match already holds at x; columns whose shot loses immersion (a
+    ResolutionError included) are retried with the step negated, as a
+    second batch. After each accepted step dx, Broyden's secant update
+    J += (r_new - r - J dx) dx^T / (dx^T dx) replaces a new difference. A
+    trial rejected under an updated J makes the solver difference J again
+    at the current point and retry at the same damping; a rejection under
+    a freshly differenced J multiplies the damping by 10. Trial shots that
+    lose immersion count as rejected.
 
-    The match starts on a coarse model of the shooting map: every
-    Jacobian batch, and every trial whose linear model does not predict
-    convergence, runs on max(MIN_STEPS // 2, steps // 4) RK4 steps without
-    frames (8 at 32 steps). The model is a good Jacobian and a bad judge:
-    its residual can differ from the full-step one by far more than the
-    tolerance once the deformation grows. So a model residual is compared,
-    and enters a secant, only against a model residual, and it decides
-    nothing:
-    - a trial whose linear model predicts convergence,
-      |r + J dx| <= tol_rel * |c1|, runs on all the steps with a frame every
-      max(1, steps // 16) steps. It is the answer if it meets the tolerance;
-      otherwise the match goes on from it on full steps;
-    - a model point whose residual meets the tolerance (x0 in its batch, or
-      an accepted model trial) is shot alone on all the steps; a miss goes
-      on from that shot on full steps;
-    - the model stalls when an accepted step lowers its residual by less
-      than the tolerance (it sits at its own minimum), when an iteration's
-      12 trials are all rejected, or when a new difference's base shot
-      fails. The current point is then shot alone on all the steps and the
-      match goes on from it on full steps.
-    On full steps every trial runs on all the steps with its frames, is
-    compared with the full-step residual at the current point and updates
-    J by its full-step secant, and a new difference runs on all the steps
-    too: where the model stopped judging, its Jacobian can be off as well.
-    There a rejection under a freshly differenced J multiplies the damping
-    by 10, a new difference whose base shot fails keeps the old J as if
-    fresh, and an iteration whose 12 trials are all rejected ends the
-    match. Trial shots that lose immersion count as rejected.
+    The iterations run in two phases, and a residual is compared, or
+    enters a secant, only against a residual of its own step count:
+    - the model, on max(MIN_STEPS // 2, steps // 4) RK4 steps without
+      frames (8 at 32 steps). It is a good Jacobian and a bad judge: its
+      residual can differ from the full-step one by far more than the
+      tolerance once the deformation grows, so it decides nothing. A trial
+      whose linear model predicts convergence, |r + J dx| <= tol_rel * |c1|,
+      runs on all the steps instead, and its shot ends the phase unless it
+      fails. The phase also ends when the model residual meets the
+      tolerance, when an accepted step lowers it by less than the tolerance
+      (the model sits at its own minimum), when an iteration's 12 trials are
+      all rejected, or after max_iter iterations. The current point is then
+      shot alone on all the steps, the hand-over; ImmersionError if that
+      shot fails.
+    - full steps, where every trial and every new difference runs on all
+      the steps, each trial with a frame every max(1, steps // 16) steps.
+      The match ends when the residual meets the tolerance, when an
+      iteration's 12 trials are all rejected, or after max_iter iterations
+      in all.
 
-    The initial shot is the base of the first Jacobian batch, at the
-    least-squares start x0. It runs alone on all the steps instead when
-    max_iter is 0 or |c1 - c0| <= tol_rel * |c1|, where it is the answer,
-    and the match is then on full steps from the start. When the initial
+    The initial shot, at the least-squares start x0, runs on the model in
+    the batch of the first Jacobian. It runs alone on all the steps instead
+    when max_iter is 0 or |c1 - c0| <= tol_rel * |c1|; there it is the
+    answer, or the match goes on from it on full steps. When the initial
     shot leaves the immersion set, or misses c1 by more than c0 does (the
     residual at x = 0 on any step count), x is halved and shot again, up to
     three times, each attempt counted like every shot; ImmersionError when
     the last attempt fails too.
 
-    Only a full-step shot decides convergence and gives the reported
-    residual, and the returned path is the frames of the full-step shot at
-    the returned velocity: when the iterations stop on the model, the
-    current point is shot once more alone on all the steps (an
-    ImmersionError if a full-step shot of a current point fails). The
-    current point is the best point of its phase, since a step is taken
-    only when it lowers the residual. The result counts the shots, the RK4
-    runs and the Jacobians differenced, and lists the step count of every
-    run and the damping of every trial. Raises NoConvergenceError carrying
-    that result when the match ends unconverged, after max_iter iterations
-    or on a full-step iteration whose trials are all rejected. DomainError
-    before any work for a schedule exp_map refuses, a K or max_iter that
-    is not an integer (a bool included), a negative max_iter, 2K+1 > N, or
-    a tol_rel or damping that is not finite and positive.
+    So the reported residual and the returned path are those of a
+    full-step shot at the returned velocity, and that residual alone
+    decides convergence. The current point is the best point of its phase,
+    since a step is taken only when it lowers the residual. The result
+    counts the shots, the RK4 runs and the Jacobians differenced, and lists
+    the step count of every run and the damping of every trial. Raises
+    NoConvergenceError carrying that result when the match ends
+    unconverged. DomainError before any work for a schedule exp_map
+    refuses, a K or max_iter that is not an integer (a bool included), a
+    negative max_iter, 2K+1 > N, or a tol_rel or damping that is not a
+    finite real > 0 (a bool included).
     """
     if c0.batched or c1.batched:
         raise GridError("geodesic_bvp matches two single curves, not batches")
     _check_schedule(T, steps, 1)
-    _check_count("K", K)
-    _check_count("max_iter", max_iter)
+    _check_number("K", K)
+    _check_number("max_iter", max_iter)
     for name, value in (("tol_rel", tol_rel), ("damping", damping)):
+        _check_number(name, value, numbers.Real)
         if not 0 < value < np.inf:
             raise DomainError(f"need a finite {name} > 0, got {value}")
     if max_iter < 0:
@@ -540,11 +533,9 @@ def geodesic_bvp(
     scale = max(_l2_norm(c1.samples, n), 1e-300)
     tol_abs = tol_rel * scale
     out_stride = max(1, steps // 16)
-    # the step count of the model: every Jacobian batch, and every trial on
-    # the model that is not expected to converge
     model_steps = max(MIN_STEPS // 2, steps // 4)
 
-    shots = jacobians = 0
+    shots = jacobians = iterations = 0
     lams, run_steps = [], []
 
     def velocity(x):
@@ -563,33 +554,21 @@ def geodesic_bvp(
         residuals = [None if end is None else (end - c1.samples).ravel() * np.sqrt(TWO_PI / n) for end in ends]
         return residuals, frames if stride else [None] * len(xs)
 
-    def full(x):
-        """The residual and frames of x's lone shot on steps, where the
-        match goes on from x or ends at it."""
-        [r], [frames] = shoot(x[None], steps, out_stride)
-        if r is None:
-            raise ImmersionError("the full-step shot of the current velocity leaves the immersion set")
-        return r, frames
-
     def fd_deltas(x):
         return FD_STEP * np.maximum(1.0, np.abs(x))
 
-    def differenced(x, n_steps, shot=None):
-        """The forward-difference Jacobian at x from one batch of n_steps RK4
-        steps: the base shot at x together with its columns, unless shot
-        already holds their residuals, and the columns whose shot failed
-        shot again with the step negated, as a second batch. The columns
-        difference against the base of their own step count. None when the
-        base fails."""
+    def differenced(x, base, n_steps, cols=None):
+        """The forward-difference Jacobian at x against base, the residual of
+        x's shot on n_steps RK4 steps that the match already holds: the
+        columns from one batch of n_steps steps, unless cols already holds
+        their residuals, and those whose shot failed shot again with the
+        step negated, as a second batch."""
         nonlocal jacobians
         jacobians += 1
         deltas = fd_deltas(x)
         probes = np.diag(deltas)
-        if shot is None:
-            shot, _ = shoot(np.vstack([x, x + probes]), n_steps)
-        base, *cols = shot
-        if base is None:
-            return None
+        if cols is None:
+            cols, _ = shoot(x + probes, n_steps)
         retry = [j for j, rp in enumerate(cols) if rp is None]
         if retry:
             back, _ = shoot(x - probes[retry], n_steps)
@@ -605,7 +584,7 @@ def geodesic_bvp(
     x = coef0.ravel()
     # the initial shot is the base of the first Jacobian batch, unless no
     # iteration may run or the target is within tolerance of c0, where that
-    # shot runs alone on steps and is the answer
+    # shot runs alone on steps
     gap = _l2_norm(c1.samples - c0.samples, n)
     batch = max_iter > 0 and gap > tol_abs
     # the start is halved while its shot fails or misses c1 by more than
@@ -620,81 +599,75 @@ def geodesic_bvp(
         x = 0.5 * x
     else:
         raise ImmersionError("the initial shot already leaves the immersion set")
-    # (r, frames) at the current x: a model residual without frames, or a
-    # full-step one with the frames of its shot
-    r = shot[0]
     jac = None
     # whether jac carries secant updates since it was last differenced
     updated = False
     lam = damping
-    iterations = 0
-    moved = True
-    while True:
-        if frames is None and np.linalg.norm(r) <= tol_abs:
-            r, frames = full(x)
-        if np.linalg.norm(r) <= tol_abs or iterations >= max_iter or not moved:
-            break
-        # the match is on the model until its first full-step shot that
-        # does not end it; from there a new difference runs on steps too
-        on_model = frames is None
-        jac_steps = model_steps if on_model else steps
-        if jac is None:
-            # the first Jacobian: from the initial batch, or from a batch of
-            # its own when the initial shot ran alone on steps
-            jac = differenced(x, model_steps, shot) if batch else differenced(x, steps)
+
+    def descend(x, r, frames, n_steps):
+        """Levenberg-Marquardt iterations on n_steps RK4 steps from x, whose
+        residual r is of that step count (frames None on the model, else the
+        frames of x's shot), until r meets the tolerance, max_iter
+        iterations have run in all, or an iteration accepts no trial. On the
+        model, a trial expected to converge, shot on steps, and an accepted
+        step that gains less than the tolerance end it too. Returns the
+        (x, r, frames) it ends at."""
+        nonlocal jac, updated, lam, iterations
+        model = n_steps < steps
+        while np.linalg.norm(r) > tol_abs and iterations < max_iter:
             if jac is None:
-                break
-        iterations += 1
-        # stalled: on the model, the accepted step lowered the residual by
-        # less than the tolerance, so the model sits at its own minimum
-        moved = stalled = False
-        for _ in range(12):
-            jtj = jac.T @ jac
-            diag = np.diag(jtj).copy()
-            diag[diag <= 0] = 1.0
-            try:
-                dx = np.linalg.solve(jtj + lam * np.diag(diag), -(jac.T @ r))
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            x_t = x + dx
-            lams.append(lam)
-            if on_model and np.linalg.norm(r + jac @ dx) <= tol_abs:
-                # a trial that may be the answer runs on steps; it is the
-                # answer, or the match goes on from it on full steps
-                [r_t], [frames_t] = shoot(x_t[None], steps, out_stride)
-                if r_t is not None:
-                    x, r, frames = x_t, r_t, frames_t
-                    moved = True
-                    break
-            else:
-                [r_t], [frames_t] = shoot(x_t[None], model_steps if on_model else steps, None if on_model else out_stride)
-                if _improves(r_t, r):
-                    jac = _broyden(jac, dx, r_t - r)
-                    updated = True
-                    stalled = on_model and np.linalg.norm(r) - np.linalg.norm(r_t) < tol_abs
-                    x, r, frames = x_t, r_t, frames_t
-                    lam = max(lam / 3.0, 1e-12)
-                    moved = True
-                    break
-            if updated:
-                # the secant model may be what failed: difference again at
-                # x and retry at the same damping
-                new = differenced(x, jac_steps)
-                updated = False
-                if new is not None:
-                    jac = new
+                # the first Jacobian: from the initial batch, or from columns
+                # of its own when the initial shot ran alone on steps
+                jac = differenced(x, shot[0], model_steps, shot[1:]) if batch else differenced(x, r, steps)
+            iterations += 1
+            for _ in range(12):
+                jtj = jac.T @ jac
+                diag = np.diag(jtj).copy()
+                diag[diag <= 0] = 1.0
+                try:
+                    dx = np.linalg.solve(jtj + lam * np.diag(diag), -(jac.T @ r))
+                except np.linalg.LinAlgError:
+                    lam *= 10.0
                     continue
-                if on_model:
-                    break
-            lam *= 10.0
-        if frames is None and (stalled or not moved):
-            # the model stalls: x goes on from its shot on steps
-            r, frames = full(x)
-            moved = True
-    if frames is None:
-        # the iterations stopped on the model
-        r, frames = full(x)
+                x_t = x + dx
+                lams.append(lam)
+                if model and np.linalg.norm(r + jac @ dx) <= tol_abs:
+                    # a trial that may be the answer runs on steps: the
+                    # answer, or the point the full-step phase starts from
+                    [r_t], [frames_t] = shoot(x_t[None], steps, out_stride)
+                    if r_t is not None:
+                        return x_t, r_t, frames_t
+                else:
+                    [r_t], [frames_t] = shoot(x_t[None], n_steps, None if model else out_stride)
+                    if _improves(r_t, r):
+                        jac = _broyden(jac, dx, r_t - r)
+                        updated = True
+                        lam = max(lam / 3.0, 1e-12)
+                        if model and np.linalg.norm(r) - np.linalg.norm(r_t) < tol_abs:
+                            # the model sits at its own minimum
+                            return x_t, r_t, None
+                        x, r, frames = x_t, r_t, frames_t
+                        break
+                if updated:
+                    # the secant model may be what failed: difference again
+                    # at x and retry at the same damping
+                    jac = differenced(x, r, n_steps)
+                    updated = False
+                    continue
+                lam *= 10.0
+            else:
+                return x, r, frames
+        return x, r, frames
+
+    r = shot[0]
+    if batch:
+        x, r, frames = descend(x, r, frames, model_steps)
+        if frames is None:
+            # the hand-over: the match goes on from x's shot on steps, or ends at it
+            [r], [frames] = shoot(x[None], steps, out_stride)
+            if r is None:
+                raise ImmersionError("the full-step shot of the current velocity leaves the immersion set")
+    x, r, frames = descend(x, r, frames, steps)
     path = GeodesicPath(tuple(frames), cfg, scheme=_MOMENTUM.scheme, steps=steps)
     residual = float(np.linalg.norm(r))
     result = ShootingResult(

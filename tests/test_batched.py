@@ -283,17 +283,16 @@ def reference_bvp(cfg, c0, c1, K, steps, T=1.0, max_iter=50, tol_rel=1e-6, dampi
     without frames, and whose presented path is one more exp_map run, as
     reference. The match runs on the model, a quarter of the steps, until a
     full-step shot misses or the model stalls, then on all the steps. A
-    Jacobian is differenced on the steps of the match's phase against a
-    base of its own step count: at the start, against the initial shot, the
-    anchor at x0; later against a base shot with the columns. The columns
-    run as one batch, or one run each with batch_columns=False. On the
-    model a trial runs on steps when its linear model meets the tolerance
-    (the answer, or the point the match goes on from), else on the model; a
-    model residual that meets the tolerance is replaced by its point's lone
-    shot on steps; an accepted model step that gains less than the
-    tolerance, an iteration without an accepted step, or a failed model
-    base stalls the model. Broyden updates after accepted steps of one step
-    count, a new difference after a step rejected under an updated
+    Jacobian is differenced on the steps of the match's phase against the
+    residual the match holds at its point: at the start the initial shot,
+    the anchor at x0. The columns run as one batch, or one run each with
+    batch_columns=False. On the model a trial runs on steps when its linear
+    model meets the tolerance (the answer, or the point the match goes on
+    from), else on the model; a model residual that meets the tolerance is
+    replaced by its point's lone shot on steps; an accepted model step that
+    gains less than the tolerance, or an iteration without an accepted
+    step, stalls the model. Broyden updates after accepted steps of one
+    step count, a new difference after a step rejected under an updated
     Jacobian, the damping tenfold after a rejection under a fresh one."""
     n, d = c0.n, c0.dim
     basis = solvers._fourier_basis(n, K)
@@ -313,15 +312,10 @@ def reference_bvp(cfg, c0, c1, K, steps, T=1.0, max_iter=50, tol_rel=1e-6, dampi
             return shoot(xs, run_steps)
         return [rp for x_j in xs for rp in shoot(x_j[None], run_steps)]
 
-    def jacobian(x, run_steps, base=None):
+    def jacobian(x, run_steps, base):
         deltas = fd_step * np.maximum(1.0, np.abs(x))
         probes = np.diag(deltas)
-        if base is None:
-            base, *cols = shoot_columns(np.vstack([x, x + probes]), run_steps)
-            if base is None:
-                return None
-        else:
-            cols = shoot_columns(x + probes, run_steps)
+        cols = shoot_columns(x + probes, run_steps)
         retry = [j for j, rp in enumerate(cols) if rp is None]
         if retry:
             for j, rp in zip(retry, shoot_columns(x - probes[retry], run_steps)):
@@ -375,12 +369,8 @@ def reference_bvp(cfg, c0, c1, K, steps, T=1.0, max_iter=50, tol_rel=1e-6, dampi
                     lam = max(lam / 3.0, 1e-12)
                     break
             if updated:
-                new, updated = jacobian(x, jac_steps), False
-                if new is not None:
-                    jac = new
-                    continue
-                if not full:
-                    break
+                jac, updated = jacobian(x, jac_steps, r), False
+                continue
             lam *= 10.0
         if not full and (stalled or not moved):
             [r], full, moved = shoot(x[None], steps), True, True
@@ -473,8 +463,9 @@ def test_broyden_updates_reproduce_the_lone_shot_loop(monkeypatch, reject_second
     sizes = [len(h) for h in calls]
     if reject_second_trial:
         # the trial rejected under the updated Jacobian makes the solver
-        # difference again at the same point and retry at the same damping
-        assert sizes[:5] == [11, 1, 1, 11, 1]
+        # difference again at the same point, its 10 columns against the
+        # residual it holds there, and retry at the same damping
+        assert sizes[:5] == [11, 1, 1, 10, 1]
         assert res.damping[:3] == (1e-3, 1e-3 / 3.0, 1e-3 / 3.0)
         assert res.jacobians == 2
     else:
@@ -691,16 +682,16 @@ def test_a_failing_initial_shot_is_halved_and_each_attempt_is_counted(monkeypatc
 
 
 def recording_runs(monkeypatch, base_end=None, reject=()):
-    """Record (members, steps) of every RK4 run. A batch's base shot, its
-    first member, ends at base_end when that is given; the runs numbered in
-    reject lose their first member, as rejected trial shots."""
+    """Record (members, steps) of every RK4 run. The initial shot, the first
+    run's first member, ends at base_end when that is given; the runs
+    numbered in reject lose their first member, as rejected trial shots."""
     real = solvers._rk4
     runs = []
 
     def recording(cfg, starts, h0s, T, steps, *args, **kwargs):
         runs.append((len(h0s), steps))
         ends, frames, errors = real(cfg, starts, h0s, T, steps, *args, **kwargs)
-        if base_end is not None and len(h0s) > 1:
+        if base_end is not None and len(runs) == 1:
             ends[0] = base_end
         if len(runs) in reject:
             ends[0] = None
@@ -764,11 +755,11 @@ SURVEY_COUNTS = {
     ],
     2.0: [
         (5, 16, 1, (4, 2)), (7, 19, 1, (7, 2)), (9, 21, 1, (8, 3)), (6, 18, 1, (6, 2)),
-        (9, 35, 2, (12, 3)), (7, 19, 1, (7, 2)), (4, 15, 1, (3, 2)), (8, 20, 1, (7, 3)),
+        (9, 34, 2, (12, 3)), (7, 19, 1, (7, 2)), (4, 15, 1, (3, 2)), (8, 20, 1, (7, 3)),
     ],
     3.0: [
-        (7, 18, 1, (6, 2)), (13, 25, 1, (9, 6)), (12, 24, 1, (10, 4)), (19, 122, 7, (26, 16)),
-        (15, 38, 1, (12, 6)), (8, 20, 1, (7, 3)), (6, 18, 1, (6, 2)), (9, 45, 3, (12, 3)),
+        (7, 18, 1, (6, 2)), (13, 25, 1, (9, 6)), (12, 24, 1, (10, 4)), (19, 116, 7, (26, 16)),
+        (15, 38, 1, (12, 6)), (8, 20, 1, (7, 3)), (6, 18, 1, (6, 2)), (9, 43, 3, (12, 3)),
     ],
 }
 
@@ -902,23 +893,54 @@ def test_every_exit_reports_the_residual_of_its_path_and_decides_convergence_by_
         assert len(runs) == 14 and runs[0] == (11, 8) and runs[-1] == (1, 32)
 
 
-def test_a_jacobian_whose_base_shot_fails_stalls_the_match_at_its_best_point(monkeypatch):
-    # the second trial, run 3, on all the steps since its linear model
-    # meets the tolerance, is rejected under the updated Jacobian; the base
-    # shot of the new difference, run 4, fails, so the model stalls at the
-    # first trial, and the match goes on from that point's lone shot on all
-    # the steps, run 5
-    c0, c1 = seeded_match()
-    runs = recording_runs(monkeypatch, reject=(3, 4))
+def test_a_new_difference_shoots_only_its_columns_against_the_residual_the_match_holds(monkeypatch):
+    # at twice match_n64's scale, the second trial, run 3 on the model, is
+    # made to fail under the updated Jacobian. The new difference at the
+    # first trial's point, run 4, shoots only the (2K+1)*d = 10 columns;
+    # its column 3 is made to fail and is shot again with the step negated,
+    # run 5. The trial at the same damping, run 6, is accepted, so its
+    # Broyden update starts from the new Jacobian
+    c0, _, c1 = match_input(0, 0, s=2.0)
+    n = c1.n
+    real_rk4, real_broyden = solvers._rk4, solvers._broyden
+    runs, updates = [], []
+
+    def failing(cfg, starts, h0s, T, steps, stride=None):
+        ends, frames, errors = real_rk4(cfg, starts, h0s, T, steps, stride)
+        runs.append((np.array(h0s), steps, list(ends)))
+        if len(runs) in (3, 4):
+            member = 0 if len(runs) == 3 else 3
+            ends[member] = None
+            errors[member] = ImmersionError("injected")
+        return ends, frames, errors
+
+    monkeypatch.setattr(solvers, "_rk4", failing)
+    monkeypatch.setattr(solvers, "_broyden", lambda jac, dx, dr: updates.append((jac, dx)) or real_broyden(jac, dx, dr))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         result = geodesic_bvp(BESSEL, c0, c1, K=2, steps=32)
-    assert runs[:5] == [(11, 8), (1, 8), (1, 32), (11, 8), (1, 32)]
-    # every run after the stall is on all the steps
-    assert all(steps == 32 for _, steps in runs[4:])
-    assert result.converged and result.iterations >= 3 and result.jacobians == 2
-    assert result.shots == sum(size for size, _ in runs)
-    assert_full_step_verdict(result, c1, 1e-6)
+    monkeypatch.undo()
+    assert [(len(h), steps) for h, steps, _ in runs[:6]] == [(11, 8), (1, 8), (1, 8), (10, 8), (1, 8), (1, 8)]
+    assert result.converged and result.jacobians == 2
+    assert result.shots == sum(len(h) for h, _, _ in runs)
+    # the columns step the first trial's point by +delta, the retry by -delta
+    point, columns, retry = runs[1][0][0], runs[3][0], runs[4][0]
+    assert np.max(np.abs(retry[0] - (2.0 * point - columns[3]))) <= 1e-12
+    # the same Jacobian, bitwise, from a fresh base shot at that point in
+    # one batch with the columns
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ends, _, _ = real_rk4(BESSEL, make_curve(np.broadcast_to(c0.samples, (11, n, 2))),
+                              np.vstack([point[None], columns]), 1.0, 8)
+    assert np.array_equal(ends[0], runs[1][2][0])
+    ends[1 + 3] = runs[4][2][0]
+    basis = solvers._fourier_basis(n, 2)
+    x0 = np.linalg.lstsq(basis, c1.samples - c0.samples, rcond=None)[0].ravel()
+    deltas = solvers.FD_STEP * np.maximum(1.0, np.abs(x0 + updates[0][1]))
+    deltas[3] = -deltas[3]
+    base, *cols = [(end - c1.samples).ravel() * np.sqrt(TWO_PI / n) for end in ends]
+    fresh = np.column_stack([(col - base) / delta for col, delta in zip(cols, deltas)])
+    assert np.array_equal(updates[1][0], fresh)
 
 
 def test_a_half_step_trial_within_tolerance_is_shot_again_and_a_miss_goes_on_from_the_full_step_residual(monkeypatch):

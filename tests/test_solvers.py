@@ -620,12 +620,36 @@ def test_geodesic_bvp_refuses_a_count_that_is_no_integer_before_any_shot(bad, mo
     assert shot == []
 
 
+@pytest.mark.parametrize("bad", [
+    {"T": True}, {"T": "1"}, {"T": None}, {"tol_rel": "1e-6"}, {"tol_rel": True},
+    {"damping": True}, {"damping": "1e-3"},
+])
+def test_a_real_setting_that_is_a_bool_or_no_number_is_refused_before_any_shot(bad, monkeypatch):
+    # a bool once ran as 1.0, and a string raised a bare TypeError
+    shot = []
+    monkeypatch.setattr(solvers, "_rk4", lambda *a, **k: shot.append(a) or pytest.fail("shot"))
+    c0 = circle(32)
+    name = next(iter(bad))
+    with pytest.raises(DomainError, match=f"need a real {name}"):
+        geodesic_bvp(BESSEL, c0, make_curve(1.05 * c0.samples), **{"K": 2, "steps": 32, **bad})
+    if name == "T":
+        for integrate in (exp_map, exp_map_spray):
+            with pytest.raises(DomainError, match="need a real T"):
+                integrate(BESSEL, c0, np.zeros((32, 2)), T=bad["T"], steps=MIN_STEPS)
+    assert shot == []
+
+
 def test_numpy_integer_counts_pass_as_integers():
     c0 = circle(32)
     path = exp_map(BESSEL, c0, np.zeros((32, 2)), steps=np.int64(16), stride=np.int32(8))
     assert len(path.frames) == 3
     res = geodesic_bvp(BESSEL, c0, c0, K=np.int64(2), steps=np.int64(16), max_iter=np.int16(3))
     assert res.converged and res.iterations == 0
+    # and numpy floats as reals
+    assert exp_map(BESSEL, c0, np.zeros((32, 2)), T=np.float32(0.5), steps=16, stride=16).frames[-1].t == 0.5
+    res = geodesic_bvp(BESSEL, c0, c0, K=2, steps=16, T=np.float64(1.0), tol_rel=np.float32(1e-6),
+                       damping=np.float64(1e-3))
+    assert res.converged
 
 
 def test_conservation_report_names_the_first_frame_without_a_velocity(monkeypatch):
